@@ -70,13 +70,13 @@ void Run() {
     const bool run_td = n <= 4000;
     double a_ib = -1.0, b_ib, c_ib;
     const double a =
-        run_td ? bench::TimeWithIndexBuild(
+        run_td ? bench::TimeWithPhases(
                      ec, [&] { return FourCycleTd(db, &ec); }, reps, &a_ib)
                : -1.0;
-    const double b = bench::TimeWithIndexBuild(
+    const double b = bench::TimeWithPhases(
         ec, [&] { return FourCycleCombinatorial(db, nullptr, &ec); }, reps,
         &b_ib);
-    const double c = bench::TimeWithIndexBuild(
+    const double c = bench::TimeWithPhases(
         ec,
         [&] {
           return FourCycleMm(db, 2.371552, MmKernel::kBoolean, nullptr,

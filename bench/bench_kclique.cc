@@ -58,15 +58,15 @@ void RunK(int k) {
     }
     const int reps = 2;
     double a_ib, b_ib, c_ib;
-    const double a = bench::TimeWithIndexBuild(
+    const double a = bench::TimeWithPhases(
         ec, [&] { return CliqueCombinatorial(k, db, &ec); }, reps, &a_ib);
-    const double b = bench::TimeWithIndexBuild(
+    const double b = bench::TimeWithPhases(
         ec,
         [&] {
           return CliqueMm(k, db, MmKernel::kBoolean, nullptr, &ec);
         },
         reps, &b_ib);
-    const double c = bench::TimeWithIndexBuild(
+    const double c = bench::TimeWithPhases(
         ec,
         [&] {
           return CliqueMm(k, db, MmKernel::kStrassen, nullptr, &ec);

@@ -49,9 +49,9 @@ void Run() {
     }
     const int reps = n <= 4000 ? 3 : 1;
     double a_ib, b_ib;
-    const double a = bench::TimeWithIndexBuild(
+    const double a = bench::TimeWithPhases(
         ec, [&] { return Pyramid3Combinatorial(db, &ec); }, reps, &a_ib);
-    const double b = bench::TimeWithIndexBuild(
+    const double b = bench::TimeWithPhases(
         ec,
         [&] {
           return Pyramid3Mm(db, 2.371552, MmKernel::kBoolean, nullptr, &ec);

@@ -135,6 +135,7 @@ void RunGuardrails() {
   // min-of-k pairs cancels it.
   bool negative = !WcojBoolean(h, db, &ec);
   bool ans = false;
+  const auto run_wcoj = [&] { ans = WcojBoolean(h, db, &ec); };
   double unguarded = 1e100, armed = 1e100;
   Stopwatch sw;
   for (int i = 0; i < reps; ++i) {
@@ -142,7 +143,7 @@ void RunGuardrails() {
     negative &= !WcojBoolean(h, db, &ec);
     unguarded = std::min(unguarded, sw.Seconds());
     sw.Reset();
-    const ExecResult r = WcojBooleanGuarded(h, db, &ans, &ec, generous);
+    const ExecResult r = RunGuarded(ec, generous, run_wcoj);
     armed = std::min(armed, sw.Seconds());
     negative &= r.ok() && !ans;
   }
@@ -159,7 +160,7 @@ void RunGuardrails() {
   tight_deadline.deadline_ms = std::max<int64_t>(
       1, static_cast<int64_t>(unguarded * 1e3 * 0.2));
   sw.Reset();
-  const ExecResult dl = WcojBooleanGuarded(h, db, &ans, &ec, tight_deadline);
+  const ExecResult dl = RunGuarded(ec, tight_deadline, run_wcoj);
   const double dl_wall = sw.Seconds();
   std::printf("  deadline %4lld ms: %10.5f s   status=%s\n",
               static_cast<long long>(tight_deadline.deadline_ms), dl_wall,
@@ -170,7 +171,7 @@ void RunGuardrails() {
   QueryLimits tight_mem;
   tight_mem.memory_budget_bytes = 64 * 1024;
   sw.Reset();
-  const ExecResult mb = WcojBooleanGuarded(h, db, &ans, &ec, tight_mem);
+  const ExecResult mb = RunGuarded(ec, tight_mem, run_wcoj);
   const double mb_wall = sw.Seconds();
   std::printf("  mem budget 64KiB: %10.5f s   status=%s\n", mb_wall,
               StatusString(mb.status));

@@ -107,13 +107,6 @@ inline double TimeWithPhases(ExecContext& ec, const std::function<bool()>& f,
   return wall;
 }
 
-/// Back-compat alias: phase timing with only the index-build split.
-inline double TimeWithIndexBuild(ExecContext& ec,
-                                 const std::function<bool()>& f, int reps,
-                                 double* index_build_ms) {
-  return TimeWithPhases(ec, f, reps, index_build_ms);
-}
-
 inline void Header(const std::string& title) {
   std::printf("==== %s ====\n", title.c_str());
 }

@@ -1,6 +1,7 @@
 #include "core/api.h"
 
 #include <chrono>
+#include <utility>
 
 #include "engine/strategy.h"
 #include "engine/td_eval.h"
@@ -101,38 +102,6 @@ ExecResult ValidateQuery(const Hypergraph& h, const QueryInput& db) {
   return {};
 }
 
-ExecResult EvaluateBooleanGuarded(const Hypergraph& h, const QueryInput& db,
-                                  bool* result, EvalStrategy strategy,
-                                  ExecContext* ctx,
-                                  const QueryLimits& limits) {
-  ExecResult valid = ValidateQuery(h, db);
-  if (!valid.ok()) return valid;
-  ExecContext& ec = ExecContext::Resolve(ctx);
-  return RunGuarded(ec, limits, [&] {
-    *result = EvaluateBoolean(h, db, strategy, &ec);
-  });
-}
-
-ExecResult EvaluateCountGuarded(const Hypergraph& h, const QueryInput& db,
-                                int64_t* count, ExecContext* ctx,
-                                const QueryLimits& limits) {
-  ExecResult valid = ValidateQuery(h, db);
-  if (!valid.ok()) return valid;
-  ExecContext& ec = ExecContext::Resolve(ctx);
-  return RunGuarded(ec, limits, [&] { *count = WcojCount(h, db, &ec); });
-}
-
-ExecResult EvaluateJoinGuarded(const Hypergraph& h, const QueryInput& db,
-                               VarSet output_vars, Relation* result,
-                               ExecContext* ctx, const QueryLimits& limits) {
-  ExecResult valid = ValidateQuery(h, db);
-  if (!valid.ok()) return valid;
-  ExecContext& ec = ExecContext::Resolve(ctx);
-  return RunGuarded(ec, limits, [&] {
-    *result = WcojJoin(h, db, output_vars, nullptr, &ec);
-  });
-}
-
 namespace {
 
 /// Maps a strategy card to a Boolean-query rung closure. `*result` is
@@ -192,6 +161,38 @@ std::vector<PlanRung> CountLadder(const Hypergraph& h, const QueryInput& db,
   return ladder;
 }
 
+/// One rung today: WcojJoin is already the memory-lightest strategy that
+/// materializes the full join. The ladder shape still buys the shared
+/// deadline and uniform reporting.
+std::vector<PlanRung> JoinLadder(const Hypergraph& h, const QueryInput& db,
+                                 VarSet output_vars, Relation* result) {
+  std::vector<PlanRung> ladder;
+  ladder.push_back({"wcoj", [&h, &db, output_vars, result](ExecContext& ec) {
+                      *result = WcojJoin(h, db, output_vars, nullptr, &ec);
+                    }});
+  return ladder;
+}
+
+/// Shared body of the *WithRecovery entry points: validate, then walk
+/// the ladder `make_ladder` builds over a scratch output, copying the
+/// answer out only on kOk.
+template <typename T, typename MakeLadder>
+ExecResult EvaluateWithRecovery(const Hypergraph& h, const QueryInput& db,
+                                T* out, ExecContext* ctx,
+                                const QueryLimits& limits,
+                                const RetryPolicy& policy,
+                                RecoveryReport* report,
+                                MakeLadder make_ladder) {
+  ExecResult valid = ValidateQuery(h, db);
+  if (!valid.ok()) return valid;
+  ExecContext& ec = ExecContext::Resolve(ctx);
+  T scratch{};
+  const ExecResult r =
+      RunWithRecovery(ec, limits, policy, make_ladder(&scratch), report);
+  if (r.ok()) *out = std::move(scratch);
+  return r;
+}
+
 }  // namespace
 
 ExecResult EvaluateBooleanWithRecovery(const Hypergraph& h, const QueryInput& db,
@@ -199,14 +200,9 @@ ExecResult EvaluateBooleanWithRecovery(const Hypergraph& h, const QueryInput& db
                                        const QueryLimits& limits,
                                        const RetryPolicy& policy,
                                        RecoveryReport* report) {
-  ExecResult valid = ValidateQuery(h, db);
-  if (!valid.ok()) return valid;
-  ExecContext& ec = ExecContext::Resolve(ctx);
-  bool scratch = false;
-  const ExecResult r = RunWithRecovery(ec, limits, policy,
-                                       BooleanLadder(h, db, &scratch), report);
-  if (r.ok()) *result = scratch;
-  return r;
+  return EvaluateWithRecovery(
+      h, db, result, ctx, limits, policy, report,
+      [&](bool* scratch) { return BooleanLadder(h, db, scratch); });
 }
 
 ExecResult EvaluateCountWithRecovery(const Hypergraph& h, const QueryInput& db,
@@ -214,14 +210,9 @@ ExecResult EvaluateCountWithRecovery(const Hypergraph& h, const QueryInput& db,
                                      const QueryLimits& limits,
                                      const RetryPolicy& policy,
                                      RecoveryReport* report) {
-  ExecResult valid = ValidateQuery(h, db);
-  if (!valid.ok()) return valid;
-  ExecContext& ec = ExecContext::Resolve(ctx);
-  int64_t scratch = 0;
-  const ExecResult r = RunWithRecovery(ec, limits, policy,
-                                       CountLadder(h, db, &scratch), report);
-  if (r.ok()) *count = scratch;
-  return r;
+  return EvaluateWithRecovery(
+      h, db, count, ctx, limits, policy, report,
+      [&](int64_t* scratch) { return CountLadder(h, db, scratch); });
 }
 
 ExecResult EvaluateJoinWithRecovery(const Hypergraph& h, const QueryInput& db,
@@ -230,20 +221,10 @@ ExecResult EvaluateJoinWithRecovery(const Hypergraph& h, const QueryInput& db,
                                     const QueryLimits& limits,
                                     const RetryPolicy& policy,
                                     RecoveryReport* report) {
-  ExecResult valid = ValidateQuery(h, db);
-  if (!valid.ok()) return valid;
-  ExecContext& ec = ExecContext::Resolve(ctx);
-  // One rung today: WcojJoin is already the memory-lightest strategy
-  // that materializes the full join. The ladder shape still buys the
-  // deadline re-arming and uniform reporting.
-  Relation scratch;
-  std::vector<PlanRung> ladder;
-  ladder.push_back({"wcoj", [&h, &db, output_vars, &scratch](ExecContext& ec) {
-                      scratch = WcojJoin(h, db, output_vars, nullptr, &ec);
-                    }});
-  const ExecResult r = RunWithRecovery(ec, limits, policy, ladder, report);
-  if (r.ok()) *result = std::move(scratch);
-  return r;
+  return EvaluateWithRecovery(
+      h, db, result, ctx, limits, policy, report, [&](Relation* scratch) {
+        return JoinLadder(h, db, output_vars, scratch);
+      });
 }
 
 }  // namespace fmmsw

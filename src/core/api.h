@@ -73,54 +73,24 @@ bool EvaluateBoolean(const Hypergraph& h, const QueryInput& db,
 /// hyperedge, each relation's schema equal to its edge's variable set,
 /// and every edge variable inside the hypergraph's vertex range. Returns
 /// kOk or kInvalidArgument with a message naming the first mismatch.
-/// The guarded evaluation below runs this before touching the engines;
-/// call it directly to validate inputs without evaluating.
+/// The status-returning entry points below run this before touching the
+/// engines; call it directly to validate inputs without evaluating.
 ExecResult ValidateQuery(const Hypergraph& h, const QueryInput& db);
 
-/// Status-returning evaluation with guardrails: validates inputs
-/// (kInvalidArgument), arms `limits` — wall-clock deadline, memory
-/// budget, cancellation via ctx->guard().Cancel() — on the context's
-/// guard for the duration of the run, and converts a guardrail abort
-/// unwinding out of the engines into the matching ExecStatus. On any
-/// non-kOk status `*result` is untouched and the context is immediately
-/// reusable for the next query (arenas released, stats preserved). See
-/// the "Error handling & guardrails" section of the README.
-ExecResult EvaluateBooleanGuarded(const Hypergraph& h, const QueryInput& db,
-                                  bool* result,
-                                  EvalStrategy strategy = EvalStrategy::kWcoj,
-                                  ExecContext* ctx = nullptr,
-                                  const QueryLimits& limits = {});
-
-/// Guarded counting evaluation: validates, arms `limits`, and counts the
-/// full join (WcojCount — no materialization, so max_output_rows does not
-/// apply). On any non-kOk status `*count` is untouched.
-ExecResult EvaluateCountGuarded(const Hypergraph& h, const QueryInput& db,
-                                int64_t* count, ExecContext* ctx = nullptr,
-                                const QueryLimits& limits = {});
-
-/// Guarded full-join evaluation: validates, arms `limits`, and
-/// materializes the join projected onto `output_vars` (canonically
-/// sorted; max_output_rows applies). On any non-kOk status `*result` is
-/// untouched.
-ExecResult EvaluateJoinGuarded(const Hypergraph& h, const QueryInput& db,
-                               VarSet output_vars, Relation* result,
-                               ExecContext* ctx = nullptr,
-                               const QueryLimits& limits = {});
-
-/// \name Recovery entry points
-/// Guarded evaluation with degraded-plan retry (core/recovery.h): each
-/// call builds the query's degradation ladder from the engine/strategy.h
-/// capability cards — for the canonical triangle query the full
-/// MM-hybrid/Strassen -> blocked GEMM -> bit-sliced -> plain-WCOJ ladder
-/// (Boolean: Strassen hybrid -> Boolean-product hybrid -> WCOJ); for
-/// general queries elimination -> best-TD -> WCOJ (Boolean) or the
-/// single-rung WCOJ (count/join) — and walks it with RunWithRecovery
-/// under `limits` and `policy`. A retryable abort (memory budget,
-/// capacity cap, injected fault-plan pressure) falls through to the next
-/// cheaper rung; the answer returned is bit-identical to a clean run of
-/// the winning rung at every thread count. On any non-kOk status the
-/// output parameter is untouched. `report`, when non-null, records the
-/// ladder walk (attempts, failures, winning rung).
+/// \name Status-returning evaluation
+/// The one status-returning evaluation path: ValidateQuery (on failure
+/// nothing runs), then RunWithRecovery (core/recovery.h) over the
+/// query's degradation ladder from the engine/strategy.h cards — for the
+/// canonical triangle, Strassen hybrid -> blocked GEMM -> bit-sliced ->
+/// WCOJ (count) or Strassen hybrid -> Boolean-product hybrid -> WCOJ
+/// (Boolean); otherwise elimination -> best-TD -> WCOJ (Boolean) or
+/// WCOJ alone (count; join onto `output_vars`, canonically sorted).
+/// Each rung runs under `limits` via RunGuarded; a retryable abort falls
+/// through to the next rung, a terminal one is returned. The answer is
+/// bit-identical to a clean run of the winning rung at every thread
+/// count. On any non-kOk status the output is untouched and the context
+/// immediately reusable. `report`, when non-null, records the walk. To
+/// guard one engine without a ladder, wrap it in RunGuarded.
 /// @{
 ExecResult EvaluateBooleanWithRecovery(
     const Hypergraph& h, const QueryInput& db, bool* result,

@@ -33,6 +33,25 @@ int64_t RelationBytes(const Relation& r) {
          static_cast<int64_t>(sizeof(Value));
 }
 
+/// Shared body of the Query* entry points: bind the snapshot's pinned
+/// versions to the atoms, take an admission ticket for `opts.klass`
+/// (held until `evaluate` returns), then evaluate on the binding.
+template <typename Evaluate>
+ExecResult BindAdmitEvaluate(AdmissionController& admission,
+                             const Snapshot& snap,
+                             const std::vector<std::string>& atoms,
+                             const QueryOptions& opts, ExecContext* ctx,
+                             Evaluate evaluate) {
+  ExecContext& ec = ExecContext::Resolve(ctx);
+  QueryInput db;
+  ExecResult bound = snap.Bind(atoms, &db);
+  if (!bound.ok()) return bound;
+  AdmissionController::Ticket ticket;
+  ExecResult admit = admission.Admit(opts.klass, opts.limits, ec, &ticket);
+  if (!admit.ok()) return admit;
+  return evaluate(db, ec);
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -284,19 +303,12 @@ ExecResult Database::QueryBoolean(const Snapshot& snap, const Hypergraph& h,
                                   bool* result, const QueryOptions& opts,
                                   ExecContext* ctx,
                                   RecoveryReport* report) const {
-  ExecContext& ec = ExecContext::Resolve(ctx);
-  QueryInput db;
-  ExecResult bound = snap.Bind(atoms, &db);
-  if (!bound.ok()) return bound;
-  AdmissionController::Ticket ticket;
-  ExecResult admit = admission_.Admit(opts.klass, opts.limits, ec, &ticket);
-  if (!admit.ok()) return admit;
-  if (opts.use_recovery) {
-    return EvaluateBooleanWithRecovery(h, db, result, &ec, opts.limits,
-                                       opts.retry, report);
-  }
-  return EvaluateBooleanGuarded(h, db, result, opts.strategy, &ec,
-                                opts.limits);
+  return BindAdmitEvaluate(
+      admission_, snap, atoms, opts, ctx,
+      [&](const QueryInput& db, ExecContext& ec) {
+        return EvaluateBooleanWithRecovery(h, db, result, &ec, opts.limits,
+                                           opts.retry, report);
+      });
 }
 
 ExecResult Database::QueryCount(const Snapshot& snap, const Hypergraph& h,
@@ -304,18 +316,12 @@ ExecResult Database::QueryCount(const Snapshot& snap, const Hypergraph& h,
                                 int64_t* count, const QueryOptions& opts,
                                 ExecContext* ctx,
                                 RecoveryReport* report) const {
-  ExecContext& ec = ExecContext::Resolve(ctx);
-  QueryInput db;
-  ExecResult bound = snap.Bind(atoms, &db);
-  if (!bound.ok()) return bound;
-  AdmissionController::Ticket ticket;
-  ExecResult admit = admission_.Admit(opts.klass, opts.limits, ec, &ticket);
-  if (!admit.ok()) return admit;
-  if (opts.use_recovery) {
-    return EvaluateCountWithRecovery(h, db, count, &ec, opts.limits,
-                                     opts.retry, report);
-  }
-  return EvaluateCountGuarded(h, db, count, &ec, opts.limits);
+  return BindAdmitEvaluate(
+      admission_, snap, atoms, opts, ctx,
+      [&](const QueryInput& db, ExecContext& ec) {
+        return EvaluateCountWithRecovery(h, db, count, &ec, opts.limits,
+                                         opts.retry, report);
+      });
 }
 
 ExecResult Database::QueryJoin(const Snapshot& snap, const Hypergraph& h,
@@ -323,18 +329,12 @@ ExecResult Database::QueryJoin(const Snapshot& snap, const Hypergraph& h,
                                VarSet output_vars, Relation* result,
                                const QueryOptions& opts, ExecContext* ctx,
                                RecoveryReport* report) const {
-  ExecContext& ec = ExecContext::Resolve(ctx);
-  QueryInput db;
-  ExecResult bound = snap.Bind(atoms, &db);
-  if (!bound.ok()) return bound;
-  AdmissionController::Ticket ticket;
-  ExecResult admit = admission_.Admit(opts.klass, opts.limits, ec, &ticket);
-  if (!admit.ok()) return admit;
-  if (opts.use_recovery) {
-    return EvaluateJoinWithRecovery(h, db, output_vars, result, &ec,
-                                    opts.limits, opts.retry, report);
-  }
-  return EvaluateJoinGuarded(h, db, output_vars, result, &ec, opts.limits);
+  return BindAdmitEvaluate(
+      admission_, snap, atoms, opts, ctx,
+      [&](const QueryInput& db, ExecContext& ec) {
+        return EvaluateJoinWithRecovery(h, db, output_vars, result, &ec,
+                                        opts.limits, opts.retry, report);
+      });
 }
 
 ExecResult Database::PlanWidths(const Snapshot& snap, const Hypergraph& h,

@@ -36,10 +36,11 @@
 ///
 /// Query{Boolean,Count,Join} / PlanWidths are the service entry points:
 /// they bind a snapshot's pinned versions to a hypergraph's atoms
-/// (zero-copy), pass through admission control, and route into the
-/// existing guarded/recovery evaluation planes. PlanWidths keys the
-/// process WidthCache with the snapshot's binding digest, so a commit
-/// that changes any bound relation can never serve a stale cached plan.
+/// (zero-copy), pass through admission control, and evaluate through
+/// the recovery ladder (core/api.h Evaluate*WithRecovery). PlanWidths
+/// keys the process WidthCache with the snapshot's binding digest, so a
+/// commit that changes any bound relation can never serve a stale cached
+/// plan.
 ///
 /// Stats: commits / rollbacks / snapshots_pinned / versions_retired on
 /// the driving context (stats-coverage contract, core/exec_context.h).
@@ -132,10 +133,6 @@ struct QueryOptions {
   QueryClass klass = QueryClass::kSmallProbe;
   QueryLimits limits;
   RetryPolicy retry;
-  /// Walk the degradation ladder (Evaluate*WithRecovery). When false,
-  /// one guarded attempt of `strategy` (Boolean) / the default engine.
-  bool use_recovery = true;
-  EvalStrategy strategy = EvalStrategy::kWcoj;
 };
 
 /// The versioned catalog. Thread-safe: any number of threads may pin
@@ -224,11 +221,11 @@ class Database {
   /// \name Snapshot-isolated query entry points
   /// Bind the snapshot's pinned versions to `h`'s atoms by name
   /// (atoms[i] -> hyperedge i, zero-copy), pass admission control for
-  /// `opts.klass`, then route into the recovery ladder
-  /// (Evaluate*WithRecovery) or a single guarded attempt. The result is
-  /// computed entirely against the pinned epoch: commits landing
-  /// mid-query are invisible, and the answer is bit-identical to a
-  /// direct Evaluate* call on a binding of the same versions.
+  /// `opts.klass`, then evaluate through the recovery ladder
+  /// (Evaluate*WithRecovery, core/api.h). The result is computed
+  /// entirely against the pinned epoch: commits landing mid-query are
+  /// invisible, and the answer is bit-identical to a direct
+  /// Evaluate*WithRecovery call on a binding of the same versions.
   /// @{
   ExecResult QueryBoolean(const Snapshot& snap, const Hypergraph& h,
                           const std::vector<std::string>& atoms, bool* result,

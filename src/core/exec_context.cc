@@ -122,11 +122,6 @@ void QueryGuard::Arm(const QueryLimits& limits) {
       limits.deadline_ms > 0 ? SteadyNowNs() + limits.deadline_ms * 1000000
                              : 0,
       std::memory_order_relaxed);
-  if (const char* env = std::getenv("FMMSW_FAULT_AT")) {
-    const long long n = std::atoll(env);
-    // relaxed: driving-thread store, published like the ones above.
-    if (n > 0) fault_at_.store(n, std::memory_order_relaxed);
-  }
   // A programmatic plan (SetFaultPlan) is sticky and shadows the
   // environment; otherwise FMMSW_FAULT_PLAN is re-read at every Arm so
   // an unsetenv + re-run is clean. A malformed env plan is ignored (the
@@ -148,12 +143,10 @@ void QueryGuard::Arm(const QueryLimits& limits) {
   // execution" and trips the first poll. armed_ goes true iff any poll
   // must take the slow path.
   // relaxed: driving-thread loads/store; pre-Arm writers (Cancel,
-  // SetFaultAt, SetFaultPlan, SetPollHook) install before the run they
-  // target.
+  // SetFaultPlan, SetPollHook) install before the run they target.
   const bool armed = limits.deadline_ms > 0 ||
                      limits.memory_budget_bytes > 0 ||
                      limits.max_output_rows > 0 ||
-                     fault_at_.load(std::memory_order_relaxed) > 0 ||
                      has_plan_.load(std::memory_order_relaxed) ||
                      has_hook_.load(std::memory_order_relaxed) ||
                      cancelled_.load(std::memory_order_relaxed);
@@ -170,7 +163,6 @@ void QueryGuard::Disarm() {
   deadline_ns_.store(0, std::memory_order_relaxed);
   mem_budget_.store(0, std::memory_order_relaxed);
   row_limit_.store(0, std::memory_order_relaxed);
-  fault_at_.store(0, std::memory_order_relaxed);
   // relaxed: driving-thread stores after the fan-in (see the function
   // comment above) — clears an env-sourced plan; a sticky programmatic
   // plan (plan_set_) is left armed for the next run.
@@ -199,12 +191,6 @@ void QueryGuard::PollSlow(FaultSite site) {
   // like cancelled_ are re-polled every morsel, so delayed visibility
   // delays an abort by one poll at most.
   const int64_t poll = polls_.fetch_add(1, std::memory_order_relaxed) + 1;
-  const int64_t fault = fault_at_.load(std::memory_order_relaxed);
-  if (fault > 0 && poll >= fault) {
-    throw QueryAbort(ExecStatus::kCancelled,
-                     "fault injection fired at poll #" +
-                         std::to_string(poll));
-  }
   // relaxed: per-site ordinal RMWs are exact; the plan gate and rules
   // are published by Arm/SetFaultPlan before the fan-out (see the block
   // comment above).

@@ -20,12 +20,12 @@
 ///     regions can bump them safely, and
 ///   - a QueryGuard: cooperative guardrails (cancellation, wall-clock
 ///     deadline, memory budget, max-output-rows) polled at every morsel
-///     boundary of the exec pipeline and armed per run by the
-///     status-returning entry points (RunGuarded below, the *Guarded
-///     engine wrappers, core/api.h EvaluateBooleanGuarded). Each poll
-///     point names its FaultSite plane, which the deterministic fault
-///     harness (FaultPlan / FMMSW_FAULT_PLAN) keys on to inject
-///     retryable aborts site-by-site; the recovery plane
+///     boundary of the exec pipeline and armed per run by RunGuarded
+///     below (directly, or per ladder rung through the core/api.h
+///     Evaluate*WithRecovery entry points). Each poll point names its
+///     FaultSite plane, which the deterministic fault harness
+///     (FaultPlan / FMMSW_FAULT_PLAN) keys on to inject retryable
+///     aborts site-by-site; the recovery plane
 ///     (core/recovery.h) and admission controller (core/admission.h)
 ///     sit on top and report through the admitted/queued_ns/shed/
 ///     retries/degraded_runs counters.
@@ -212,9 +212,7 @@ const char* FaultSiteName(FaultSite site);
 /// Injected aborts carry ExecStatus::kMemoryLimitExceeded so they are
 /// *retryable*: the recovery plane (core/recovery.h) treats them as
 /// genuine memory pressure and walks its degradation ladder, which is
-/// exactly the path CI soaks site-by-site. (The legacy single-counter
-/// FMMSW_FAULT_AT/SetFaultAt harness keeps throwing kCancelled and is
-/// unaffected.)
+/// exactly the path CI soaks site-by-site.
 struct FaultPlan {
   int64_t at[kNumFaultSites] = {0, 0, 0, 0, 0, 0, 0};
   int64_t every[kNumFaultSites] = {0, 0, 0, 0, 0, 0, 0};
@@ -261,21 +259,17 @@ bool ParseFaultPlan(const std::string& spec, FaultPlan* plan,
 /// worker inside a fan-out aborts at its next poll once any one of
 /// them trips a limit.
 ///
-/// Fault injection for the unwind tests, two harnesses:
-///   - Legacy global counter: FMMSW_FAULT_AT=<n> in the environment
-///     (read at Arm() time) or SetFaultAt(n) aborts the query with
-///     kCancelled at the n-th armed poll of any site.
-///   - Site-keyed plan: FMMSW_FAULT_PLAN=<grammar> (re-read at every
-///     Arm(), so unsetenv + re-run is clean) or SetFaultPlan(plan)
-///     injects *retryable* kMemoryLimitExceeded aborts on per-site
-///     ordinals (see FaultPlan above). A programmatic plan is sticky
-///     across Arm/Disarm — it shadows the environment until cleared
-///     with SetFaultPlan(FaultPlan{}) — so a recovery ladder's re-armed
-///     retries stay under fault, which is the point.
-/// SetPollHook installs a callback invoked with each armed poll's
-/// global ordinal (it may Cancel() or throw QueryAbort itself; it must
-/// be thread-safe and must not call SetPollHook reentrantly — the hook
-/// is invoked under hook_mu_).
+/// Fault injection for the unwind tests is one harness, the site-keyed
+/// plan: FMMSW_FAULT_PLAN=<grammar> (re-read at every Arm(), so unsetenv
+/// + re-run is clean) or SetFaultPlan(plan) injects *retryable*
+/// kMemoryLimitExceeded aborts on per-site ordinals (see FaultPlan
+/// above). A programmatic plan is sticky across Arm/Disarm — it shadows
+/// the environment until cleared with SetFaultPlan(FaultPlan{}) — so a
+/// recovery ladder's re-armed retries stay under fault, which is the
+/// point. SetPollHook installs a callback invoked with each armed poll's
+/// global ordinal; it may Cancel() or throw a QueryAbort of any status.
+/// The hook must be thread-safe and must not call SetPollHook
+/// reentrantly (it is invoked under hook_mu_).
 ///
 /// Synchronization model (checked by clang -Wthread-safety and the
 /// `relaxed-justified` lint): all guard state is either an atomic with a
@@ -371,12 +365,6 @@ class QueryGuard {
   }
 
   // ---- fault injection (tests) ----
-  void SetFaultAt(int64_t poll_number) {
-    // relaxed: test-only latch, installed before the run it targets;
-    // same retry-until-seen argument as Cancel().
-    fault_at_.store(poll_number, std::memory_order_relaxed);
-    if (poll_number > 0) armed_.store(true, std::memory_order_relaxed);
-  }
   /// Installs a programmatic site-keyed fault plan. Sticky across
   /// Arm/Disarm (so re-armed recovery retries stay under fault) and
   /// shadows FMMSW_FAULT_PLAN until cleared by passing an empty plan.
@@ -410,7 +398,6 @@ class QueryGuard {
   std::atomic<int64_t> row_limit_{0};    ///< rows; 0 = none
   std::atomic<int64_t> rows_{0};
   std::atomic<int64_t> polls_{0};
-  std::atomic<int64_t> fault_at_{0};     ///< 0 = disabled
   // Site-keyed fault plane. plan_at_/plan_every_ hold the active plan's
   // rules (0 = none); site_polls_ are the per-site ordinal streams,
   // reset at every Arm(). plan_set_ marks a sticky programmatic plan

@@ -10,10 +10,9 @@
 /// a poll point or accounting site; the abort unwinds through the
 /// operator/engine stack — which is exception-safe: scratch-arena leases
 /// and memory charges are RAII, and ThreadPool::Run captures worker
-/// exceptions and rethrows on the caller — until a status-returning
-/// entry point (RunGuarded in exec_context.h, the *Guarded engine
-/// wrappers, core/api.h EvaluateBooleanGuarded) converts it into an
-/// ExecResult. Programmer errors (contract violations) remain
+/// exceptions and rethrows on the caller — until RunGuarded
+/// (exec_context.h) converts it into an ExecResult, directly or per rung
+/// of a core/api.h Evaluate*WithRecovery ladder walk. Programmer errors (contract violations) remain
 /// FMMSW_CHECK aborts; QueryAbort is reserved for data- and
 /// resource-dependent failures a correct program can hit at runtime.
 ///
@@ -33,7 +32,7 @@ namespace fmmsw {
 /// Terminal status of a guarded execution.
 enum class ExecStatus {
   kOk = 0,
-  kCancelled,            ///< QueryGuard::Cancel() (or fault injection) fired
+  kCancelled,            ///< QueryGuard::Cancel() fired
   kDeadlineExceeded,     ///< wall-clock deadline passed at a poll point
   kMemoryLimitExceeded,  ///< tracked allocations exceeded the byte budget
   kCapacityExceeded,     ///< structural cap (2^30-entry flat index,

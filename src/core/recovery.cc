@@ -45,7 +45,7 @@ ExecResult RunWithRecovery(ExecContext& ec, const QueryLimits& limits,
                                      : rep.failures.back().message)});
     }
     QueryLimits attempt = limits;
-    if (limits.deadline_ms > 0 && policy.rearm_deadline) {
+    if (limits.deadline_ms > 0) {
       const int64_t elapsed_ms =
           std::chrono::duration_cast<std::chrono::milliseconds>(
               std::chrono::steady_clock::now() - start)

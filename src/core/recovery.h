@@ -2,7 +2,7 @@
 #define FMMSW_CORE_RECOVERY_H_
 
 /// \file
-/// Degraded-plan retry above the PR 6 guardrails: when a guarded
+/// Degraded-plan retry above the guardrails (RunGuarded): when a guarded
 /// execution aborts for a *retryable* reason — it tripped its memory
 /// budget, or a structural capacity cap like the planner's pivot limit
 /// — re-execute the query down a deterministic degradation ladder of
@@ -12,7 +12,7 @@
 /// appetite (built from the engine/strategy.h capability cards by the
 /// core/api.h *WithRecovery entry points; callers can also hand-build
 /// one). RunWithRecovery arms the caller's limits for each attempt —
-/// re-deriving the wall-clock deadline from what *remains* of the
+/// always re-deriving the wall-clock deadline from what *remains* of the
 /// original budget, so retries never extend the caller's deadline — and
 /// returns the first rung's result that completes, or:
 ///   - the terminal failure, unchanged in status, the moment any rung
@@ -56,10 +56,6 @@ struct RetryPolicy {
   /// Total attempt cap across the ladder (safety net; the ladder length
   /// is the natural bound).
   int max_attempts = 4;
-  /// Re-arm each attempt with the *remaining* wall-clock budget instead
-  /// of restarting the full deadline (only meaningful when the caller's
-  /// limits carry a deadline).
-  bool rearm_deadline = true;
   /// Give up (kDeadlineExceeded) instead of launching an attempt with
   /// less than this much wall-clock budget left.
   int64_t min_remaining_ms = 1;

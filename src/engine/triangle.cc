@@ -148,6 +148,12 @@ int64_t TriangleCountMm(const QueryInput& db, MmKernel kernel,
   Relation zs = Union(Project(s, VarSet{kZ}, &ec), Project(t, VarSet{kZ}, &ec),
                       &ec);
   ValueIndex xi(xs, &ec), yi(ys, &ec), zi(zs, &ec);
+  // The dense operands are |X|x|Y| and |Y|x|Z| int64 cells over the full
+  // domains; charge them before allocating so an armed budget aborts
+  // (retryably) instead of the process running out of memory.
+  const int64_t cells = static_cast<int64_t>(yi.size()) *
+                        (static_cast<int64_t>(xi.size()) + zi.size());
+  MemCharge charge(ec, cells * static_cast<int64_t>(sizeof(int64_t)));
   Matrix a(xi.size(), yi.size()), b(yi.size(), zi.size());
   for (size_t row = 0; row < r.size(); ++row) {
     a.At(xi.Find(r.Get(row, kX)), yi.Find(r.Get(row, kY))) = 1;

@@ -819,29 +819,4 @@ int64_t WcojCount(const Hypergraph& h, const QueryInput& db, ExecContext* ctx) {
   return total.load();
 }
 
-ExecResult WcojBooleanGuarded(const Hypergraph& h, const QueryInput& db,
-                              bool* result, ExecContext* ctx,
-                              const QueryLimits& limits) {
-  ExecContext& ec = ExecContext::Resolve(ctx);
-  return RunGuarded(ec, limits,
-                    [&] { *result = WcojBoolean(h, db, &ec); });
-}
-
-ExecResult WcojJoinGuarded(const Hypergraph& h, const QueryInput& db,
-                           VarSet output_vars, Relation* result,
-                           const std::vector<int>* order, ExecContext* ctx,
-                           const QueryLimits& limits) {
-  ExecContext& ec = ExecContext::Resolve(ctx);
-  return RunGuarded(ec, limits, [&] {
-    *result = WcojJoin(h, db, output_vars, order, &ec);
-  });
-}
-
-ExecResult WcojCountGuarded(const Hypergraph& h, const QueryInput& db,
-                            int64_t* result, ExecContext* ctx,
-                            const QueryLimits& limits) {
-  ExecContext& ec = ExecContext::Resolve(ctx);
-  return RunGuarded(ec, limits, [&] { *result = WcojCount(h, db, &ec); });
-}
-
 }  // namespace fmmsw

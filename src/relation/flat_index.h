@@ -109,8 +109,8 @@ inline uint64_t MixKey(uint64_t k) {
 /// Computed in 64 bits: a 32-bit `cap <<= 1` wraps to 0 once cap reaches
 /// 2^31 (entries > 2^30), turning the loop into an infinite hang. Row ids
 /// are int32_t, so entry counts beyond 2^30 are rejected outright — as a
-/// kCapacityExceeded QueryAbort, which the guarded entry points
-/// (RunGuarded, core/api.h EvaluateBooleanGuarded) convert to a returned
+/// kCapacityExceeded QueryAbort, which RunGuarded (and through it the
+/// core/api.h Evaluate*WithRecovery entry points) converts to a returned
 /// status instead of killing the process over one oversized input.
 inline uint32_t TableCapacity(size_t entries) {
   if (entries > (size_t{1} << 30)) {

@@ -8,6 +8,7 @@
 // each return results bit-identical to *some* single pinned epoch.
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -355,17 +356,22 @@ TEST(ServiceTest, QueryEntryPointsMatchDirectEvaluate) {
   QueryInput direct;
   ASSERT_TRUE(snap.Bind(kTriangleAtoms, &direct).ok());
 
+  // Direct engine answers on the same binding.
   bool direct_bool = false;
-  ASSERT_TRUE(EvaluateBooleanGuarded(h, direct, &direct_bool).ok());
   int64_t direct_count = -1;
-  ASSERT_TRUE(EvaluateCountGuarded(h, direct, &direct_count, &ec).ok());
   Relation direct_join;
-  ASSERT_TRUE(
-      EvaluateJoinGuarded(h, direct, h.vertices(), &direct_join, &ec).ok());
+  ASSERT_TRUE(RunGuarded(ec, {}, [&] {
+                direct_bool = WcojBoolean(h, direct, &ec);
+                direct_count = WcojCount(h, direct, &ec);
+                direct_join = WcojJoin(h, direct, h.vertices(), nullptr, &ec);
+              }).ok());
 
-  for (bool recovery : {false, true}) {
-    QueryOptions opts;
-    opts.use_recovery = recovery;
+  // Default options, then the heavy class with armed limits: both go
+  // bind -> admit -> ladder and must match the direct answers.
+  QueryOptions armed;
+  armed.klass = QueryClass::kHeavyAnalytic;
+  armed.limits = {.deadline_ms = 60000, .memory_budget_bytes = 1 << 30};
+  for (const QueryOptions& opts : {QueryOptions{}, armed}) {
     bool b = !direct_bool;
     ASSERT_TRUE(db.QueryBoolean(snap, h, kTriangleAtoms, &b, opts, &ec).ok());
     EXPECT_EQ(b, direct_bool);
@@ -581,11 +587,23 @@ TEST(FuzzTest, ValidateQueryRejectsMalformedPairsCleanly) {
       EXPECT_EQ(res.status, ExecStatus::kInvalidArgument) << "iter " << iter;
       EXPECT_FALSE(res.message.empty());
     }
-    // The guarded entry point converts the same corruption to a status,
-    // never an abort, and leaves the output untouched.
-    bool out = false;
-    const ExecResult guarded = EvaluateBooleanGuarded(h, db, &out);
-    EXPECT_EQ(guarded.status, res.status);
+    // Every status-returning entry point converts the same corruption to
+    // the same status, never an abort, and leaves its output untouched.
+    bool out_bool = true;
+    int64_t out_count = -7;
+    Relation out_join = MakeRel(VarSet{0}, {{-7}});
+    EXPECT_EQ(EvaluateBooleanWithRecovery(h, db, &out_bool).status,
+              res.status);
+    EXPECT_EQ(EvaluateCountWithRecovery(h, db, &out_count).status,
+              res.status);
+    EXPECT_EQ(EvaluateJoinWithRecovery(h, db, h.vertices(), &out_join).status,
+              res.status);
+    if (!valid) {
+      EXPECT_TRUE(out_bool) << "iter " << iter;
+      EXPECT_EQ(out_count, -7) << "iter " << iter;
+      EXPECT_EQ(Rows(out_join), (std::vector<std::vector<Value>>{{-7}}))
+          << "iter " << iter;
+    }
   }
 }
 
@@ -679,6 +697,16 @@ void RunTorture(int reader_threads, int last_epoch, bool fault_plan) {
     });
   }
 
+  // The commit stream starts only once the readers have read: on a
+  // loaded machine the writer could otherwise land every epoch before
+  // any reader is scheduled, and the test would exercise no concurrency.
+  // Bounded, because a reader that failed an assertion stops reading.
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (reads.load() < reader_threads &&
+         std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::yield();
+  }
   for (int e = 2; e <= last_epoch; ++e) {
     if (fault_plan) {
       // First attempt aborts at a staging ordinal: readers must never

@@ -593,6 +593,25 @@ QueryInput GuardWorkload(uint64_t seed) {
   return MakeWorkload(Hypergraph::Triangle(), opts);
 }
 
+/// The one-clause plan `<site>:<at>`: every poll of `site` from the
+/// at-th on aborts with a retryable kMemoryLimitExceeded.
+FaultPlan SitePlan(FaultSite site, int64_t at) {
+  FaultPlan plan;
+  plan.at[static_cast<int>(site)] = at;
+  return plan;
+}
+
+/// Checks that an aborted run left `ec` balanced: no leaked memory
+/// charges, every scratch arena re-acquirable.
+void ExpectBalanced(ExecContext& ec, const std::string& where) {
+  EXPECT_EQ(ec.stats().mem_current_bytes.load(), 0) << where;
+  for (int w = 0; w < ec.threads(); ++w) {
+    EXPECT_TRUE(ec.scratch(w).TryAcquire())
+        << where << ": arena " << w << " stuck";
+    ec.scratch(w).Release();
+  }
+}
+
 TEST(GuardrailTest, FaultInjectionUnwindsAndContextIsReusable) {
   const Hypergraph h = Hypergraph::Triangle();
   const QueryInput db = GuardWorkload(71);
@@ -601,38 +620,33 @@ TEST(GuardrailTest, FaultInjectionUnwindsAndContextIsReusable) {
   ASSERT_FALSE(ref.empty());
   for (int threads : {1, 2, 4, 8}) {
     ExecContext ec(threads);
-    // The serial run crosses ~a dozen morsel boundaries on this input;
-    // the parallel runs (task + coop block claims) cross ~100. Sweep
-    // fault points across the span each regime actually reaches.
+    // The serial run crosses ~a dozen WCOJ morsel boundaries on this
+    // input; the parallel runs (task + coop block claims) cross ~100.
+    // Sweep fault points across the span each regime actually reaches.
     std::vector<int64_t> fault_points = {1, 3, 10};
     if (threads > 1) {
       fault_points.push_back(40);
       fault_points.push_back(90);
     }
     for (int64_t fault_at : fault_points) {
-      ec.guard().SetFaultAt(fault_at);
-      Relation out;
-      const ExecResult r =
-          WcojJoinGuarded(h, db, h.vertices(), &out, nullptr, &ec);
-      ASSERT_EQ(r.status, ExecStatus::kCancelled)
-          << "threads=" << threads << " fault_at=" << fault_at;
-      EXPECT_NE(r.message.find("fault injection"), std::string::npos);
-      // The unwind must leave the context balanced: no leaked memory
-      // charges, every scratch arena released.
-      EXPECT_EQ(ec.stats().mem_current_bytes.load(), 0)
-          << "threads=" << threads << " fault_at=" << fault_at;
-      for (int w = 0; w < ec.threads(); ++w) {
-        EXPECT_TRUE(ec.scratch(w).TryAcquire()) << "arena " << w << " stuck";
-        ec.scratch(w).Release();
-      }
-      // The same context runs the same query to completion,
-      // bit-identically (Disarm cleared the fault).
-      Relation again;
-      const ExecResult ok =
-          WcojJoinGuarded(h, db, h.vertices(), &again, nullptr, &ec);
+      const std::string where = "threads=" + std::to_string(threads) +
+                                " wcoj:" + std::to_string(fault_at);
+      ec.guard().SetFaultPlan(SitePlan(FaultSite::kWcoj, fault_at));
+      Relation out, again;
+      const ExecResult r = RunGuarded(
+          ec, {}, [&] { out = WcojJoin(h, db, h.vertices(), nullptr, &ec); });
+      ASSERT_EQ(r.status, ExecStatus::kMemoryLimitExceeded) << where;
+      EXPECT_NE(r.message.find("fault plan fired at site wcoj"),
+                std::string::npos);
+      EXPECT_TRUE(out.empty()) << where;
+      ExpectBalanced(ec, where);
+      // With the plan cleared, the same context runs the same query to
+      // completion, bit-identically.
+      ec.guard().SetFaultPlan(FaultPlan{});
+      const ExecResult ok = RunGuarded(
+          ec, {}, [&] { again = WcojJoin(h, db, h.vertices(), nullptr, &ec); });
       ASSERT_TRUE(ok.ok()) << StatusString(ok.status) << ": " << ok.message;
-      EXPECT_EQ(Rows(again), Rows(ref))
-          << "threads=" << threads << " fault_at=" << fault_at;
+      EXPECT_EQ(Rows(again), Rows(ref)) << where;
     }
   }
 }
@@ -643,55 +657,62 @@ TEST(GuardrailTest, FaultInjectionMidSortAndMidIndexBuild) {
   const Relation input = WideSortInput(70000, 72);
   Relation big = SkewedBinary(VarSet{0, 1}, 40000, 5000, 7, 4000, 73);
   const KeySpec spec(big, VarSet{0});
+  Relation ref = input;
+  ref.SortAndDedupe();
   for (int threads : {1, 4}) {
+    const std::string where = "threads=" + std::to_string(threads);
     ExecContext ec(threads);
-    ec.guard().SetFaultAt(2);
+    ec.guard().SetFaultPlan(SitePlan(FaultSite::kSort, 2));
     ExecResult r = RunGuarded(ec, {}, [&] {
       Relation s = input;
       s.SortAndDedupe(&ec);
     });
-    EXPECT_EQ(r.status, ExecStatus::kCancelled) << "threads=" << threads;
-    EXPECT_EQ(ec.stats().mem_current_bytes.load(), 0);
-    ec.guard().SetFaultAt(2);
+    EXPECT_EQ(r.status, ExecStatus::kMemoryLimitExceeded) << where;
+    ExpectBalanced(ec, where + " sort:2");
+    ec.guard().SetFaultPlan(SitePlan(FaultSite::kIndex, 2));
     r = RunGuarded(ec, {}, [&] { FlatMultimap idx(big, spec, &ec); });
     // Poll points sit at the sharded build's chunk claims; the 1-thread
     // serial build is a poll-free tight loop and completes.
-    EXPECT_EQ(r.status, threads > 1 ? ExecStatus::kCancelled
+    EXPECT_EQ(r.status, threads > 1 ? ExecStatus::kMemoryLimitExceeded
                                     : ExecStatus::kOk)
-        << "threads=" << threads;
-    EXPECT_EQ(ec.stats().mem_current_bytes.load(), 0);
-    // The context still sorts and builds correctly afterwards.
+        << where;
+    ExpectBalanced(ec, where + " index:2");
+    // With the plan cleared, the context still sorts and builds
+    // correctly, bit-identically.
+    ec.guard().SetFaultPlan(FaultPlan{});
     Relation s = input;
     ExecResult ok = RunGuarded(ec, {}, [&] { s.SortAndDedupe(&ec); });
     ASSERT_TRUE(ok.ok()) << ok.message;
-    Relation ref = input;
-    ref.SortAndDedupe();
-    EXPECT_EQ(Rows(s), Rows(ref)) << "threads=" << threads;
+    EXPECT_EQ(Rows(s), Rows(ref)) << where;
+    ok = RunGuarded(ec, {}, [&] { FlatMultimap idx(big, spec, &ec); });
+    ASSERT_TRUE(ok.ok()) << ok.message;
   }
 }
 
-// Driven by the CI sanitizer job: FMMSW_FAULT_AT=<n> in the environment
-// is read at Arm() time and must abort the guarded run at poll n exactly
-// like the in-process SetFaultAt. Run standalone (gtest_filter) — the env
-// var poisons every other guarded re-run in this file.
+// Driven by the CI sanitizer jobs: FMMSW_FAULT_PLAN in the environment
+// (e.g. "wcoj:7") is read at Arm() time and must abort the guarded run
+// exactly like the in-process SetFaultPlan. Run standalone
+// (gtest_filter) — the env plan poisons every other guarded run in this
+// file.
 TEST(GuardrailTest, EnvFaultInjection) {
-  if (std::getenv("FMMSW_FAULT_AT") == nullptr) {
-    GTEST_SKIP() << "set FMMSW_FAULT_AT=<poll#> to run";
+  const char* spec = std::getenv("FMMSW_FAULT_PLAN");
+  if (spec == nullptr || *spec == '\0') {
+    GTEST_SKIP() << "set FMMSW_FAULT_PLAN=<site>:<n> to run";
   }
   const Hypergraph h = Hypergraph::Triangle();
   const QueryInput db = GuardWorkload(79);
-  ExecContext ec(4);
-  Relation out;
-  const ExecResult r = WcojJoinGuarded(h, db, h.vertices(), &out, nullptr,
-                                       &ec, {});
-  EXPECT_EQ(r.status, ExecStatus::kCancelled);
-  EXPECT_NE(r.message.find("fault injection"), std::string::npos);
-  EXPECT_EQ(ec.stats().mem_current_bytes.load(), 0);
-  // With the env fault gone, the same context completes the same query.
-  unsetenv("FMMSW_FAULT_AT");
-  Relation again;
-  const ExecResult ok =
-      WcojJoinGuarded(h, db, h.vertices(), &again, nullptr, &ec);
+  ExecContext ec;  // process pool, sized by FMMSW_THREADS
+  Relation out, again;
+  const ExecResult r = RunGuarded(
+      ec, {}, [&] { out = WcojJoin(h, db, h.vertices(), nullptr, &ec); });
+  EXPECT_EQ(r.status, ExecStatus::kMemoryLimitExceeded) << spec;
+  EXPECT_NE(r.message.find("fault plan fired"), std::string::npos);
+  EXPECT_TRUE(out.empty());
+  ExpectBalanced(ec, spec);
+  // With the env plan gone, the same context completes the same query.
+  unsetenv("FMMSW_FAULT_PLAN");
+  const ExecResult ok = RunGuarded(
+      ec, {}, [&] { again = WcojJoin(h, db, h.vertices(), nullptr, &ec); });
   ASSERT_TRUE(ok.ok()) << ok.message;
   ExecContext ref_ec(1);
   EXPECT_EQ(Rows(again),
@@ -706,13 +727,14 @@ TEST(GuardrailTest, CancellationViaPollHook) {
     if (poll == 10) ec.guard().Cancel();
   });
   int64_t count = -1;
-  const ExecResult r = WcojCountGuarded(h, db, &count, &ec);
+  const auto run_count = [&] { count = WcojCount(h, db, &ec); };
+  const ExecResult r = RunGuarded(ec, {}, run_count);
   ec.guard().SetPollHook(nullptr);
   EXPECT_EQ(r.status, ExecStatus::kCancelled);
   EXPECT_EQ(count, -1);  // output untouched on failure
   EXPECT_GE(ec.guard().polls(), 10);
   // Reusable afterwards, and cancellation did not stick.
-  const ExecResult ok = WcojCountGuarded(h, db, &count, &ec);
+  const ExecResult ok = RunGuarded(ec, {}, run_count);
   ASSERT_TRUE(ok.ok()) << ok.message;
   ExecContext ref_ec(1);
   EXPECT_EQ(count, WcojCount(h, db, &ref_ec));
@@ -731,7 +753,8 @@ TEST(GuardrailTest, PollHookFiresConcurrentlyAtEightWorkers) {
   std::atomic<int64_t> fires(0);
   ec.guard().SetPollHook([&fires](int64_t) { fires.fetch_add(1); });
   int64_t count = -1;
-  const ExecResult r = WcojCountGuarded(h, db, &count, &ec);
+  const ExecResult r =
+      RunGuarded(ec, {}, [&] { count = WcojCount(h, db, &ec); });
   ec.guard().SetPollHook(nullptr);
   ASSERT_TRUE(r.ok()) << r.message;
   EXPECT_GT(fires.load(), 0);
@@ -753,15 +776,14 @@ TEST(GuardrailTest, DeadlineExceededTerminatesEarly) {
   // A count visits the whole join (no witness short-circuit), so the run
   // is guaranteed to keep polling until the deadline trips.
   int64_t count = -1;
-  const ExecResult r =
-      WcojCountGuarded(h, db, &count, &ec, {.deadline_ms = 5});
+  const ExecResult r = RunGuarded(ec, {.deadline_ms = 5},
+                                  [&] { count = WcojCount(h, db, &ec); });
   ec.guard().SetPollHook(nullptr);
   EXPECT_EQ(r.status, ExecStatus::kDeadlineExceeded);
   EXPECT_EQ(count, -1);
   // Fresh run on the same context succeeds.
   bool answer = false;
-  const ExecResult ok =
-      EvaluateBooleanGuarded(h, db, &answer, EvalStrategy::kWcoj, &ec);
+  const ExecResult ok = EvaluateBooleanWithRecovery(h, db, &answer, &ec);
   ASSERT_TRUE(ok.ok()) << ok.message;
   EXPECT_TRUE(answer);  // witness planted
 }
@@ -771,17 +793,19 @@ TEST(GuardrailTest, MemoryBudgetExceededAndBalancedAfter) {
   const QueryInput db = GuardWorkload(76);
   ExecContext ec(2);
   Relation out;
+  const auto run_join = [&] {
+    out = WcojJoin(h, db, h.vertices(), nullptr, &ec);
+  };
   // The trie build alone charges ~3 * 4000 rows * 2 cols * 8 bytes.
-  const ExecResult r = WcojJoinGuarded(h, db, h.vertices(), &out, nullptr,
-                                       &ec, {.memory_budget_bytes = 16384});
+  const ExecResult r =
+      RunGuarded(ec, {.memory_budget_bytes = 16384}, run_join);
   EXPECT_EQ(r.status, ExecStatus::kMemoryLimitExceeded);
   EXPECT_TRUE(out.empty());
   EXPECT_EQ(ec.stats().mem_current_bytes.load(), 0);
   EXPECT_GT(ec.stats().mem_peak_bytes.load(), 0);
   // An ample budget lets the same query through on the same context.
   const ExecResult ok =
-      WcojJoinGuarded(h, db, h.vertices(), &out, nullptr, &ec,
-                      {.memory_budget_bytes = int64_t{1} << 32});
+      RunGuarded(ec, {.memory_budget_bytes = int64_t{1} << 32}, run_join);
   ASSERT_TRUE(ok.ok()) << ok.message;
   EXPECT_FALSE(out.empty());
   EXPECT_EQ(ec.stats().mem_current_bytes.load(), 0);
@@ -813,17 +837,17 @@ TEST(GuardrailTest, InvalidArgumentFromValidation) {
   // Relation-count mismatch.
   QueryInput short_db;
   short_db.relations.push_back(db.relations.ptr(0));
-  EXPECT_EQ(EvaluateBooleanGuarded(h, short_db, &answer).status,
+  EXPECT_EQ(EvaluateBooleanWithRecovery(h, short_db, &answer).status,
             ExecStatus::kInvalidArgument);
   // Schema mismatch: swap two relations so schemas disagree with edges.
   QueryInput swapped = db;
   swapped.relations.Swap(0, 1);
-  EXPECT_EQ(EvaluateBooleanGuarded(h, swapped, &answer).status,
+  EXPECT_EQ(EvaluateBooleanWithRecovery(h, swapped, &answer).status,
             ExecStatus::kInvalidArgument);
   EXPECT_EQ(ValidateQuery(h, swapped).status, ExecStatus::kInvalidArgument);
   // The untouched database validates and evaluates.
   EXPECT_TRUE(ValidateQuery(h, db).ok());
-  const ExecResult ok = EvaluateBooleanGuarded(h, db, &answer);
+  const ExecResult ok = EvaluateBooleanWithRecovery(h, db, &answer);
   ASSERT_TRUE(ok.ok()) << ok.message;
   EXPECT_TRUE(answer);
 }
@@ -831,16 +855,25 @@ TEST(GuardrailTest, InvalidArgumentFromValidation) {
 TEST(GuardrailTest, GuardedMatchesUnguardedForEveryStrategy) {
   const Hypergraph h = Hypergraph::Triangle();
   const QueryInput db = GuardWorkload(78);
+  const QueryLimits limits = {.deadline_ms = 60000};
   for (EvalStrategy strategy : {EvalStrategy::kWcoj, EvalStrategy::kBestTd,
                                 EvalStrategy::kElimination}) {
     ExecContext ec(4);
     const bool plain = EvaluateBoolean(h, db, strategy, &ec);
     bool guarded = !plain;
-    const ExecResult r = EvaluateBooleanGuarded(h, db, &guarded, strategy,
-                                                &ec, {.deadline_ms = 60000});
+    const ExecResult r = RunGuarded(ec, limits, [&] {
+      guarded = EvaluateBoolean(h, db, strategy, &ec);
+    });
     ASSERT_TRUE(r.ok()) << r.message;
     EXPECT_EQ(guarded, plain);
   }
+  // The ladder walk under the same limits agrees with them.
+  ExecContext ec(4);
+  bool recovered = false;
+  const ExecResult r =
+      EvaluateBooleanWithRecovery(h, db, &recovered, &ec, limits);
+  ASSERT_TRUE(r.ok()) << r.message;
+  EXPECT_EQ(recovered, EvaluateBoolean(h, db, EvalStrategy::kWcoj, &ec));
 }
 
 TEST(GuardrailTest, FlatIndexCapacityOverflowThrowsQueryAbort) {

@@ -357,6 +357,61 @@ TEST(RecoveryTest, BudgetAbortLeavesMemoryChargesBalanced) {
   EXPECT_EQ(ec.stats().mem_current_bytes.load(), 0);
 }
 
+// Regression: TriangleCountMm allocated its dense |X|x|Y| and |Y|x|Z|
+// int64 operands without charging them, so an armed memory budget never
+// saw the dominant allocation and a large-domain count could OOM the
+// process instead of degrading. A long, thin Y axis makes those operands
+// dwarf everything else the rung and the WCOJ fallback allocate.
+TEST(RecoveryTest, CountMmChargesDenseOperandsAndDegradesUnderBudget) {
+  constexpr int kXz = 16, kY = 20000;
+  const Hypergraph h = Hypergraph::Triangle();
+  Relation r(VarSet{0, 1}), s(VarSet{1, 2}), t(VarSet{0, 2});
+  for (Value y = 0; y < kY; ++y) {
+    r.Add({y % kXz, y});
+    s.Add({y, (y * 7) % kXz});
+  }
+  for (Value x = 0; x < kXz; ++x) {
+    for (Value z = 0; z < kXz; z += 2) t.Add({x, z});
+  }
+  QueryInput db;
+  for (Relation* rel : {&r, &s, &t}) {
+    rel->SortAndDedupe();
+    db.relations.push_back(std::move(*rel));
+  }
+  const int64_t dense_bytes = int64_t{8} * kY * (kXz + kXz);
+  ExecContext ref_ec(1);
+  const int64_t clean_count = WcojCount(h, db, &ref_ec);
+  ASSERT_GT(clean_count, 0);
+  // Unbudgeted, every MM rung's tracked peak covers the dense operands.
+  for (const StrategyCard& card : TriangleCountLadder()) {
+    if (!card.uses_mm) continue;
+    ExecContext ec(2);
+    EXPECT_EQ(TriangleCountMm(db, card.kernel, &ec), clean_count)
+        << card.name;
+    EXPECT_GE(ec.stats().mem_peak_bytes.load(), dense_bytes) << card.name;
+    EXPECT_EQ(ec.stats().mem_current_bytes.load(), 0) << card.name;
+  }
+  // A budget below the operands fails every MM rung before it allocates
+  // them; the ladder degrades to a combinatorial rung whose count is
+  // bit-identical to the clean run.
+  for (int threads : {1, 4}) {
+    ExecContext ec(threads);
+    int64_t count = -1;
+    RecoveryReport report;
+    const ExecResult res = EvaluateCountWithRecovery(
+        h, db, &count, &ec, {.memory_budget_bytes = dense_bytes / 2}, {},
+        &report);
+    ASSERT_TRUE(res.ok()) << res.message;
+    EXPECT_EQ(count, clean_count) << "threads=" << threads;
+    EXPECT_EQ(report.winning_rung, TriangleCountLadder().back().name);
+    EXPECT_FALSE(TriangleCountLadder().back().uses_mm);
+    for (const ExecResult& f : report.failures) {
+      EXPECT_EQ(f.status, ExecStatus::kMemoryLimitExceeded) << f.message;
+    }
+    EXPECT_EQ(ec.stats().mem_current_bytes.load(), 0);
+  }
+}
+
 // ------------------------------------------------- per-site soaking --
 
 // Recovery must hold under a fault at *any* site, not just mm: sweep
