@@ -1,4 +1,4 @@
-// E12 — ablations of the design choices DESIGN.md calls out:
+// E12 — ablations of the reproduction's main design choices:
 //   (1) LP backend: double simplex vs exact rational (value agreement and
 //       cost of exactness);
 //   (2) MM off (omega = 3) vs on: w-subw collapses to subw (Prop. 4.10);

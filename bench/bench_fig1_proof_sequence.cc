@@ -8,6 +8,7 @@
 
 #include "bench_util.h"
 #include "engine/triangle.h"
+#include "engine/wcoj.h"
 #include "panda/executor.h"
 #include "panda/inequality.h"
 #include "panda/proof.h"
@@ -87,7 +88,7 @@ void Run() {
       PandaStats stats;
       const bool derived =
           PandaTriangleBoolean(db, 2.371552, MmKernel::kBoolean, &stats);
-      const bool baseline = TriangleCombinatorial(db);
+      const bool baseline = WcojBoolean(Hypergraph::Triangle(), db);
       ++total;
       if (derived == baseline) ++agree;
     }

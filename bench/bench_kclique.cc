@@ -9,6 +9,7 @@
 
 #include "bench_util.h"
 #include "engine/clique.h"
+#include "engine/wcoj.h"
 #include "relation/generators.h"
 #include "util/stopwatch.h"
 #include "width/closed_forms.h"
@@ -59,7 +60,8 @@ void RunK(int k) {
     const int reps = 2;
     double a_ib, b_ib, c_ib;
     const double a = bench::TimeWithPhases(
-        ec, [&] { return CliqueCombinatorial(k, db, &ec); }, reps, &a_ib);
+        ec, [&] { return WcojBoolean(Hypergraph::Clique(k), db, &ec); },
+        reps, &a_ib);
     const double b = bench::TimeWithPhases(
         ec,
         [&] {

@@ -8,6 +8,7 @@
 
 #include "bench_util.h"
 #include "engine/pyramid.h"
+#include "engine/wcoj.h"
 #include "relation/generators.h"
 #include "util/stopwatch.h"
 
@@ -50,7 +51,8 @@ void Run() {
     const int reps = n <= 4000 ? 3 : 1;
     double a_ib, b_ib;
     const double a = bench::TimeWithPhases(
-        ec, [&] { return Pyramid3Combinatorial(db, &ec); }, reps, &a_ib);
+        ec, [&] { return WcojBoolean(Hypergraph::Pyramid(3), db, &ec); },
+        reps, &a_ib);
     const double b = bench::TimeWithPhases(
         ec,
         [&] {

@@ -61,8 +61,8 @@ void Run() {
     double a_ib, b_ib, c_ib, d_ib;
     double a_sort, b_sort, c_sort, d_sort;
     const double a = bench::TimeWithPhases(
-        ec, [&] { return TriangleCombinatorial(db, &ec); }, reps, &a_ib,
-        &a_sort);
+        ec, [&] { return WcojBoolean(Hypergraph::Triangle(), db, &ec); },
+        reps, &a_ib, &a_sort);
     const double b = bench::TimeWithPhases(
         ec,
         [&] {

@@ -3,9 +3,10 @@
 
 /// \file
 /// Shared helpers for the table/figure reproduction binaries: uniform
-/// "paper=... ours=..." rows (consumed by EXPERIMENTS.md), log-log slope
-/// fitting for runtime shape checks, and a --json mode that emits one
-/// machine-readable line per measurement for BENCH_*.json trajectories.
+/// "paper=... ours=..." rows (the paper's value next to the measured one),
+/// log-log slope fitting for runtime shape checks, and a --json mode that
+/// emits one machine-readable line per measurement for BENCH_*.json
+/// trajectories.
 
 #include <cmath>
 #include <cstdint>

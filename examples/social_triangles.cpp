@@ -60,7 +60,7 @@ int main(int argc, char** argv) {
                                      probed_before));
 
   sw.Reset();
-  const bool base = TriangleCombinatorial(db, &ctx);
+  const bool base = WcojBoolean(Hypergraph::Triangle(), db, &ctx);
   std::printf("combinatorial WCOJ: %s in %.4f s\n",
               base ? "found" : "absent", sw.Seconds());
 

@@ -3,7 +3,6 @@
 #include "core/exec_context.h"
 #include "engine/wcoj.h"
 #include "hypergraph/hypergraph.h"
-#include "mm/matrix.h"
 #include "relation/flat_index.h"
 #include "relation/ops.h"
 #include "util/check.h"
@@ -97,10 +96,6 @@ bool Compatible(int k, const QueryInput& db,
 
 }  // namespace
 
-bool CliqueCombinatorial(int k, const QueryInput& db, ExecContext* ctx) {
-  return WcojBoolean(Hypergraph::Clique(k), db, ctx);
-}
-
 bool CliqueMm(int k, const QueryInput& db, MmKernel kernel, CliqueStats* stats,
               ExecContext* ctx) {
   ExecContext& ec = ExecContext::Resolve(ctx);
@@ -156,52 +151,26 @@ bool CliqueMm(int k, const QueryInput& db, MmKernel kernel, CliqueStats* stats,
   };
   // The compatibility fills and the final check only read the shared pair
   // sets; rows are partitioned across threads, so the row-local writes
-  // (bit words / matrix cells of row i) never conflict.
-  if (kernel == MmKernel::kBoolean) {
-    BitMatrix mab(na, nb), mbc(nb, nc);
-    ParallelFor(ec.pool(), na, [&](int64_t begin, int64_t end) {
-      for (int64_t i = begin; i < end; ++i) {
-        for (int j = 0; j < nb; ++j) {
-          if (compat(ga, la, i, gb, lb, j)) mab.Set(i, j);
-        }
-      }
-    });
-    ParallelFor(ec.pool(), nb, [&](int64_t begin, int64_t end) {
-      for (int64_t i = begin; i < end; ++i) {
-        for (int j = 0; j < nc; ++j) {
-          if (compat(gb, lb, i, gc, lc, j)) mbc.Set(i, j);
-        }
-      }
-    });
-    Bump(ec.stats().mm_products);
-    BitMatrix p = BitMatrix::Multiply(mab, mbc, &ec);
-    return ParallelAnyOf(ec.pool(), na, [&](int64_t i) {
-      for (int j = 0; j < nc; ++j) {
-        if (p.Get(i, j) && compat(ga, la, i, gc, lc, j)) return true;
-      }
-      return false;
-    });
-  }
-  Matrix mab(na, nb), mbc(nb, nc);
+  // (row i of each operand) never conflict.
+  IndicatorProduct p(na, nb, nc, kernel, ec);
   ParallelFor(ec.pool(), na, [&](int64_t begin, int64_t end) {
     for (int64_t i = begin; i < end; ++i) {
       for (int j = 0; j < nb; ++j) {
-        if (compat(ga, la, i, gb, lb, j)) mab.At(i, j) = 1;
+        if (compat(ga, la, i, gb, lb, j)) p.SetA(i, j);
       }
     }
   });
   ParallelFor(ec.pool(), nb, [&](int64_t begin, int64_t end) {
     for (int64_t i = begin; i < end; ++i) {
       for (int j = 0; j < nc; ++j) {
-        if (compat(gb, lb, i, gc, lc, j)) mbc.At(i, j) = 1;
+        if (compat(gb, lb, i, gc, lc, j)) p.SetB(i, j);
       }
     }
   });
-  Bump(ec.stats().mm_products);
-  Matrix p = CountingProduct(mab, mbc, kernel, &ec);
+  p.Multiply();
   return ParallelAnyOf(ec.pool(), na, [&](int64_t i) {
     for (int j = 0; j < nc; ++j) {
-      if (p.At(i, j) != 0 && compat(ga, la, i, gc, lc, j)) return true;
+      if (p.NonZero(i, j) && compat(ga, la, i, gc, lc, j)) return true;
     }
     return false;
   });

@@ -5,7 +5,8 @@
 /// k-clique detection (Table 1 rows 2-5; Lemmas C.6-C.8): the vertex set is
 /// split into three groups A, B, C of sizes ceil(k/3), ceil((k-1)/3),
 /// floor(k/3); group sub-cliques are enumerated with the combinatorial
-/// join, and a matrix product over (A-cliques) x (B-cliques) x (C-cliques)
+/// join (WcojBoolean(Hypergraph::Clique(k), ...) is the O(N^{k/2})
+/// baseline), and a matrix product over (A-cliques) x (B-cliques) x (C-cliques)
 /// detects a full clique — the Nesetril-Poljak / Eisenbrand-Grandoni
 /// scheme realized through square MM, matching the paper's exponent
 /// ceil(k/3)/2 + ceil((k-1)/3)/2 + floor(k/3)/2 * (w - 2).
@@ -23,10 +24,6 @@ class ExecContext;
 struct CliqueStats {
   int64_t group_cliques[3] = {0, 0, 0};  ///< matrix dimensions
 };
-
-/// Combinatorial baseline: generic join, O(N^{k/2}).
-bool CliqueCombinatorial(int k, const QueryInput& db,
-                         ExecContext* ctx = nullptr);
 
 /// MM-based detection via the 3-group split.
 bool CliqueMm(int k, const QueryInput& db, MmKernel kernel = MmKernel::kBoolean,

@@ -8,7 +8,6 @@
 #include "core/exec_context.h"
 #include "engine/wcoj.h"
 #include "mm/cost_model.h"
-#include "mm/matrix.h"
 #include "relation/ops.h"
 #include "util/check.h"
 
@@ -245,38 +244,20 @@ void EliminateMm(State* s, VarSet block, const MmExpr& mm,
       result.Add(tuple);
     };
     const auto xkeys = xs.Reverse(), ykeys = ys.Reverse();
-    Bump(ExecContext::Resolve(ec).stats().mm_products);
-    if (opts.kernel == MmKernel::kBoolean) {
-      BitMatrix ma(xs.size(), zs.size()), mb(zs.size(), ys.size());
-      for (size_t r : rows.first) {
-        ma.Set(xs.Find(ExtractKey(m1, r, m1_x)),
-               zs.Find(ExtractKey(m1, r, m1_z)));
-      }
-      for (size_t r : rows.second) {
-        mb.Set(zs.Find(ExtractKey(m2, r, m2_z)),
-               ys.Find(ExtractKey(m2, r, m2_y)));
-      }
-      BitMatrix mc = BitMatrix::Multiply(ma, mb, ec);
-      for (int i = 0; i < mc.rows(); ++i) {
-        for (int j = 0; j < mc.cols(); ++j) {
-          if (mc.Get(i, j)) emit(i, j, xkeys, ykeys);
-        }
-      }
-    } else {
-      Matrix ma(xs.size(), zs.size()), mb(zs.size(), ys.size());
-      for (size_t r : rows.first) {
-        ma.At(xs.Find(ExtractKey(m1, r, m1_x)),
-              zs.Find(ExtractKey(m1, r, m1_z))) = 1;
-      }
-      for (size_t r : rows.second) {
-        mb.At(zs.Find(ExtractKey(m2, r, m2_z)),
-              ys.Find(ExtractKey(m2, r, m2_y))) = 1;
-      }
-      Matrix mc = CountingProduct(ma, mb, opts.kernel, ec);
-      for (int i = 0; i < mc.rows(); ++i) {
-        for (int j = 0; j < mc.cols(); ++j) {
-          if (mc.At(i, j) != 0) emit(i, j, xkeys, ykeys);
-        }
+    IndicatorProduct mc(xs.size(), zs.size(), ys.size(), opts.kernel,
+                        ExecContext::Resolve(ec));
+    for (size_t r : rows.first) {
+      mc.SetA(xs.Find(ExtractKey(m1, r, m1_x)),
+              zs.Find(ExtractKey(m1, r, m1_z)));
+    }
+    for (size_t r : rows.second) {
+      mc.SetB(zs.Find(ExtractKey(m2, r, m2_z)),
+              ys.Find(ExtractKey(m2, r, m2_y)));
+    }
+    mc.Multiply();
+    for (int i = 0; i < xs.size(); ++i) {
+      for (int j = 0; j < ys.size(); ++j) {
+        if (mc.NonZero(i, j)) emit(i, j, xkeys, ykeys);
       }
     }
   }

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "core/exec_context.h"
-#include "mm/matrix.h"
 #include "relation/degree.h"
 #include "relation/flat_index.h"
 #include "relation/ops.h"
@@ -252,31 +251,27 @@ bool FourCycleMm(const QueryInput& db, double omega, MmKernel kernel,
   const int nx = xi.size();
   const int nz = zi.size();
 
-  auto multiply = [&](const Matrix& a, const Matrix& b) {
-    Bump(ec.stats().mm_products);
-    return CountingProduct(a, b, kernel, &ec);
-  };
   // B1 = U_h (w by x) times R_h (x by y).
-  Matrix mu(nw, nx), mr(nx, ny);
+  IndicatorProduct b1(nw, nx, ny, kernel, ec);
   for (size_t row = 0; row < uh.size(); ++row) {
-    mu.At(wi.FindValue(uh.Get(row, kW)), xi.FindValue(uh.Get(row, kX))) = 1;
+    b1.SetA(wi.FindValue(uh.Get(row, kW)), xi.FindValue(uh.Get(row, kX)));
   }
   for (size_t row = 0; row < rh.size(); ++row) {
-    mr.At(xi.FindValue(rh.Get(row, kX)), yi.FindValue(rh.Get(row, kY))) = 1;
+    b1.SetB(xi.FindValue(rh.Get(row, kX)), yi.FindValue(rh.Get(row, kY)));
   }
-  Matrix b1 = multiply(mu, mr);
+  b1.Multiply();
   // B2 = S_h (y by z) times T_h (z by w).
-  Matrix ms(ny, nz), mt(nz, nw);
+  IndicatorProduct b2(ny, nz, nw, kernel, ec);
   for (size_t row = 0; row < sh.size(); ++row) {
-    ms.At(yi.FindValue(sh.Get(row, kY)), zi.FindValue(sh.Get(row, kZ))) = 1;
+    b2.SetA(yi.FindValue(sh.Get(row, kY)), zi.FindValue(sh.Get(row, kZ)));
   }
   for (size_t row = 0; row < th.size(); ++row) {
-    mt.At(zi.FindValue(th.Get(row, kZ)), wi.FindValue(th.Get(row, kW))) = 1;
+    b2.SetB(zi.FindValue(th.Get(row, kZ)), wi.FindValue(th.Get(row, kW)));
   }
-  Matrix b2 = multiply(ms, mt);
+  b2.Multiply();
   for (int y = 0; y < ny; ++y) {
     for (int w = 0; w < nw; ++w) {
-      if (b1.At(w, y) != 0 && b2.At(y, w) != 0) return true;
+      if (b1.NonZero(w, y) && b2.NonZero(y, w)) return true;
     }
   }
   return false;

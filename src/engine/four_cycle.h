@@ -14,8 +14,8 @@
 ///    Table 1): light middle vertices combinatorially, the heavy-y /
 ///    heavy-w core by a rectangular matrix product. The mixed
 ///    (light-y, heavy-w) residual is resolved by per-heavy-w semijoins
-///    against the light 2-path set — see EXPERIMENTS.md for the exponent
-///    caveat on adversarial instances.
+///    against the light 2-path set, so on adversarial instances the
+///    measured exponent can exceed the Table 1 value.
 
 #include "engine/elimination.h"
 #include "relation/relation.h"

@@ -3,9 +3,6 @@
 #include <cmath>
 
 #include "core/exec_context.h"
-#include "engine/wcoj.h"
-#include "hypergraph/hypergraph.h"
-#include "mm/matrix.h"
 #include "relation/degree.h"
 #include "relation/flat_index.h"
 #include "relation/ops.h"
@@ -20,10 +17,6 @@ constexpr int kApex = 0;  // Y
 constexpr int kX1 = 1, kX2 = 2, kX3 = 3;
 
 }  // namespace
-
-bool Pyramid3Combinatorial(const QueryInput& db, ExecContext* ctx) {
-  return WcojBoolean(Hypergraph::Pyramid(3), db, ctx);
-}
 
 bool Pyramid3Mm(const QueryInput& db, double omega, MmKernel kernel,
                 PyramidStats* stats, ExecContext* ctx) {
@@ -176,8 +169,7 @@ bool Pyramid3Mm(const QueryInput& db, double omega, MmKernel kernel,
           }
         }
         if (x2i.size() == 0 || x3i.size() == 0) return false;
-        Matrix m1(x2i.size(), yi.size());
-        Matrix m2(yi.size(), x3i.size());
+        IndicatorProduct prod(x2i.size(), yi.size(), x3i.size(), kernel, ec);
         for (int32_t row = y_of_x1.First(x1key); row >= 0;
              row = y_of_x1.Next(row)) {
           const Value y = r1h.Row(row)[r1h_y_col];
@@ -185,20 +177,19 @@ bool Pyramid3Mm(const QueryInput& db, double omega, MmKernel kernel,
           const uint64_t ykey = static_cast<uint32_t>(y);
           for (int32_t r2row = x2_of_y.First(ykey); r2row >= 0;
                r2row = x2_of_y.Next(r2row)) {
-            m1.At(x2i.FindValue(r2h.Row(r2row)[r2h_x2_col]), yc) = 1;
+            prod.SetA(x2i.FindValue(r2h.Row(r2row)[r2h_x2_col]), yc);
           }
           for (int32_t r3row = x3_of_y.First(ykey); r3row >= 0;
                r3row = x3_of_y.Next(r3row)) {
-            m2.At(yc, x3i.FindValue(r3h.Row(r3row)[r3h_x3_col])) = 1;
+            prod.SetB(yc, x3i.FindValue(r3h.Row(r3row)[r3h_x3_col]));
           }
         }
-        Bump(ec.stats().mm_products);
-        Matrix prod = CountingProduct(m1, m2, kernel, &ec);
+        prod.Multiply();
         for (int32_t brow = base_by_x1.First(x1key); brow >= 0;
              brow = base_by_x1.Next(brow)) {
           const int i2 = x2i.FindValue(base.Row(brow)[base_x2_col]);
           const int i3 = x3i.FindValue(base.Row(brow)[base_x3_col]);
-          if (i2 >= 0 && i3 >= 0 && prod.At(i2, i3) != 0) return true;
+          if (i2 >= 0 && i3 >= 0 && prod.NonZero(i2, i3)) return true;
         }
         return false;
       });

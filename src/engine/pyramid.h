@@ -15,6 +15,10 @@
 ///     MM(X2; X3; Y | X1) — for each x1 compatible with y, multiply the
 ///     X2-by-Y and Y-by-X3 Boolean matrices, then probe the base.
 ///
+/// The combinatorial baseline is WcojBoolean(Hypergraph::Pyramid(3), ...)
+/// (the PANDA-style N^{2-1/k} plan is within a log factor of it on the
+/// generated workloads).
+///
 /// QueryInput layout per Hypergraph::Pyramid(3): relations
 /// [R1(Y,X1), R2(Y,X2), R3(Y,X3), B(X1,X2,X3)].
 
@@ -32,10 +36,6 @@ struct PyramidStats {
   int64_t case2_tuples = 0;
   int64_t mm_groups = 0;
 };
-
-/// Combinatorial baseline: generic join (the PANDA-style N^{2-1/k} plan is
-/// within a log factor of this on the generated workloads).
-bool Pyramid3Combinatorial(const QueryInput& db, ExecContext* ctx = nullptr);
 
 /// The Lemma C.13 MM algorithm at the given omega.
 bool Pyramid3Mm(const QueryInput& db, double omega,

@@ -3,9 +3,6 @@
 #include <cmath>
 
 #include "core/exec_context.h"
-#include "engine/wcoj.h"
-#include "hypergraph/hypergraph.h"
-#include "mm/matrix.h"
 #include "relation/degree.h"
 #include "relation/flat_index.h"
 #include "relation/ops.h"
@@ -17,26 +14,7 @@ namespace {
 
 constexpr int kX = 0, kY = 1, kZ = 2;
 
-/// Dense index over the values appearing in a unary relation (flat
-/// open-addressing interner; no per-node allocation). The bulk build is
-/// context-aware: large inputs are interned via the sharded parallel path
-/// with ids still in first-occurrence order.
-class ValueIndex {
- public:
-  ValueIndex(const Relation& unary, ExecContext* ctx)
-      : map_(unary, KeySpec(unary, unary.schema()), ctx) {}
-  int Find(Value v) const { return map_.FindValue(v); }
-  int size() const { return map_.size(); }
-
- private:
-  FlatInterner map_;
-};
-
 }  // namespace
-
-bool TriangleCombinatorial(const QueryInput& db, ExecContext* ctx) {
-  return WcojBoolean(Hypergraph::Triangle(), db, ctx);
-}
 
 bool TriangleMm(const QueryInput& db, double omega, MmKernel kernel,
                 TriangleStats* stats, ExecContext* ctx) {
@@ -90,44 +68,27 @@ bool TriangleMm(const QueryInput& db, double omega, MmKernel kernel,
   Relation m1 = SemijoinAll(r, {&pr.heavy, &ps.heavy}, &ec);
   Relation m2 = SemijoinAll(s, {&ps.heavy, &pt.heavy}, &ec);
   if (m1.empty() || m2.empty()) return false;
-  ValueIndex xi(pr.heavy, &ec);
-  ValueIndex yi(ps.heavy, &ec);
-  ValueIndex zi(pt.heavy, &ec);
+  const FlatInterner xi(pr.heavy, KeySpec(pr.heavy, pr.heavy.schema()), &ec);
+  const FlatInterner yi(ps.heavy, KeySpec(ps.heavy, ps.heavy.schema()), &ec);
+  const FlatInterner zi(pt.heavy, KeySpec(pt.heavy, pt.heavy.schema()), &ec);
   if (stats != nullptr) {
     stats->mm_dim_x = xi.size();
     stats->mm_dim_y = yi.size();
     stats->mm_dim_z = zi.size();
   }
-  Bump(ec.stats().mm_products);
-  // Boolean product over heavy X x heavy Y x heavy Z.
-  if (kernel == MmKernel::kBoolean) {
-    BitMatrix a(xi.size(), yi.size()), b(yi.size(), zi.size());
-    for (size_t row = 0; row < m1.size(); ++row) {
-      a.Set(xi.Find(m1.Get(row, kX)), yi.Find(m1.Get(row, kY)));
-    }
-    for (size_t row = 0; row < m2.size(); ++row) {
-      b.Set(yi.Find(m2.Get(row, kY)), zi.Find(m2.Get(row, kZ)));
-    }
-    BitMatrix m = BitMatrix::Multiply(a, b, &ec);
-    for (size_t row = 0; row < t.size(); ++row) {
-      const int x = xi.Find(t.Get(row, kX));
-      const int z = zi.Find(t.Get(row, kZ));
-      if (x >= 0 && z >= 0 && m.Get(x, z)) return true;
-    }
-    return false;
-  }
-  Matrix a(xi.size(), yi.size()), b(yi.size(), zi.size());
+  // Product over heavy X x heavy Y x heavy Z.
+  IndicatorProduct m(xi.size(), yi.size(), zi.size(), kernel, ec);
   for (size_t row = 0; row < m1.size(); ++row) {
-    a.At(xi.Find(m1.Get(row, kX)), yi.Find(m1.Get(row, kY))) = 1;
+    m.SetA(xi.FindValue(m1.Get(row, kX)), yi.FindValue(m1.Get(row, kY)));
   }
   for (size_t row = 0; row < m2.size(); ++row) {
-    b.At(yi.Find(m2.Get(row, kY)), zi.Find(m2.Get(row, kZ))) = 1;
+    m.SetB(yi.FindValue(m2.Get(row, kY)), zi.FindValue(m2.Get(row, kZ)));
   }
-  Matrix m = CountingProduct(a, b, kernel, &ec);
+  m.Multiply();
   for (size_t row = 0; row < t.size(); ++row) {
-    const int x = xi.Find(t.Get(row, kX));
-    const int z = zi.Find(t.Get(row, kZ));
-    if (x >= 0 && z >= 0 && m.At(x, z) != 0) return true;
+    const int x = xi.FindValue(t.Get(row, kX));
+    const int z = zi.FindValue(t.Get(row, kZ));
+    if (x >= 0 && z >= 0 && m.NonZero(x, z)) return true;
   }
   return false;
 }
@@ -147,25 +108,21 @@ int64_t TriangleCountMm(const QueryInput& db, MmKernel kernel,
                       &ec);
   Relation zs = Union(Project(s, VarSet{kZ}, &ec), Project(t, VarSet{kZ}, &ec),
                       &ec);
-  ValueIndex xi(xs, &ec), yi(ys, &ec), zi(zs, &ec);
-  // The dense operands are |X|x|Y| and |Y|x|Z| int64 cells over the full
-  // domains; charge them before allocating so an armed budget aborts
-  // (retryably) instead of the process running out of memory.
-  const int64_t cells = static_cast<int64_t>(yi.size()) *
-                        (static_cast<int64_t>(xi.size()) + zi.size());
-  MemCharge charge(ec, cells * static_cast<int64_t>(sizeof(int64_t)));
-  Matrix a(xi.size(), yi.size()), b(yi.size(), zi.size());
+  const FlatInterner xi(xs, KeySpec(xs, xs.schema()), &ec);
+  const FlatInterner yi(ys, KeySpec(ys, ys.schema()), &ec);
+  const FlatInterner zi(zs, KeySpec(zs, zs.schema()), &ec);
+  IndicatorProduct m(xi.size(), yi.size(), zi.size(), kernel, ec);
   for (size_t row = 0; row < r.size(); ++row) {
-    a.At(xi.Find(r.Get(row, kX)), yi.Find(r.Get(row, kY))) = 1;
+    m.SetA(xi.FindValue(r.Get(row, kX)), yi.FindValue(r.Get(row, kY)));
   }
   for (size_t row = 0; row < s.size(); ++row) {
-    b.At(yi.Find(s.Get(row, kY)), zi.Find(s.Get(row, kZ))) = 1;
+    m.SetB(yi.FindValue(s.Get(row, kY)), zi.FindValue(s.Get(row, kZ)));
   }
-  Bump(ec.stats().mm_products);
-  Matrix m = CountingProduct(a, b, kernel, &ec);
+  m.Multiply();
   int64_t count = 0;
   for (size_t row = 0; row < t.size(); ++row) {
-    count += m.At(xi.Find(t.Get(row, kX)), zi.Find(t.Get(row, kZ)));
+    count +=
+        m.Count(xi.FindValue(t.Get(row, kX)), zi.FindValue(t.Get(row, kZ)));
   }
   return count;
 }

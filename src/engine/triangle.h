@@ -2,9 +2,9 @@
 #define FMMSW_ENGINE_TRIANGLE_H_
 
 /// \file
-/// The triangle query Q_triangle (Eq. 2) — both the combinatorial
-/// O(N^{3/2}) worst-case-optimal join and the paper's Figure-1 algorithm
-/// running in ~O(N^{2w/(w+1)}):
+/// The triangle query Q_triangle (Eq. 2) by the paper's Figure-1 algorithm,
+/// running in ~O(N^{2w/(w+1)}) (the combinatorial O(N^{3/2}) baseline is
+/// WcojBoolean(Hypergraph::Triangle(), ...)):
 ///
 ///   partition R on deg(Y|X), S on deg(Z|Y), T on deg(X|Z) at
 ///   Delta = N^{(w-1)/(w+1)}; triangles with a light corner are found by
@@ -31,9 +31,6 @@ struct TriangleStats {
   bool answer_from_light = false;
 };
 
-/// Combinatorial baseline: generic join, O(N^{3/2}).
-bool TriangleCombinatorial(const QueryInput& db, ExecContext* ctx = nullptr);
-
 /// The Figure-1 algorithm. `omega` sets the partition threshold
 /// Delta = N^{(omega-1)/(omega+1)}; pass log2(7) when using the Strassen
 /// kernel so threshold and kernel agree.
@@ -43,7 +40,8 @@ bool TriangleMm(const QueryInput& db, double omega,
 
 /// Triangle counting via integer matrix multiplication (trace of A^3 on
 /// the heavy part is not enough for counts; this counts all triangles by
-/// summing the entrywise product of (M1 x M2) with T). Used by tests to
+/// summing the entrywise product of (M1 x M2) with T). `kernel` must be a
+/// counting kernel (kStrassen, kNaive or kBitSliced). Used by tests to
 /// cross-check against WcojCount.
 int64_t TriangleCountMm(const QueryInput& db, MmKernel kernel,
                         ExecContext* ctx = nullptr);

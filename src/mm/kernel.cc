@@ -456,17 +456,57 @@ Matrix CountingProduct(const Matrix& a, const Matrix& b, MmKernel kernel,
     case MmKernel::kStrassen:
       return MultiplyRectangular(a, b, kMmDefaultCutoff, ctx);
     case MmKernel::kBitSliced:
-    case MmKernel::kBoolean:
-      // Engines with a real (OR, AND) path dispatch to BitMatrix::Multiply
-      // themselves; a Boolean request reaching a counting-only path means
-      // the caller only tests entries for zero, so the bit-sliced product
-      // (identical (+, x) results, word-parallel cost) is the right fit.
       if (IsZeroOne(a) && IsZeroOne(b)) return MultiplyBitSliced(a, b, ctx);
       return MultiplyBlocked(a, b, ctx);
     case MmKernel::kNaive:
+      return MultiplyBlocked(a, b, ctx);
+    case MmKernel::kBoolean:
       break;
   }
-  return MultiplyBlocked(a, b, ctx);
+  FMMSW_CHECK(kernel != MmKernel::kBoolean &&
+              "kBoolean is not a counting kernel (IndicatorProduct runs it)");
+  return Matrix();
+}
+
+namespace {
+
+// Bytes of one rows x cols indicator matrix as stored under `kernel`:
+// BitMatrix rows are whole 64-bit words, Matrix cells are int64.
+int64_t IndicatorBytes(int rows, int cols, MmKernel kernel) {
+  const int64_t row_cells =
+      kernel == MmKernel::kBoolean ? (cols + 63) / 64 : cols;
+  return static_cast<int64_t>(rows) * row_cells * 8;
+}
+
+}  // namespace
+
+IndicatorProduct::IndicatorProduct(int rows, int inner, int cols,
+                                   MmKernel kernel, ExecContext& ec)
+    : ec_(ec),
+      kernel_(kernel),
+      rows_(rows),
+      cols_(cols),
+      charge_(ec, IndicatorBytes(rows, inner, kernel) +
+                      IndicatorBytes(inner, cols, kernel)) {
+  if (kernel_ == MmKernel::kBoolean) {
+    bit_a_ = BitMatrix(rows, inner);
+    bit_b_ = BitMatrix(inner, cols);
+  } else {
+    a_ = Matrix(rows, inner);
+    b_ = Matrix(inner, cols);
+  }
+}
+
+void IndicatorProduct::Multiply() {
+  Bump(ec_.stats().mm_products);
+  if (kernel_ == MmKernel::kBoolean) {
+    bit_out_ = BitMatrix::Multiply(bit_a_, bit_b_, &ec_);
+  } else {
+    out_ = CountingProduct(a_, b_, kernel_, &ec_);
+  }
+  // The kernel's own charge for its output ended when it returned; the
+  // product now lives as long as the operator, so its charge does too.
+  charge_.Add(IndicatorBytes(rows_, cols_, kernel_));
 }
 
 }  // namespace fmmsw

@@ -2,13 +2,19 @@
 #define FMMSW_MM_KERNEL_H_
 
 /// \file
-/// Vectorized micro-kernel layer under the matrix-multiply hot paths.
+/// The matrix-multiply operator every engine calls, and the vectorized
+/// micro-kernel layer under it.
 ///
-/// The heavy-part plans reduce join evaluation to dense counting / Boolean
-/// matrix products (paper Section 2.5, Appendix E.6), so the MM base case
-/// is the innermost loop of every hybrid engine path. This layer supplies
-/// it:
+/// Every non-combinatorial step of the paper's plans is one operation,
+/// MM(X; Y; Z | G) (Section 2.5, Appendix E.6): multiply two 0/1 indicator
+/// matrices built from relations and keep the non-zero cells.
+/// IndicatorProduct is that operation. Engines mark operand cells, call
+/// Multiply() once, and read cells of the product; the operator owns the
+/// storage (bit-packed for kBoolean, int64 otherwise), charges it to the
+/// memory budget, counts the product and picks the kernel. Below it:
 ///
+///   - CountingProduct: the counting-kernel switch (Strassen, blocked
+///     cubic, bit-sliced) — the only entry for a (+, x) product.
 ///   - GemmAddAt: a packed, register-blocked int64 panel product. A and B
 ///     are copied into contiguous tile-aligned scratch (MR x kc and
 ///     NR x kc strips, zero-padded edge tiles), then an unrolled micro
@@ -19,12 +25,11 @@
 ///     well-defined mod-2^64 (unsigned) arithmetic, so every SIMD level
 ///     produces identical bits for any input, and all agree with
 ///     MultiplyNaive whenever its signed products and sums stay within
-///     int64 (always true for the engines' indicator-derived matrices;
-///     naive's own signed overflow would be UB).
-///   - MultiplyBitSliced: a counting product for 0/1 indicator matrices —
-///     exactly what the engines' heavy-part products are. Rows of A and
-///     columns of B are packed into bit-planes; out[i][j] is the popcount
-///     of a word-AND, 64 multiply-adds per word op.
+///     int64 (always true for indicator-derived matrices; naive's own
+///     signed overflow would be UB).
+///   - MultiplyBitSliced: a counting product for 0/1 indicator matrices.
+///     Rows of A and columns of B are packed into bit-planes; out[i][j] is
+///     the popcount of a word-AND, 64 multiply-adds per word op.
 ///
 /// Dispatch: ActiveSimdLevel() probes the CPU once (cpuid via
 /// __builtin_cpu_supports) and honors the FMMSW_SIMD environment variable
@@ -34,18 +39,17 @@
 ///
 /// MultiplyBlocked, the Strassen cutoff base case, and the
 /// MultiplyRectangular block products (mm/matrix.h) all route through
-/// GemmAddAt; kernel launches and packing time are accounted on the
-/// ExecContext (mm_base_calls, mm_simd_calls, mm_bitsliced_calls,
-/// mm_pack_ns).
+/// GemmAddAt; products, kernel launches and packing time are accounted on
+/// the ExecContext (mm_products, mm_base_calls, mm_simd_calls,
+/// mm_bitsliced_calls, mm_pack_ns).
 
 #include <cstdint>
 #include <vector>
 
+#include "core/exec_context.h"
 #include "mm/matrix.h"
 
 namespace fmmsw {
-
-class ExecContext;
 
 /// Inner-kernel instruction sets, in increasing order of capability.
 enum class SimdLevel {
@@ -93,29 +97,86 @@ bool IsZeroOne(const Matrix& m);
 /// Bit-sliced counting product for 0/1 matrices: packs rows of a and
 /// columns of b into k-bit planes and accumulates popcount(word AND word),
 /// so each 64-wide slice of the inner dimension costs one AND + popcount
-/// instead of 64 int64 multiply-adds. Requires 0/1 inputs (DCHECKed; the
-/// engines know their indicator matrices, other callers go through
-/// CountingProduct which verifies first). Row blocks run on the context's
-/// pool. Exact: out == MultiplyNaive(a, b).
+/// instead of 64 int64 multiply-adds. Requires 0/1 inputs (DCHECKed;
+/// CountingProduct verifies before choosing it). Row blocks run on the
+/// context's pool. Exact: out == MultiplyNaive(a, b).
 Matrix MultiplyBitSliced(const Matrix& a, const Matrix& b,
                          ExecContext* ctx = nullptr);
 
-/// Counting-product kernel choice for the engine hybrid paths (the
-/// Boolean (OR, AND) option is BitMatrix::Multiply, dispatched by the
-/// engines themselves).
+/// Kernel choice for the engines' matrix products.
 enum class MmKernel {
-  kBoolean,    ///< bit-packed (OR, AND) product
+  kBoolean,    ///< bit-packed (OR, AND) product (BitMatrix::Multiply)
   kStrassen,   ///< counting product via Strassen (omega = log2 7)
   kNaive,      ///< cubic counting product (blocked + micro-kernel)
   kBitSliced,  ///< 0/1 counting via bit-planes (falls back to cubic)
 };
 
-/// The counting product under `kernel`: kStrassen -> MultiplyRectangular,
-/// kNaive -> MultiplyBlocked, kBitSliced -> MultiplyBitSliced when both
-/// inputs verify as 0/1 (MultiplyBlocked otherwise). All choices return
-/// results bit-identical to MultiplyNaive(a, b); kBoolean is invalid here.
+/// The counting product under a counting kernel: kStrassen ->
+/// MultiplyRectangular, kNaive -> MultiplyBlocked, kBitSliced ->
+/// MultiplyBitSliced when both inputs verify as 0/1 (MultiplyBlocked
+/// otherwise). All choices return results bit-identical to
+/// MultiplyNaive(a, b). kBoolean is not a counting kernel: CHECK failure.
 Matrix CountingProduct(const Matrix& a, const Matrix& b, MmKernel kernel,
                        ExecContext* ctx = nullptr);
+
+/// MM(X; Y; Z) over indicator operands: A is rows x inner, B is
+/// inner x cols, both all-zero until marked. Usage: mark the cells the
+/// relations hold with SetA/SetB, call Multiply() once, then read the
+/// product with NonZero (any kernel) or Count (counting kernels).
+///
+/// The constructor charges the operand bytes to the context's memory
+/// budget before allocating them (bit-packed for kBoolean, int64 for the
+/// counting kernels); an armed budget below them aborts with
+/// kMemoryLimitExceeded before any operand exists. Multiply() adds the
+/// product's bytes once the kernel returns it. Both charges are held for
+/// the operator's lifetime, as long as the matrices they cover.
+///
+/// SetA(i, k) writes only row i of A and SetB(k, j) only row k of B, so
+/// fills partitioned by row may run concurrently.
+class IndicatorProduct {
+ public:
+  IndicatorProduct(int rows, int inner, int cols, MmKernel kernel,
+                   ExecContext& ec);
+
+  void SetA(int i, int k) {
+    if (kernel_ == MmKernel::kBoolean) {
+      bit_a_.Set(i, k);
+    } else {
+      a_.At(i, k) = 1;
+    }
+  }
+  void SetB(int k, int j) {
+    if (kernel_ == MmKernel::kBoolean) {
+      bit_b_.Set(k, j);
+    } else {
+      b_.At(k, j) = 1;
+    }
+  }
+
+  /// Computes A * B (counts one mm_products): BitMatrix::Multiply for
+  /// kBoolean, CountingProduct for every other kernel. Charges the
+  /// product's bytes.
+  void Multiply();
+
+  /// True if some inner index k has A[i][k] = B[k][j] = 1.
+  bool NonZero(int i, int j) const {
+    return kernel_ == MmKernel::kBoolean ? bit_out_.Get(i, j)
+                                         : out_.At(i, j) != 0;
+  }
+  /// The number of such k. CHECKs that the kernel counts.
+  int64_t Count(int i, int j) const {
+    FMMSW_CHECK(kernel_ != MmKernel::kBoolean);
+    return out_.At(i, j);
+  }
+
+ private:
+  ExecContext& ec_;
+  MmKernel kernel_;
+  int rows_, cols_;
+  MemCharge charge_;  // declared before the matrices it covers
+  BitMatrix bit_a_, bit_b_, bit_out_;
+  Matrix a_, b_, out_;
+};
 
 }  // namespace fmmsw
 

@@ -4,8 +4,10 @@
 /// \file
 /// Dense matrices and multiplication kernels.
 ///
-/// The engine reduces heavy-part joins to Boolean / counting matrix
-/// products (paper Section 2.5 and Appendix E.6). Kernels:
+/// The storage and kernels under IndicatorProduct (mm/kernel.h), the one
+/// operator through which the engines reduce heavy-part joins to Boolean /
+/// counting matrix products (paper Section 2.5 and Appendix E.6).
+/// Kernels:
 ///   - MultiplyNaive: cubic reference, the differential baseline — the
 ///     only int64 kernel that does NOT route through the micro-kernel
 ///     layer, so tests can compare everything else against it,
@@ -13,13 +15,15 @@
 ///     context's pool, each slab through the packed micro-kernel of
 ///     mm/kernel.h (runtime AVX2 / scalar dispatch, FMMSW_SIMD override),
 ///   - MultiplyStrassen: Strassen recursion (omega = log2 7), the runnable
-///     stand-in for fast MM (see DESIGN.md "Substitutions"); the cutoff
-///     base case is the packed micro-kernel,
+///     stand-in for the paper's fast MM (the omega < 2.372 algorithms have
+///     no practical implementation); the cutoff base case is the packed
+///     micro-kernel,
 ///   - MultiplyRectangular: the square-blocking scheme realizing
 ///     omega-square(a,b,c) from Eq. (6); blocks at or below the cutoff
 ///     multiply in place via the micro-kernel (no copy, no pow2 padding),
 ///     larger blocks recurse through Strassen,
-///   - BitMatrix multiply: word-parallel Boolean product,
+///   - BitMatrix multiply: word-parallel Boolean product (the kBoolean
+///     kernel),
 ///   - MultiplyBitSliced (mm/kernel.h): 0/1 counting product via
 ///     bit-planes + popcount, for the engines' indicator matrices.
 /// Counting products use int64 (semiring (+, x)) and every kernel is

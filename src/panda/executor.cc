@@ -4,7 +4,6 @@
 
 #include "core/exec_context.h"
 #include "hypergraph/hypergraph.h"
-#include "mm/matrix.h"
 #include "relation/degree.h"
 #include "relation/flat_index.h"
 #include "relation/ops.h"
@@ -181,8 +180,6 @@ bool ExecuteProofSequence(const Hypergraph& h, const QueryInput& db,
     Relation m1 = SemijoinAll(*rxy, {hx, hy}, &ec);
     Relation m2 = SemijoinAll(*ryz, {hy, hz}, &ec);
     if (m1.empty() || m2.empty()) continue;
-    // Matrix-dimension interning on the flat index (was
-    // std::unordered_map<Value, int>).
     FlatInterner xi, yi, zi;
     const int vx = t.x.First(), vy = t.y.First(), vz = t.z.First();
     for (size_t r = 0; r < m1.size(); ++r) {
@@ -193,37 +190,18 @@ bool ExecuteProofSequence(const Hypergraph& h, const QueryInput& db,
       yi.InternValue(m2.Get(r, vy));
       zi.InternValue(m2.Get(r, vz));
     }
-    Bump(ec.stats().mm_products);
-    if (kernel == MmKernel::kBoolean) {
-      BitMatrix a(xi.size(), yi.size());
-      BitMatrix b(yi.size(), zi.size());
-      for (size_t r = 0; r < m1.size(); ++r) {
-        a.Set(xi.FindValue(m1.Get(r, vx)), yi.FindValue(m1.Get(r, vy)));
-      }
-      for (size_t r = 0; r < m2.size(); ++r) {
-        b.Set(yi.FindValue(m2.Get(r, vy)), zi.FindValue(m2.Get(r, vz)));
-      }
-      BitMatrix m = BitMatrix::Multiply(a, b, &ec);
-      for (size_t r = 0; r < rxz->size(); ++r) {
-        const int ix = xi.FindValue(rxz->Get(r, vx));
-        const int iz = zi.FindValue(rxz->Get(r, vz));
-        if (ix >= 0 && iz >= 0 && m.Get(ix, iz)) return true;
-      }
-    } else {
-      Matrix a(xi.size(), yi.size());
-      Matrix b(yi.size(), zi.size());
-      for (size_t r = 0; r < m1.size(); ++r) {
-        a.At(xi.FindValue(m1.Get(r, vx)), yi.FindValue(m1.Get(r, vy))) = 1;
-      }
-      for (size_t r = 0; r < m2.size(); ++r) {
-        b.At(yi.FindValue(m2.Get(r, vy)), zi.FindValue(m2.Get(r, vz))) = 1;
-      }
-      Matrix m = CountingProduct(a, b, kernel, &ec);
-      for (size_t r = 0; r < rxz->size(); ++r) {
-        const int ix = xi.FindValue(rxz->Get(r, vx));
-        const int iz = zi.FindValue(rxz->Get(r, vz));
-        if (ix >= 0 && iz >= 0 && m.At(ix, iz) != 0) return true;
-      }
+    IndicatorProduct m(xi.size(), yi.size(), zi.size(), kernel, ec);
+    for (size_t r = 0; r < m1.size(); ++r) {
+      m.SetA(xi.FindValue(m1.Get(r, vx)), yi.FindValue(m1.Get(r, vy)));
+    }
+    for (size_t r = 0; r < m2.size(); ++r) {
+      m.SetB(yi.FindValue(m2.Get(r, vy)), zi.FindValue(m2.Get(r, vz)));
+    }
+    m.Multiply();
+    for (size_t r = 0; r < rxz->size(); ++r) {
+      const int ix = xi.FindValue(rxz->Get(r, vx));
+      const int iz = zi.FindValue(rxz->Get(r, vz));
+      if (ix >= 0 && iz >= 0 && m.NonZero(ix, iz)) return true;
     }
   }
   return false;

@@ -2,8 +2,8 @@
 #define FMMSW_RELATION_GENERATORS_H_
 
 /// \file
-/// Synthetic workload generators (see DESIGN.md "Substitutions"): the paper
-/// evaluates no concrete datasets, so the benchmark harness drives the
+/// Synthetic workload generators: the paper evaluates no concrete
+/// datasets, so the benchmark harness drives the
 /// engine with instances spanning the degree regimes the theory
 /// distinguishes — uniform sparse (light everywhere: combinatorial plans
 /// win), dense small-domain (heavy everywhere: MM wins), and Zipf-skewed

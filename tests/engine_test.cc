@@ -216,7 +216,7 @@ TEST_P(TriangleRegimeTest, AllAlgorithmsAgree) {
   Hypergraph h = Hypergraph::Triangle();
   QueryInput db = MakeWorkload(h, opts);
   const bool expect = BruteForceBoolean(h, db);
-  EXPECT_EQ(TriangleCombinatorial(db), expect);
+  EXPECT_EQ(WcojBoolean(h, db), expect);
   EXPECT_EQ(TriangleMm(db, 2.0), expect);
   EXPECT_EQ(TriangleMm(db, 2.371552), expect);
   EXPECT_EQ(TriangleMm(db, 2.8073549, MmKernel::kStrassen), expect);
@@ -308,7 +308,7 @@ TEST_P(CliqueRegimeTest, MmAgreesWithCombinatorial) {
     opts.plant_witness = (seed == 3);
     Hypergraph h = Hypergraph::Clique(k);
     QueryInput db = MakeWorkload(h, opts);
-    const bool expect = CliqueCombinatorial(k, db);
+    const bool expect = WcojBoolean(h, db);
     EXPECT_EQ(CliqueMm(k, db), expect) << "k=" << k << " seed=" << seed;
     EXPECT_EQ(CliqueMm(k, db, MmKernel::kStrassen), expect)
         << "k=" << k << " seed=" << seed;
@@ -347,7 +347,7 @@ TEST_P(PyramidRegimeTest, MmAgreesWithCombinatorial) {
   opts.plant_witness = (seed % 3 == 0);
   Hypergraph h = Hypergraph::Pyramid(3);
   QueryInput db = MakeWorkload(h, opts);
-  const bool expect = Pyramid3Combinatorial(db);
+  const bool expect = WcojBoolean(h, db);
   EXPECT_EQ(Pyramid3Mm(db, 2.0), expect) << "seed=" << seed;
   EXPECT_EQ(Pyramid3Mm(db, 2.371552), expect) << "seed=" << seed;
   EXPECT_EQ(Pyramid3Mm(db, 3.0), expect) << "seed=" << seed;

@@ -446,7 +446,7 @@ TEST(ParallelWcojTest, EnginesAgreeUnderParallelContext) {
   Hypergraph h = Hypergraph::Triangle();
   QueryInput db = MakeWorkload(h, opts);
   ExecContext ec(4);
-  const bool expect = TriangleCombinatorial(db, &ec);
+  const bool expect = WcojBoolean(h, db, &ec);
   EXPECT_EQ(EvaluateBoolean(h, db, EvalStrategy::kWcoj, &ec), expect);
   EXPECT_EQ(EvaluateBoolean(h, db, EvalStrategy::kBestTd, &ec), expect);
   EXPECT_EQ(EvaluateBoolean(h, db, EvalStrategy::kElimination, &ec), expect);

@@ -410,7 +410,87 @@ TEST(BitSlicedTest, CountingProductDispatch) {
   // Every kernel choice agrees with the naive reference.
   EXPECT_EQ(CountingProduct(a, b, MmKernel::kNaive, &ec), ref);
   EXPECT_EQ(CountingProduct(a, b, MmKernel::kStrassen, &ec), ref);
-  EXPECT_EQ(CountingProduct(a, b, MmKernel::kBoolean, &ec), ref);
+}
+
+constexpr MmKernel kAllKernels[] = {MmKernel::kBoolean, MmKernel::kStrassen,
+                                    MmKernel::kNaive, MmKernel::kBitSliced};
+
+TEST(IndicatorProductTest, EveryKernelMatchesNaive) {
+  Rng rng(43);
+  const Matrix a = RandomIndicator(20, 90, 0.3, &rng);
+  const Matrix b = RandomIndicator(90, 25, 0.3, &rng);
+  const Matrix ref = MultiplyNaive(a, b);
+  ASSERT_TRUE(ref.AnyNonZero());
+  for (MmKernel kernel : kAllKernels) {
+    ExecContext ec(2);
+    IndicatorProduct p(20, 90, 25, kernel, ec);
+    for (int i = 0; i < 20; ++i) {
+      for (int k = 0; k < 90; ++k) {
+        if (a.At(i, k) != 0) p.SetA(i, k);
+      }
+    }
+    for (int k = 0; k < 90; ++k) {
+      for (int j = 0; j < 25; ++j) {
+        if (b.At(k, j) != 0) p.SetB(k, j);
+      }
+    }
+    p.Multiply();
+    EXPECT_EQ(ec.stats().mm_products.load(), 1);
+    for (int i = 0; i < 20; ++i) {
+      for (int j = 0; j < 25; ++j) {
+        ASSERT_EQ(p.NonZero(i, j), ref.At(i, j) != 0) << i << "," << j;
+        if (kernel != MmKernel::kBoolean) {
+          ASSERT_EQ(p.Count(i, j), ref.At(i, j)) << i << "," << j;
+        }
+      }
+    }
+  }
+}
+
+TEST(IndicatorProductTest, ChargesOperandsBeforeAllocatingAndItsProduct) {
+  constexpr int kRows = 8, kInner = 4000, kCols = 8;
+  for (MmKernel kernel : kAllKernels) {
+    // Bit-packed rows are whole 64-bit words; int64 operands are dense.
+    const int64_t bytes =
+        kernel == MmKernel::kBoolean
+            ? (kRows * ((kInner + 63) / 64) + kInner * ((kCols + 63) / 64)) *
+                  8
+            : int64_t{8} * kInner * (kRows + kCols);
+    // The product, charged by Multiply(), is kRows x kCols.
+    const int64_t product_bytes =
+        kernel == MmKernel::kBoolean ? kRows * ((kCols + 63) / 64) * 8
+                                     : int64_t{8} * kRows * kCols;
+    ExecContext ec(1);
+    {
+      IndicatorProduct p(kRows, kInner, kCols, kernel, ec);
+      EXPECT_EQ(ec.stats().mem_current_bytes.load(), bytes);
+      p.Multiply();
+      EXPECT_EQ(ec.stats().mem_current_bytes.load(), bytes + product_bytes);
+    }
+    EXPECT_EQ(ec.stats().mem_current_bytes.load(), 0);
+    const ExecResult res =
+        RunGuarded(ec, {.memory_budget_bytes = bytes / 2}, [&] {
+          IndicatorProduct p(kRows, kInner, kCols, kernel, ec);
+        });
+    EXPECT_EQ(res.status, ExecStatus::kMemoryLimitExceeded);
+    EXPECT_EQ(ec.stats().mem_current_bytes.load(), 0);
+    // Only the unbudgeted product above ran.
+    EXPECT_EQ(ec.stats().mm_products.load(), 1);
+  }
+}
+
+TEST(IndicatorProductDeathTest, BooleanIsNotACountingKernel) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const Matrix a(2, 3), b(3, 2);
+  EXPECT_DEATH(CountingProduct(a, b, MmKernel::kBoolean), "counting kernel");
+  EXPECT_DEATH(
+      {
+        ExecContext ec(1);
+        IndicatorProduct p(2, 3, 2, MmKernel::kBoolean, ec);
+        p.Multiply();
+        (void)p.Count(0, 0);
+      },
+      "kBoolean");
 }
 
 TEST(BitSlicedTest, IsZeroOne) {

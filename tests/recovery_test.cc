@@ -11,6 +11,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <functional>
 #include <iterator>
 #include <mutex>
 #include <set>
@@ -22,11 +23,16 @@
 #include "core/api.h"
 #include "core/exec_context.h"
 #include "core/recovery.h"
+#include "engine/clique.h"
+#include "engine/elimination.h"
+#include "engine/four_cycle.h"
+#include "engine/pyramid.h"
 #include "engine/strategy.h"
 #include "engine/triangle.h"
 #include "engine/wcoj.h"
 #include "gtest/gtest.h"
 #include "mm/matrix.h"
+#include "panda/executor.h"
 #include "relation/generators.h"
 #include "util/rational.h"
 #include "width/closed_forms.h"
@@ -357,12 +363,299 @@ TEST(RecoveryTest, BudgetAbortLeavesMemoryChargesBalanced) {
   EXPECT_EQ(ec.stats().mem_current_bytes.load(), 0);
 }
 
-// Regression: TriangleCountMm allocated its dense |X|x|Y| and |Y|x|Z|
-// int64 operands without charging them, so an armed memory budget never
-// saw the dominant allocation and a large-domain count could OOM the
-// process instead of degrading. A long, thin Y axis makes those operands
-// dwarf everything else the rung and the WCOJ fallback allocate.
-TEST(RecoveryTest, CountMmChargesDenseOperandsAndDegradesUnderBudget) {
+// ------------------------------------------- MM operand accounting --
+
+// Bytes of one rows x cols indicator matrix as stored under `kernel`:
+// whole 64-bit words per bit-packed row for kBoolean, dense int64 cells
+// for the counting kernels.
+int64_t IndicatorBytes(int64_t rows, int64_t cols, MmKernel kernel) {
+  return rows * (kernel == MmKernel::kBoolean ? (cols + 63) / 64 : cols) * 8;
+}
+
+// Bytes one rows x inner x cols product holds once it has run: both
+// operands and the product.
+int64_t MmBytes(int64_t rows, int64_t inner, int64_t cols, MmKernel kernel) {
+  return IndicatorBytes(rows, inner, kernel) +
+         IndicatorBytes(inner, cols, kernel) +
+         IndicatorBytes(rows, cols, kernel);
+}
+
+QueryInput Sorted(std::vector<Relation> rels) {
+  QueryInput db;
+  for (Relation& rel : rels) {
+    rel.SortAndDedupe();
+    db.relations.push_back(std::move(rel));
+  }
+  return db;
+}
+
+// Triangle input in which every X, Y and Z value has degree 2 in the
+// relation the Figure-1 split partitions on it. At Delta = 1 every value
+// is heavy, every light corner is empty and the heavy core decides; the
+// matrix dimensions are exactly nx, ny, nz. (0, 0, 0) is a triangle.
+QueryInput HeavyTriangle(int nx, int ny, int nz) {
+  Relation r(VarSet{0, 1}), s(VarSet{1, 2}), t(VarSet{0, 2});
+  for (Value x = 0; x < nx; ++x) {
+    r.Add({x, x % ny});
+    r.Add({x, (x + 1) % ny});
+  }
+  for (Value y = 0; y < ny; ++y) {
+    s.Add({y, y % nz});
+    s.Add({y, (y + 1) % nz});
+  }
+  for (Value z = 0; z < nz; ++z) {
+    t.Add({z % nx, z});
+    t.Add({(z + 1) % nx, z});
+  }
+  return Sorted({std::move(r), std::move(s), std::move(t)});
+}
+
+// omega = 1 puts every engine's degree threshold at N^0 = 1.
+constexpr double kAllHeavyOmega = 1.0;
+
+// The WCOJ oracle's Boolean answer on `db`, checked against the answer
+// the input's construction states.
+int64_t OracleBoolean(const Hypergraph& h, const QueryInput& db,
+                      bool stated) {
+  const bool found = WcojBoolean(h, db);
+  EXPECT_EQ(found, stated) << h.ToString();
+  return int64_t{found};
+}
+
+// One caller of the MM operator. `run` returns the answer (a count, or a
+// Boolean as 0/1) and sets the bytes the products hold (operands and
+// product), implied by the dimensions the engine reports or, for engines
+// whose stats carry none, by the input's construction.
+struct MmEngineCase {
+  std::string name;
+  MmKernel kernel;
+  int64_t products;  ///< MM products one run performs
+  int64_t expected;  ///< the WCOJ oracle's answer
+  std::function<int64_t(ExecContext&, int64_t*)> run;
+};
+
+std::vector<MmEngineCase> MmEngineCases() {
+  std::vector<MmEngineCase> cases;
+  // Inner dimensions dwarf the outer ones, so the operands outweigh the
+  // (separately charged) product and every relation-side charge. Bit
+  // packing shrinks the inner dimension 64x, so the kBoolean case also
+  // needs many rows.
+  for (MmKernel kernel : {MmKernel::kBoolean, MmKernel::kStrassen,
+                          MmKernel::kNaive, MmKernel::kBitSliced}) {
+    const bool boolean = kernel == MmKernel::kBoolean;
+    const QueryInput db = boolean ? HeavyTriangle(1024, 8192, 64)
+                                  : HeavyTriangle(16, 20000, 16);
+    cases.push_back({"TriangleMm", kernel, 1,
+                     OracleBoolean(Hypergraph::Triangle(), db, true),
+                     [db, kernel](ExecContext& ec, int64_t* bytes) {
+                       TriangleStats st;
+                       const bool found =
+                           TriangleMm(db, kAllHeavyOmega, kernel, &st, &ec);
+                       EXPECT_FALSE(st.answer_from_light);
+                       *bytes = MmBytes(st.mm_dim_x, st.mm_dim_y,
+                                        st.mm_dim_z, kernel);
+                       return int64_t{found};
+                     }});
+  }
+  const QueryInput tri = HeavyTriangle(16, 20000, 16);
+  const int64_t tri_count = WcojCount(Hypergraph::Triangle(), tri);
+  EXPECT_GT(tri_count, 0);
+  for (MmKernel kernel :
+       {MmKernel::kStrassen, MmKernel::kNaive, MmKernel::kBitSliced}) {
+    // Full-domain dimensions: |X| = |Z| = 16, |Y| = 20000.
+    cases.push_back({"TriangleCountMm", kernel, 1, tri_count,
+                     [tri, kernel](ExecContext& ec, int64_t* bytes) {
+                       *bytes = MmBytes(16, 20000, 16, kernel);
+                       return TriangleCountMm(tri, kernel, &ec);
+                     }});
+  }
+  {
+    // Four-cycle-free: x reaches y = w = x % 16, z reaches y = z % 16 and
+    // w = (z + 1) % 16. Every y and w is heavy, so both light 2-path sets
+    // are empty and the two heavy-core products run.
+    constexpr int kInner = 10000, kOuter = 16;
+    Relation r(VarSet{0, 1}), s(VarSet{1, 2}), t(VarSet{2, 3}),
+        u(VarSet{0, 3});
+    for (Value x = 0; x < kInner; ++x) {
+      r.Add({x, x % kOuter});
+      u.Add({x, x % kOuter});
+    }
+    for (Value z = 0; z < kInner; ++z) {
+      s.Add({z % kOuter, z});
+      t.Add({z, (z + 1) % kOuter});
+    }
+    const QueryInput db = Sorted(
+        {std::move(r), std::move(s), std::move(t), std::move(u)});
+    cases.push_back({"FourCycleMm", MmKernel::kStrassen, 2,
+                     OracleBoolean(Hypergraph::Cycle(4), db, false),
+                     [db](ExecContext& ec, int64_t* bytes) {
+                       FourCycleStats st;
+                       const bool found = FourCycleMm(
+                           db, kAllHeavyOmega, MmKernel::kStrassen, &st, &ec);
+                       // B1 = (w x x)(x x y) and B2 = (y x z)(z x w), both
+                       // live at once; mm_dims = {|W|, |X| + |Z|, |Y|}.
+                       const int64_t w = st.mm_dims[0], xz = st.mm_dims[1],
+                                     y = st.mm_dims[2];
+                       *bytes =
+                           IndicatorBytes(w + y, xz, MmKernel::kStrassen) +
+                           2 * IndicatorBytes(w, y, MmKernel::kStrassen);
+                       return int64_t{found};
+                     }});
+  }
+  {
+    // Pyramid-free (the base pairs x2 = x3 + 5, no y reaches that), with
+    // one heavy x1 group whose product is (16 x Y) times (Y x 16).
+    constexpr int kY = 20000, kX = 16;
+    Relation r1(VarSet{0, 1}), r2(VarSet{0, 2}), r3(VarSet{0, 3}),
+        base(VarSet{1, 2, 3});
+    for (Value y = 0; y < kY; ++y) {
+      r1.Add({y, 0});
+      r2.Add({y, y % kX});
+      r2.Add({y, (y + 1) % kX});
+      r3.Add({y, y % kX});
+    }
+    for (Value x3 = 0; x3 < kX; ++x3) base.Add({0, (x3 + 5) % kX, x3});
+    const QueryInput db = Sorted(
+        {std::move(r1), std::move(r2), std::move(r3), std::move(base)});
+    cases.push_back({"Pyramid3Mm", MmKernel::kBitSliced, 1,
+                     OracleBoolean(Hypergraph::Pyramid(3), db, false),
+                     [db](ExecContext& ec, int64_t* bytes) {
+                       PyramidStats st;
+                       const bool found = Pyramid3Mm(
+                           db, kAllHeavyOmega, MmKernel::kBitSliced, &st, &ec);
+                       EXPECT_EQ(st.mm_groups, 1);
+                       *bytes = MmBytes(kX, kY, kX, MmKernel::kBitSliced);
+                       return int64_t{found};
+                     }});
+  }
+  {
+    // 3-clique over pair relations (0,1), (0,2), (1,2); the middle group
+    // is the 20000 values of variable 1. Every y closes the triangle
+    // (y % 16, y, (y + 1) % 16).
+    constexpr int kY = 20000, kX = 16;
+    Relation e01(VarSet{0, 1}), e02(VarSet{0, 2}), e12(VarSet{1, 2});
+    for (Value y = 0; y < kY; ++y) {
+      e01.Add({y % kX, y});
+      e12.Add({y, (y + 1) % kX});
+    }
+    for (Value x = 0; x < kX; ++x) e02.Add({x, (x + 1) % kX});
+    const QueryInput db =
+        Sorted({std::move(e01), std::move(e02), std::move(e12)});
+    cases.push_back({"CliqueMm", MmKernel::kNaive, 1,
+                     OracleBoolean(Hypergraph::Clique(3), db, true),
+                     [db](ExecContext& ec, int64_t* bytes) {
+                       CliqueStats st;
+                       const bool found =
+                           CliqueMm(3, db, MmKernel::kNaive, &st, &ec);
+                       *bytes = MmBytes(st.group_cliques[0],
+                                        st.group_cliques[1],
+                                        st.group_cliques[2], MmKernel::kNaive);
+                       return int64_t{found};
+                     }});
+  }
+  {
+    // Eliminate Y by MM(X; Z; Y), then X and Z by a for-loop.
+    EliminationPlan plan;
+    plan.steps.push_back({VarSet{1}, StepMethod::kMm,
+                          MmExpr{VarSet{0}, VarSet{2}, VarSet{1},
+                                 VarSet::Empty()}});
+    plan.steps.push_back({VarSet{0, 2}, StepMethod::kForLoop, {}});
+    cases.push_back({"ExecutePlan", MmKernel::kNaive, 1,
+                     OracleBoolean(Hypergraph::Triangle(), tri, true),
+                     [tri, plan](ExecContext& ec, int64_t* bytes) {
+                       EliminationStats st;
+                       const bool found = ExecutePlan(
+                           Hypergraph::Triangle(), tri, plan,
+                           {.kernel = MmKernel::kNaive}, &st, &ec);
+                       // mm_cells = |X||Y| + |Y||Z|, the operand cells;
+                       // the product is |X| x |Z| = 16 x 16.
+                       *bytes = st.mm_cells * 8 +
+                                IndicatorBytes(16, 16, MmKernel::kNaive);
+                       return int64_t{found};
+                     }});
+  }
+  {
+    // At omega = 2 the threshold is ceil(N^(1/3)) = 51 and Z has no heavy
+    // table; every x has 64 Y-neighbours and every y 64 Z-neighbours, so
+    // both are heavy, the plain (light) tables are empty and the MM term
+    // over 512 x 1500 x 64 decides. (0, y, 0) is a triangle.
+    constexpr int kX = 512, kY = 1500, kZ = 64;
+    Relation r(VarSet{0, 1}), s(VarSet{1, 2}), t(VarSet{0, 2});
+    for (Value x = 0; x < kX; ++x) {
+      for (Value j = 0; j < 64; ++j) r.Add({x, (x * 64 + j) % kY});
+    }
+    for (Value y = 0; y < kY; ++y) {
+      for (Value z = 0; z < kZ; ++z) s.Add({y, z});
+    }
+    t.Add({0, 0});
+    const QueryInput db =
+        Sorted({std::move(r), std::move(s), std::move(t)});
+    cases.push_back({"PandaTriangleBoolean", MmKernel::kStrassen, 1,
+                     OracleBoolean(Hypergraph::Triangle(), db, true),
+                     [db](ExecContext& ec, int64_t* bytes) {
+                       PandaStats st;
+                       const bool found = PandaTriangleBoolean(
+                           db, 2.0, MmKernel::kStrassen, &st, &ec);
+                       EXPECT_EQ(st.mm_executed, 1);
+                       *bytes = MmBytes(kX, kY, kZ, MmKernel::kStrassen);
+                       return int64_t{found};
+                     }});
+  }
+  return cases;
+}
+
+// Every engine that multiplies matrices returns the oracle's answer and
+// charges its operands before it allocates them, and its products while
+// it holds them: the tracked peak covers both, a budget below them
+// aborts retryably with every charge released, and the context then runs
+// the same query cleanly. TriangleCountMm's dense int64 operands were the
+// first to be charged; the other engines allocated theirs uncharged.
+TEST(RecoveryTest, EveryMmEngineChargesItsOperands) {
+  for (const MmEngineCase& c : MmEngineCases()) {
+    SCOPED_TRACE(c.name + " kernel=" +
+                 std::to_string(static_cast<int>(c.kernel)));
+    ExecContext ec(2);
+    int64_t bytes = 0;
+    EXPECT_EQ(c.run(ec, &bytes), c.expected);
+    EXPECT_EQ(ec.stats().mm_products.load(), c.products);
+    ASSERT_GT(bytes, 0);
+    EXPECT_GE(ec.stats().mem_peak_bytes.load(), bytes);
+    EXPECT_EQ(ec.stats().mem_current_bytes.load(), 0);
+
+    int64_t unused = 0;
+    const ExecResult aborted =
+        RunGuarded(ec, {.memory_budget_bytes = bytes / 2},
+                   [&] { c.run(ec, &unused); });
+    EXPECT_EQ(aborted.status, ExecStatus::kMemoryLimitExceeded)
+        << aborted.message;
+    EXPECT_EQ(ec.stats().mem_current_bytes.load(), 0);
+
+    int64_t again = -1;
+    const ExecResult rerun =
+        RunGuarded(ec, {}, [&] { again = c.run(ec, &unused); });
+    ASSERT_TRUE(rerun.ok()) << rerun.message;
+    EXPECT_EQ(again, c.expected);
+  }
+}
+
+// A light corner that answers first runs no product at all.
+TEST(RecoveryTest, LightCornerAnswerRunsNoMmProduct) {
+  const QueryInput db = TriangleWorkload(5);
+  for (MmKernel kernel : {MmKernel::kBoolean, MmKernel::kNaive}) {
+    ExecContext ec(2);
+    TriangleStats st;
+    EXPECT_TRUE(TriangleMm(db, 3.0, kernel, &st, &ec));
+    ASSERT_TRUE(st.answer_from_light);
+    EXPECT_EQ(ec.stats().mm_products.load(), 0);
+  }
+}
+
+// Unbudgeted, every MM rung of the count ladder returns the oracle's
+// count on a long, thin Y axis. Under a budget below TriangleCountMm's
+// dense operands every MM rung fails before allocating them, and the
+// ladder degrades to a combinatorial rung whose count is bit-identical to
+// the clean run.
+TEST(RecoveryTest, CountLadderDegradesPastMmRungsUnderBudget) {
   constexpr int kXz = 16, kY = 20000;
   const Hypergraph h = Hypergraph::Triangle();
   Relation r(VarSet{0, 1}), s(VarSet{1, 2}), t(VarSet{0, 2});
@@ -373,27 +666,18 @@ TEST(RecoveryTest, CountMmChargesDenseOperandsAndDegradesUnderBudget) {
   for (Value x = 0; x < kXz; ++x) {
     for (Value z = 0; z < kXz; z += 2) t.Add({x, z});
   }
-  QueryInput db;
-  for (Relation* rel : {&r, &s, &t}) {
-    rel->SortAndDedupe();
-    db.relations.push_back(std::move(*rel));
-  }
+  const QueryInput db =
+      Sorted({std::move(r), std::move(s), std::move(t)});
   const int64_t dense_bytes = int64_t{8} * kY * (kXz + kXz);
   ExecContext ref_ec(1);
   const int64_t clean_count = WcojCount(h, db, &ref_ec);
   ASSERT_GT(clean_count, 0);
-  // Unbudgeted, every MM rung's tracked peak covers the dense operands.
   for (const StrategyCard& card : TriangleCountLadder()) {
     if (!card.uses_mm) continue;
     ExecContext ec(2);
     EXPECT_EQ(TriangleCountMm(db, card.kernel, &ec), clean_count)
         << card.name;
-    EXPECT_GE(ec.stats().mem_peak_bytes.load(), dense_bytes) << card.name;
-    EXPECT_EQ(ec.stats().mem_current_bytes.load(), 0) << card.name;
   }
-  // A budget below the operands fails every MM rung before it allocates
-  // them; the ladder degrades to a combinatorial rung whose count is
-  // bit-identical to the clean run.
   for (int threads : {1, 4}) {
     ExecContext ec(threads);
     int64_t count = -1;

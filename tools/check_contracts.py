@@ -75,6 +75,14 @@ comments and PR descriptions. This linter turns them into build failures
                       inert for that plane — the CI soak would test
                       nothing.
 
+  one-mm-operator     Engines (src/engine, src/panda) multiply matrices only
+                      through IndicatorProduct (mm/kernel.h), which charges
+                      the operands to the memory budget, counts the
+                      product and picks the kernel. Calling
+                      BitMatrix::Multiply or CountingProduct( there
+                      brings back a hand-rolled product that skips all
+                      three.
+
 Allow marker: a site that legitimately violates a rule carries, on the
 same line or the line directly above,
 
@@ -367,6 +375,31 @@ def check_catalog_mutation(text, path):
 
 
 # --------------------------------------------------------------------------
+# Rule: one-mm-operator
+
+
+RAW_MM_RE = re.compile(r"BitMatrix::Multiply\b|\bCountingProduct\s*\(")
+MM_CALLER_DIRS = ("src/engine/", "src/panda/")
+
+
+def check_one_mm_operator(text, path):
+    """Engines reach the matrix kernels only through IndicatorProduct."""
+    violations = []
+    lines = strip_block_comments(text).split("\n")
+    allowed, _ = allow_markers(lines)
+    for i, raw in enumerate(lines, start=1):
+        code = strip_line_comment(raw)
+        m = RAW_MM_RE.search(code)
+        if m and "one-mm-operator" not in allowed.get(i, ()):
+            violations.append(Violation(
+                "one-mm-operator", path, i,
+                f"{m.group(0).strip()!r} called from an engine; multiply "
+                "through IndicatorProduct (mm/kernel.h), which charges the "
+                "operands, counts the product and picks the kernel"))
+    return violations
+
+
+# --------------------------------------------------------------------------
 # Rule: queryabort-status
 
 
@@ -529,6 +562,8 @@ def lint_repo(repo):
                 site_uses.append(text)
             if is_hot_path(rel):
                 violations += check_banned_tokens(text, rel, BANNED)
+            if rel.replace(os.sep, "/").startswith(MM_CALLER_DIRS):
+                violations += check_one_mm_operator(text, rel)
     violations += check_fault_site_coverage(
         impl_text, "\n".join(site_uses), "src/core/exec_context.cc")
 
@@ -686,6 +721,22 @@ auto q = std::const_pointer_cast<Relation>(unpublished);
 """
     v = check_catalog_mutation(src, "src")
     expect("catalog", v, "no-catalog-mutation", 2)
+
+    # one-mm-operator: a raw BitMatrix::Multiply or CountingProduct call
+    # fires; the operator, a comment mention, another kernel name and an
+    # allow-marked site don't.
+    src = """
+BitMatrix p = BitMatrix::Multiply(a, b, &ec);
+Matrix m = CountingProduct(a, b, kernel, &ec);
+IndicatorProduct prod(rows, inner, cols, kernel, ec);
+prod.Multiply();
+// the operator calls CountingProduct( for the counting kernels
+Matrix q = MultiplyBitSliced(a, b, &ec);
+// contracts: allow(one-mm-operator) differential reference in a test hook
+Matrix r = CountingProduct(a, b, MmKernel::kNaive, &ec);
+"""
+    v = check_one_mm_operator(src, "src")
+    expect("mm-operator", v, "one-mm-operator", 2)
 
     # fault-site-coverage: a registered-but-never-polled tag fires; the
     # polled tags (via Poll or site-tagged ParallelFor) don't; a missing
