@@ -8,7 +8,7 @@ namespace fmmsw {
 
 namespace {
 
-// log2(7), the Strassen exponent: the degree-split threshold and the
+// log2(7), the Strassen exponent: the degree split's MM price and the
 // kernel must agree (see TriangleMm's omega parameter).
 double StrassenOmega() { return std::log2(7.0); }
 

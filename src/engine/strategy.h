@@ -37,8 +37,10 @@ struct StrategyCard {
   bool uses_mm = false;
   /// Counting/boolean kernel the rung dispatches (meaningful iff uses_mm).
   MmKernel kernel = MmKernel::kBoolean;
-  /// Partition exponent for the degree-split hybrids: Delta =
-  /// N^{(omega-1)/(omega+1)} (meaningful iff uses_mm).
+  /// The kernel's exponent, for the degree-split hybrids (meaningful iff
+  /// uses_mm): TriangleMm prices its heavy core's product with it and
+  /// takes Delta0 = N^{(omega-1)/(omega+1)} as the worst-case candidate
+  /// among the thresholds it chooses from.
   double omega = 3.0;
   int memory_rank = 0;
 };

@@ -1,18 +1,98 @@
 #include "engine/triangle.h"
 
+#include <algorithm>
 #include <cmath>
+#include <utility>
+#include <vector>
 
 #include "core/exec_context.h"
+#include "mm/cost_model.h"
 #include "relation/degree.h"
 #include "relation/flat_index.h"
 #include "relation/ops.h"
 #include "util/check.h"
+#include "util/radix.h"
 
 namespace fmmsw {
 
 namespace {
 
 constexpr int kX = 0, kY = 1, kZ = 2;
+
+/// One light corner's degree profile: the partition side's degrees in
+/// ascending order, and prefix sums of deg_part(v) * deg_probe(v) — the
+/// candidate pairs the corner's fused join probes for the values that are
+/// light at a threshold.
+struct CornerProfile {
+  std::vector<int64_t> degrees;
+  std::vector<int64_t> pairs;  ///< pairs[i]: sum over degrees[0, i)
+
+  /// `part` and `probe` are DegreeProfiles on the same key (ascending
+  /// values).
+  CornerProfile(const std::vector<ValueDegree>& part,
+                const std::vector<ValueDegree>& probe) {
+    std::vector<int64_t> value_pairs(part.size(), 0);
+    std::vector<std::pair<uint64_t, uint32_t>> by_degree;
+    by_degree.reserve(part.size());
+    size_t j = 0;
+    for (size_t i = 0; i < part.size(); ++i) {
+      while (j < probe.size() && probe[j].value < part[i].value) ++j;
+      if (j < probe.size() && probe[j].value == part[i].value) {
+        value_pairs[i] = part[i].degree * probe[j].degree;
+      }
+      by_degree.emplace_back(static_cast<uint64_t>(part[i].degree),
+                             static_cast<uint32_t>(i));
+    }
+    RadixSortKeyed(by_degree);
+    degrees.reserve(part.size());
+    pairs.assign(1, 0);
+    for (const auto& [deg, i] : by_degree) {
+      degrees.push_back(static_cast<int64_t>(deg));
+      pairs.push_back(pairs.back() + value_pairs[i]);
+    }
+  }
+
+  size_t LightCount(int64_t delta) const {
+    return static_cast<size_t>(
+        std::upper_bound(degrees.begin(), degrees.end(), delta) -
+        degrees.begin());
+  }
+};
+
+/// The predicted cost of the split at one threshold, in fused-probe units.
+struct SplitCost {
+  int64_t light_pairs = 0;
+  double mm_ops = 0;
+  int64_t heavy[3] = {0, 0, 0};  ///< |X_h|, |Y_h|, |Z_h|
+
+  double Total() const { return static_cast<double>(light_pairs) + mm_ops; }
+  double CoreCells() const {
+    return static_cast<double>(heavy[0]) * static_cast<double>(heavy[1]) +
+           static_cast<double>(heavy[1]) * static_cast<double>(heavy[2]);
+  }
+};
+
+/// Light term: the three corners' probed pairs. MM term: the core's fill
+/// (one pass over R, S and T) plus its product, converted to probes by the
+/// kernel's weight; zero when a heavy side is empty (the core is skipped).
+SplitCost PredictSplit(const CornerProfile (&corners)[3], int64_t delta,
+                       double core_rows, double omega, MmKernel kernel) {
+  SplitCost c;
+  for (int i = 0; i < 3; ++i) {
+    const size_t light = corners[i].LightCount(delta);
+    c.light_pairs += corners[i].pairs[light];
+    c.heavy[i] = static_cast<int64_t>(corners[i].degrees.size() - light);
+  }
+  if (c.heavy[0] > 0 && c.heavy[1] > 0 && c.heavy[2] > 0) {
+    const double ops_per_probe = kernel == MmKernel::kBoolean
+                                     ? kBooleanMmOpsPerProbe
+                                     : kCountingMmOpsPerProbe;
+    c.mm_ops = core_rows +
+               PredictedMmOps(c.heavy[0], c.heavy[1], c.heavy[2], omega) /
+                   ops_per_probe;
+  }
+  return c;
+}
 
 }  // namespace
 
@@ -25,14 +105,62 @@ bool TriangleMm(const QueryInput& db, double omega, MmKernel kernel,
   const Relation& t = db.relations[2];  // T(X,Z)
   const double n = static_cast<double>(db.TotalSize());
   if (n == 0) return false;
-  const int64_t delta = std::max<int64_t>(
+  // The worst-case threshold: it minimizes 3 N Delta + (N / Delta)^omega.
+  const int64_t delta0 = std::max<int64_t>(
       1, static_cast<int64_t>(std::ceil(
              std::pow(n, (omega - 1.0) / (omega + 1.0)))));
+
+  // The split is correct at any Delta (Theorem E.10); pick the one whose
+  // predicted cost on these degree profiles is least. Corner i partitions
+  // its side on the key its probe partner joins on: R on deg(Y|X) probed
+  // by T on X, S on deg(Z|Y) by R on Y, T on deg(X|Z) by S on Z. The
+  // scope lets the partitions below reuse the profiles' grouping orders.
+  ExecContext::SortOrderScope sort_scope(ec);
+  const CornerProfile corners[3] = {
+      {DegreeProfile(r, VarSet{kY}, kX, &ec),
+       DegreeProfile(t, VarSet{kZ}, kX, &ec)},
+      {DegreeProfile(s, VarSet{kZ}, kY, &ec),
+       DegreeProfile(r, VarSet{kX}, kY, &ec)},
+      {DegreeProfile(t, VarSet{kX}, kZ, &ec),
+       DegreeProfile(s, VarSet{kY}, kZ, &ec)}};
+  // Candidates: Delta0, 0 (all heavy) and every partition-side degree,
+  // except those whose core operands outgrow Figure 1's worst case. Delta0
+  // always fits (under it each side has fewer than N / Delta0 heavy
+  // values), so the choice never predicts more than the worst-case plan.
+  const double core_rows = static_cast<double>(r.size() + s.size() + t.size());
+  const double max_cells = 2.0 * (n / delta0) * (n / delta0);
+  std::vector<int64_t> candidates = {delta0, 0};
+  for (const CornerProfile& c : corners) {
+    candidates.insert(candidates.end(), c.degrees.begin(), c.degrees.end());
+  }
+  int64_t delta = -1;
+  SplitCost best;
+  for (int64_t d : candidates) {
+    const SplitCost c = PredictSplit(corners, d, core_rows, omega, kernel);
+    if (c.CoreCells() > max_cells) continue;
+    if (delta < 0 || c.Total() < best.Total() ||
+        (c.Total() == best.Total() && d > delta)) {
+      best = c;
+      delta = d;
+    }
+  }
+  FMMSW_DCHECK(delta >= 0);
+  if (stats != nullptr) {
+    stats->delta = delta;
+    stats->delta_worst_case = delta0;
+    stats->predicted_light_pairs = best.light_pairs;
+    stats->predicted_mm_ops = best.mm_ops;
+    stats->predicted_ops_worst_case =
+        PredictSplit(corners, delta0, core_rows, omega, kernel).Total();
+  }
 
   // Figure 1: three decomposition steps.
   auto pr = PartitionByDegree(r, VarSet{kY}, VarSet{kX}, delta, &ec);
   auto ps = PartitionByDegree(s, VarSet{kZ}, VarSet{kY}, delta, &ec);
   auto pt = PartitionByDegree(t, VarSet{kX}, VarSet{kZ}, delta, &ec);
+  FMMSW_DCHECK(static_cast<int64_t>(pr.heavy.size()) == best.heavy[0] &&
+               static_cast<int64_t>(ps.heavy.size()) == best.heavy[1] &&
+               static_cast<int64_t>(pt.heavy.size()) == best.heavy[2]);
   if (stats != nullptr) {
     stats->heavy_x = static_cast<int64_t>(pr.heavy.size());
     stats->heavy_y = static_cast<int64_t>(ps.heavy.size());

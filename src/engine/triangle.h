@@ -6,10 +6,22 @@
 /// running in ~O(N^{2w/(w+1)}) (the combinatorial O(N^{3/2}) baseline is
 /// WcojBoolean(Hypergraph::Triangle(), ...)):
 ///
-///   partition R on deg(Y|X), S on deg(Z|Y), T on deg(X|Z) at
-///   Delta = N^{(w-1)/(w+1)}; triangles with a light corner are found by
-///   three N*Delta joins; the all-heavy core (at most N/Delta values per
-///   corner) is detected by one matrix multiplication.
+///   partition R on deg(Y|X), S on deg(Z|Y), T on deg(X|Z) at a threshold
+///   Delta; triangles with a light corner are found by three N*Delta
+///   joins; the all-heavy core (at most N/Delta values per corner) is
+///   detected by one matrix multiplication.
+///
+/// The split is correct at any Delta (Theorem E.10). Delta0 =
+/// N^{(w-1)/(w+1)} minimizes the worst-case bound 3 N Delta + (N/Delta)^w
+/// and is where the exponent above comes from, but on a given input it can
+/// be far from the cheapest. TriangleMm therefore reads each side's degree
+/// profile (relation/degree.h) and predicts, for every candidate Delta
+/// (Delta0, 0 and each degree that occurs), the light corners' probed pairs
+/// plus the heavy core's fill and product (mm/cost_model.h). It runs the
+/// least predicted candidate among those whose core operands fit Figure
+/// 1's worst case, 2 (N/Delta0)^2 cells. Delta0 is always a candidate, so
+/// the worst-case bound still holds; TriangleStats reports both thresholds
+/// and the predictions.
 ///
 /// The database layout follows Hypergraph::Triangle(): relations
 /// [R(X,Y), S(Y,Z), T(X,Z)] with X=0, Y=1, Z=2.
@@ -22,6 +34,18 @@ namespace fmmsw {
 class ExecContext;
 
 struct TriangleStats {
+  /// The threshold the split ran at, and the worst-case one
+  /// Delta0 = N^{(omega-1)/(omega+1)} it was chosen against.
+  int64_t delta = 0, delta_worst_case = 0;
+  /// The chosen split's predicted cost in fused-probe units: the light
+  /// corners' candidate pairs (on a duplicate-free input exactly the
+  /// fused_probe_tuples a negative instance runs), and the heavy core's
+  /// fill plus product (0 when a heavy side is empty).
+  int64_t predicted_light_pairs = 0;
+  double predicted_mm_ops = 0;
+  /// The same prediction, light plus MM, at Delta0. The chosen split's
+  /// never exceeds it.
+  double predicted_ops_worst_case = 0;
   int64_t heavy_x = 0, heavy_y = 0, heavy_z = 0;
   /// Surviving tuples of the fused light-corner joins (the filtered-away
   /// intermediate is never materialized; with limit 1 this is at most 1
@@ -31,9 +55,13 @@ struct TriangleStats {
   bool answer_from_light = false;
 };
 
-/// The Figure-1 algorithm. `omega` sets the partition threshold
-/// Delta = N^{(omega-1)/(omega+1)}; pass log2(7) when using the Strassen
-/// kernel so threshold and kernel agree.
+/// The Figure-1 algorithm. `omega` is the kernel's exponent: it sets the
+/// worst-case threshold Delta0 = N^{(omega-1)/(omega+1)} and prices the
+/// heavy core's product. Delta0 is one candidate; the engine runs the
+/// split at the candidate with the least predicted cost on this input's
+/// degree profiles (see the file comment). Pass log2(7) with the Strassen
+/// kernel so the prediction and the kernel agree; omega = 1 prices the
+/// product near free and so favors an all-heavy core.
 bool TriangleMm(const QueryInput& db, double omega,
                 MmKernel kernel = MmKernel::kBoolean,
                 TriangleStats* stats = nullptr, ExecContext* ctx = nullptr);

@@ -5,6 +5,7 @@
 #include "core/exec_context.h"
 #include "relation/ops.h"
 #include "relation/row_sort.h"
+#include "util/check.h"
 
 namespace fmmsw {
 
@@ -96,6 +97,18 @@ int64_t Degree(const Relation& r, VarSet y, VarSet x) {
     best = std::max(best, distinct);
   });
   return best;
+}
+
+std::vector<ValueDegree> DegreeProfile(const Relation& r, VarSet y, int x,
+                                       ExecContext* ctx) {
+  FMMSW_CHECK(r.schema().Contains(x));
+  std::vector<ValueDegree> out;
+  const GroupedOrder g(r, y, VarSet{x}, ctx);
+  const int col = r.ColumnOf(x);
+  g.ForEachGroup(r, [&](size_t begin, size_t, int64_t distinct) {
+    out.push_back({r.Row(g.order[begin])[col], distinct});
+  });
+  return out;
 }
 
 DegreePartition PartitionByDegree(const Relation& r, VarSet y, VarSet x,

@@ -26,6 +26,22 @@ class ExecContext;
 /// schema (they are ignored, matching the paper's convention).
 int64_t Degree(const Relation& r, VarSet y, VarSet x);
 
+/// One value's degree: |pi_{Y\X}(sigma_{X=value}(R))| for a single-variable
+/// key X.
+struct ValueDegree {
+  Value value;
+  int64_t degree;
+};
+
+/// The degree profile of R for the single-variable key `x` (which must be
+/// in R's schema): one entry per distinct x-value, in ascending value
+/// order, with its degree over Y. The grouping order is the one
+/// PartitionByDegree(r, y, {x}, ...) uses, so inside an active
+/// ExecContext::SortOrderScope a partition after the profile skips its
+/// sort.
+std::vector<ValueDegree> DegreeProfile(const Relation& r, VarSet y, int x,
+                                       ExecContext* ctx = nullptr);
+
 struct DegreePartition {
   /// Projection onto X of the X-values with degree > threshold;
   /// |heavy| <= |R| / threshold.

@@ -3,7 +3,12 @@
 // triangle / 4-cycle / clique / pyramid algorithms) must agree with brute
 // force on randomized instances across workload regimes.
 
+#include <cmath>
+#include <limits>
+#include <string>
+
 #include "core/api.h"
+#include "core/exec_context.h"
 #include "engine/clique.h"
 #include "engine/elimination.h"
 #include "engine/four_cycle.h"
@@ -202,34 +207,290 @@ TEST(EliminationTest, StrassenKernelMatchesBoolean) {
 
 // ---------------------------------------------------------- triangle ----
 
-class TriangleRegimeTest
-    : public ::testing::TestWithParam<std::tuple<WorkloadKind, int>> {};
-
-TEST_P(TriangleRegimeTest, AllAlgorithmsAgree) {
-  auto [kind, seed] = GetParam();
-  WorkloadOptions opts;
-  opts.kind = kind;
-  opts.tuples_per_relation = 80;
-  opts.domain = kind == WorkloadKind::kDense ? 12 : 20;
-  opts.seed = static_cast<uint64_t>(seed);
-  opts.plant_witness = (seed % 2 == 0);
-  Hypergraph h = Hypergraph::Triangle();
-  QueryInput db = MakeWorkload(h, opts);
-  const bool expect = BruteForceBoolean(h, db);
-  EXPECT_EQ(WcojBoolean(h, db), expect);
-  EXPECT_EQ(TriangleMm(db, 2.0), expect);
-  EXPECT_EQ(TriangleMm(db, 2.371552), expect);
-  EXPECT_EQ(TriangleMm(db, 2.8073549, MmKernel::kStrassen), expect);
-  EXPECT_EQ(TriangleMm(db, 2.8073549, MmKernel::kBitSliced), expect);
-  EXPECT_EQ(TriangleMm(db, 3.0), expect);
+// Nested-loop oracle for the Boolean triangle query over the canonical
+// layout [R(X,Y), S(Y,Z), T(X,Z)].
+bool NestedLoopTriangle(const QueryInput& db) {
+  const Relation& r = db.relations[0];
+  const Relation& s = db.relations[1];
+  const Relation& t = db.relations[2];
+  for (size_t i = 0; i < r.size(); ++i) {
+    for (size_t j = 0; j < s.size(); ++j) {
+      if (r.Get(i, 1) != s.Get(j, 1)) continue;
+      for (size_t k = 0; k < t.size(); ++k) {
+        if (t.Get(k, 0) == r.Get(i, 0) && t.Get(k, 2) == s.Get(j, 2)) {
+          return true;
+        }
+      }
+    }
+  }
+  return false;
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Regimes, TriangleRegimeTest,
-    ::testing::Combine(::testing::Values(WorkloadKind::kUniform,
-                                         WorkloadKind::kZipf,
-                                         WorkloadKind::kDense),
-                       ::testing::Range(0, 6)));
+// `rel` with every value replaced by map(value), deduplicated.
+template <typename Map>
+Relation MapValues(const Relation& rel, const Map& map) {
+  Relation out(rel.schema());
+  std::vector<Value> row(rel.arity());
+  for (size_t i = 0; i < rel.size(); ++i) {
+    for (int c = 0; c < rel.arity(); ++c) row[c] = map(c, rel.Row(i)[c]);
+    out.Add(row);
+  }
+  out.SortAndDedupe();
+  return out;
+}
+
+// Triangle-free copy of a generated triangle instance: S keeps even Z, T
+// odd Z, so every light-corner candidate pair is probed and dropped.
+QueryInput ParitySplit(QueryInput db) {
+  db.relations.Set(1, MapValues(db.relations[1], [](int c, Value v) {
+                     return c == 1 ? 2 * v : v;
+                   }));
+  db.relations.Set(2, MapValues(db.relations[2], [](int c, Value v) {
+                     return c == 1 ? 2 * v + 1 : v;
+                   }));
+  return db;
+}
+
+enum class TriangleFamily {
+  kUniform,
+  kZipf,
+  kDense,
+  kHeavyHitter,
+  kEmptyRelation,
+  kSingleValue,
+  kExtremeValues,
+};
+
+constexpr TriangleFamily kTriangleFamilies[] = {
+    TriangleFamily::kUniform,       TriangleFamily::kZipf,
+    TriangleFamily::kDense,         TriangleFamily::kHeavyHitter,
+    TriangleFamily::kEmptyRelation, TriangleFamily::kSingleValue,
+    TriangleFamily::kExtremeValues};
+
+// One small generated triangle instance; the same (family, seed) gives the
+// same instance. Even seeds plant a witness; seeds 1 mod 4 start from a
+// triangle-free parity split, so both light corners and the core run to
+// the end.
+QueryInput TriangleInstance(TriangleFamily family, uint64_t seed) {
+  WorkloadOptions opts;
+  opts.kind = family == TriangleFamily::kZipf    ? WorkloadKind::kZipf
+              : family == TriangleFamily::kDense ? WorkloadKind::kDense
+                                                 : WorkloadKind::kUniform;
+  opts.tuples_per_relation = 15 + static_cast<int64_t>(seed % 5) * 15;
+  opts.domain = family == TriangleFamily::kDense
+                    ? 3 + static_cast<int64_t>(seed % 6)
+                    : 5 + static_cast<int64_t>(seed % 4) * 7;
+  opts.dense_density = 0.2 + 0.15 * static_cast<double>(seed % 4);
+  opts.seed = 1000 + seed;
+  opts.plant_witness = seed % 2 == 0;
+  QueryInput db = MakeWorkload(Hypergraph::Triangle(), opts);
+  if (seed % 4 == 1) db = ParitySplit(std::move(db));
+  const int var = static_cast<int>(seed % 3);  // the family's chosen X/Y/Z
+  switch (family) {
+    case TriangleFamily::kUniform:
+    case TriangleFamily::kZipf:
+    case TriangleFamily::kDense:
+      break;
+    case TriangleFamily::kHeavyHitter: {
+      // Value 0 of `var` meets every value of the next variable in the
+      // relation the split partitions on `var`: R on X, S on Y, T on Z.
+      const size_t rel = static_cast<size_t>(var);
+      Relation hub = db.relations[rel];
+      const int other = (var + 1) % 3;
+      for (Value v = 0; v < static_cast<Value>(opts.domain); ++v) {
+        std::vector<Value> row(2);
+        row[hub.ColumnOf(var)] = 0;
+        row[hub.ColumnOf(other)] = v;
+        hub.Add(row);
+      }
+      hub.SortAndDedupe();
+      db.relations.Set(rel, std::move(hub));
+      break;
+    }
+    case TriangleFamily::kEmptyRelation: {
+      const size_t rel = static_cast<size_t>(var);
+      db.relations.Set(rel, Relation(db.relations[rel].schema()));
+      break;
+    }
+    case TriangleFamily::kSingleValue:
+      // Every occurrence of `var` takes one value.
+      for (size_t e = 0; e < 3; ++e) {
+        const Relation& rel = db.relations[e];
+        if (!rel.schema().Contains(var)) continue;
+        const int col = rel.ColumnOf(var);
+        db.relations.Set(e, MapValues(rel, [&](int c, Value v) {
+                           return c == col ? Value{7} : v;
+                         }));
+      }
+      break;
+    case TriangleFamily::kExtremeValues: {
+      // An injective map of small values onto both ends of Value's range.
+      const Value lo = std::numeric_limits<Value>::min();
+      const Value hi = std::numeric_limits<Value>::max();
+      for (size_t e = 0; e < 3; ++e) {
+        db.relations.Set(e, MapValues(db.relations[e], [&](int, Value v) {
+                           return v % 2 == 0 ? static_cast<Value>(lo + v / 2)
+                                             : static_cast<Value>(hi - v / 2);
+                         }));
+      }
+      break;
+    }
+  }
+  return db;
+}
+
+// The chooser's invariants on one run: the chosen split is predicted no
+// dearer than the worst-case one, its core fits Figure 1's worst-case
+// operand cells, and each side has at most N / Delta heavy values.
+void ExpectSplitInvariants(const QueryInput& db, double omega,
+                           const TriangleStats& st) {
+  const double n = static_cast<double>(db.TotalSize());
+  EXPECT_EQ(st.delta_worst_case,
+            std::max<int64_t>(1, static_cast<int64_t>(std::ceil(std::pow(
+                                     n, (omega - 1.0) / (omega + 1.0))))));
+  EXPECT_GE(st.delta, 0);
+  EXPECT_LE(static_cast<double>(st.predicted_light_pairs) + st.predicted_mm_ops,
+            st.predicted_ops_worst_case);
+  const double worst_side = n / static_cast<double>(st.delta_worst_case);
+  EXPECT_LE(static_cast<double>(st.heavy_x) * static_cast<double>(st.heavy_y) +
+                static_cast<double>(st.heavy_y) *
+                    static_cast<double>(st.heavy_z),
+            2.0 * worst_side * worst_side);
+  const int64_t heavy_cap =
+      static_cast<int64_t>(n / static_cast<double>(std::max<int64_t>(
+                                   st.delta, 1))) +
+      1;
+  EXPECT_LE(st.heavy_x, heavy_cap);
+  EXPECT_LE(st.heavy_y, heavy_cap);
+  EXPECT_LE(st.heavy_z, heavy_cap);
+}
+
+// Generated differential test: on every family, WCOJ and TriangleMm under
+// every kernel and omega (which moves both Delta0 and the MM price, so the
+// chosen split) agree with the nested-loop oracle.
+TEST(TriangleDifferentialTest, EveryKernelAndOmegaMatchesNestedLoops) {
+  const double omegas[] = {1.0, 2.371552, std::log2(7.0), 3.0};
+  const MmKernel kernels[] = {MmKernel::kBoolean, MmKernel::kStrassen,
+                              MmKernel::kNaive, MmKernel::kBitSliced};
+  int instances = 0, positives = 0;
+  // Runs whose split left both light corners and a heavy core, and runs
+  // whose threshold moved off Delta0.
+  int mixed = 0, moved = 0;
+  for (TriangleFamily family : kTriangleFamilies) {
+    for (uint64_t seed = 0; seed < 30; ++seed) {
+      const QueryInput db = TriangleInstance(family, seed);
+      const bool expect = NestedLoopTriangle(db);
+      EXPECT_EQ(WcojBoolean(Hypergraph::Triangle(), db), expect);
+      ++instances;
+      positives += expect ? 1 : 0;
+      for (MmKernel kernel : kernels) {
+        for (double omega : omegas) {
+          SCOPED_TRACE("family=" + std::to_string(static_cast<int>(family)) +
+                       " seed=" + std::to_string(seed) + " kernel=" +
+                       std::to_string(static_cast<int>(kernel)) +
+                       " omega=" + std::to_string(omega));
+          TriangleStats st;
+          ASSERT_EQ(TriangleMm(db, omega, kernel, &st), expect);
+          ExpectSplitInvariants(db, omega, st);
+          mixed += st.predicted_light_pairs > 0 && st.heavy_x > 0 &&
+                   st.heavy_y > 0 && st.heavy_z > 0;
+          moved += st.delta != st.delta_worst_case;
+        }
+      }
+    }
+  }
+  EXPECT_GE(instances, 200);
+  EXPECT_GT(positives, 0);
+  EXPECT_LT(positives, instances);
+  EXPECT_GT(mixed, 0);
+  EXPECT_GT(moved, 0);
+}
+
+// The light term of the prediction is the fused joins' probe count: on a
+// triangle-free input every candidate pair is probed, so the two agree
+// exactly.
+TEST(TriangleTest, PredictedLightPairsEqualFusedProbes) {
+  int64_t probed_total = 0;
+  for (WorkloadKind kind :
+       {WorkloadKind::kUniform, WorkloadKind::kZipf, WorkloadKind::kDense}) {
+    for (int size : {1, 3}) {
+      WorkloadOptions opts;
+      opts.kind = kind;
+      opts.tuples_per_relation = 400 * size;
+      opts.domain = kind == WorkloadKind::kDense ? 12 * size : 60 * size;
+      opts.seed = static_cast<uint64_t>(40 + size);
+      const QueryInput db =
+          ParitySplit(MakeWorkload(Hypergraph::Triangle(), opts));
+      for (MmKernel kernel : {MmKernel::kBoolean, MmKernel::kStrassen}) {
+        for (double omega : {2.371552, 3.0}) {
+          SCOPED_TRACE("kind=" + std::to_string(static_cast<int>(kind)) +
+                       " size=" + std::to_string(size) + " omega=" +
+                       std::to_string(omega));
+          ExecContext ec(1);
+          TriangleStats st;
+          EXPECT_FALSE(TriangleMm(db, omega, kernel, &st, &ec));
+          EXPECT_EQ(ec.stats().fused_probe_tuples.load(),
+                    st.predicted_light_pairs);
+          probed_total += st.predicted_light_pairs;
+        }
+      }
+    }
+  }
+  EXPECT_GT(probed_total, 0);
+}
+
+// Every value has degree 2 on both sides of every corner. At omega = 1
+// the core is priced near free, so Delta0 = 1 and Delta = 0 (both all
+// heavy, predicted alike) beat Delta = 2 (all light); the tie goes to
+// the larger threshold.
+TEST(TriangleTest, ThresholdTiesGoToTheLargerDelta) {
+  constexpr Value kN = 50;
+  Relation r(VarSet{0, 1}), s(VarSet{1, 2}), t(VarSet{0, 2});
+  for (Value v = 0; v < kN; ++v) {
+    r.Add({v, v});
+    r.Add({v, (v + 1) % kN});
+    s.Add({v, v});
+    s.Add({v, (v + 1) % kN});
+    t.Add({v, v});
+    t.Add({(v + 1) % kN, v});
+  }
+  QueryInput db;
+  for (Relation* rel : {&r, &s, &t}) {
+    rel->SortAndDedupe();
+    db.relations.push_back(std::move(*rel));
+  }
+  TriangleStats st;
+  EXPECT_EQ(TriangleMm(db, 1.0, MmKernel::kNaive, &st),
+            NestedLoopTriangle(db));
+  EXPECT_EQ(st.delta_worst_case, 1);
+  EXPECT_EQ(st.delta, 1);
+  EXPECT_EQ(st.heavy_x, kN);
+  EXPECT_EQ(st.predicted_light_pairs, 0);
+}
+
+// The split depends on the input only: answers and every statistic agree
+// at 1, 2 and 4 workers.
+TEST(TriangleTest, SplitIsIdenticalAcrossThreadCounts) {
+  for (TriangleFamily family : kTriangleFamilies) {
+    const QueryInput db = TriangleInstance(family, 3);
+    for (MmKernel kernel : {MmKernel::kBoolean, MmKernel::kStrassen}) {
+      TriangleStats ref;
+      ExecContext ref_ec(1);
+      const bool ref_answer = TriangleMm(db, 2.371552, kernel, &ref, &ref_ec);
+      for (int threads : {2, 4}) {
+        ExecContext ec(threads);
+        TriangleStats st;
+        EXPECT_EQ(TriangleMm(db, 2.371552, kernel, &st, &ec), ref_answer);
+        EXPECT_EQ(st.delta, ref.delta);
+        EXPECT_EQ(st.predicted_light_pairs, ref.predicted_light_pairs);
+        EXPECT_EQ(st.predicted_mm_ops, ref.predicted_mm_ops);
+        EXPECT_EQ(st.heavy_x, ref.heavy_x);
+        EXPECT_EQ(st.heavy_y, ref.heavy_y);
+        EXPECT_EQ(st.heavy_z, ref.heavy_z);
+      }
+    }
+  }
+}
 
 TEST(TriangleTest, CountMatchesWcojCount) {
   WorkloadOptions opts;
@@ -244,7 +505,9 @@ TEST(TriangleTest, CountMatchesWcojCount) {
 }
 
 TEST(TriangleTest, HeavyPartSizeBound) {
-  // |heavy| <= N / Delta for each partitioned relation (Section 2.5).
+  // |heavy| <= N / Delta for each partitioned relation (Section 2.5), at
+  // the threshold the split chose, whose core fits Figure 1's worst-case
+  // operand cells 2 (N / Delta0)^2.
   WorkloadOptions opts;
   opts.kind = WorkloadKind::kZipf;
   opts.tuples_per_relation = 2000;
@@ -254,10 +517,16 @@ TEST(TriangleTest, HeavyPartSizeBound) {
   TriangleStats stats;
   TriangleMm(db, 2.371552, MmKernel::kBoolean, &stats);
   const double n = static_cast<double>(db.TotalSize());
-  const double delta = std::pow(n, (2.371552 - 1) / (2.371552 + 1));
+  const double delta = static_cast<double>(std::max<int64_t>(stats.delta, 1));
   EXPECT_LE(stats.heavy_x, static_cast<int64_t>(n / delta) + 1);
   EXPECT_LE(stats.heavy_y, static_cast<int64_t>(n / delta) + 1);
   EXPECT_LE(stats.heavy_z, static_cast<int64_t>(n / delta) + 1);
+  const double delta0 = static_cast<double>(stats.delta_worst_case);
+  EXPECT_EQ(stats.delta_worst_case,
+            static_cast<int64_t>(
+                std::ceil(std::pow(n, (2.371552 - 1) / (2.371552 + 1)))));
+  EXPECT_LE(stats.heavy_x * stats.heavy_y + stats.heavy_y * stats.heavy_z,
+            2.0 * (n / delta0) * (n / delta0));
 }
 
 // ----------------------------------------------------------- 4-cycle ----

@@ -12,6 +12,7 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "core/api.h"
@@ -116,14 +117,11 @@ TEST(SemijoinAllTest, MatchesSemijoinChain) {
   EXPECT_TRUE(SemijoinAll(a, {&empty_filter}).empty());
 }
 
-// The acceptance check for the fused light paths: on a negative instance
-// the triangle/4-cycle engines probe light-join candidates but materialize
-// none of them (the old pipeline allocated the full filtered-away join).
-TEST(FusedStatsTest, TriangleLightPathMaterializesNothingWhenNegative) {
-  // Dense-square triangle-free instance: S carries even Z, T odd Z.
-  Rng rng(19);
+// Triangle-free parity instance: n uniform draws per relation over
+// domain d, with S carrying even Z and T odd Z.
+QueryInput ParityTriangle(int64_t n, int64_t d, uint64_t seed) {
+  Rng rng(seed);
   QueryInput db;
-  const int64_t n = 3000, d = 55;
   db.relations.push_back(UniformRelation(VarSet{0, 1}, n, d, &rng));
   Relation raw_s = UniformRelation(VarSet{1, 2}, n, d, &rng);
   Relation raw_t = UniformRelation(VarSet{0, 2}, n, d, &rng);
@@ -136,7 +134,37 @@ TEST(FusedStatsTest, TriangleLightPathMaterializesNothingWhenNegative) {
   }
   db.relations.push_back(std::move(s));
   db.relations.push_back(std::move(t));
+  return db;
+}
 
+// The acceptance check for the fused light paths: on a negative instance
+// the triangle/4-cycle engines probe light-join candidates but materialize
+// none of them (the old pipeline allocated the full filtered-away join).
+TEST(FusedStatsTest, TriangleLightPathMaterializesNothingWhenNegative) {
+  {
+    // Dense square: every degree is near n / d, and one small product
+    // over all values is predicted far cheaper than the light corners
+    // Delta0 would leave, so the split sends every value to the core and
+    // the corners probe nothing.
+    const QueryInput db = ParityTriangle(3000, 55, 19);
+    ExecContext ec(1);
+    TriangleStats stats;
+    EXPECT_FALSE(TriangleMm(db, 2.371552, MmKernel::kBoolean, &stats, &ec));
+    EXPECT_FALSE(stats.answer_from_light);
+    EXPECT_EQ(stats.light_join_tuples, 0);
+    int64_t min_degree = std::numeric_limits<int64_t>::max();
+    for (const auto& [rel, y, x] : {std::tuple{0, 1, 0}, std::tuple{1, 2, 1},
+                                    std::tuple{2, 0, 2}}) {
+      for (const ValueDegree& vd :
+           DegreeProfile(db.relations[rel], VarSet{y}, x)) {
+        min_degree = std::min(min_degree, vd.degree);
+      }
+    }
+    EXPECT_LT(stats.delta, min_degree);
+    EXPECT_EQ(ec.stats().fused_probe_tuples.load(), 0);
+  }
+  // Sparse: every degree is small, so the split keeps the corners light.
+  const QueryInput db = ParityTriangle(3000, 2000, 19);
   ExecContext ec(1);
   TriangleStats stats;
   EXPECT_FALSE(TriangleMm(db, 2.371552, MmKernel::kBoolean, &stats, &ec));
