@@ -61,21 +61,6 @@ std::string FormatWidthReport(const Hypergraph& h, const Rational& omega,
   return out;
 }
 
-bool EvaluateBoolean(const Hypergraph& h, const QueryInput& db,
-                     EvalStrategy strategy, ExecContext* ctx) {
-  switch (strategy) {
-    case EvalStrategy::kWcoj:
-      return WcojBoolean(h, db, ctx);
-    case EvalStrategy::kBestTd:
-      return TdBooleanBest(h, db, ctx);
-    case EvalStrategy::kElimination: {
-      EliminationPlan plan = ForLoopPlan(h);
-      return ExecutePlan(h, db, plan, {}, nullptr, ctx);
-    }
-  }
-  return false;
-}
-
 ExecResult ValidateQuery(const Hypergraph& h, const QueryInput& db) {
   const auto invalid = [](std::string msg) {
     return ExecResult{ExecStatus::kInvalidArgument, std::move(msg)};
@@ -104,36 +89,27 @@ ExecResult ValidateQuery(const Hypergraph& h, const QueryInput& db) {
 
 namespace {
 
-/// Maps a strategy card to a Boolean-query rung closure. `*result` is
-/// only written on normal return (an abort unwinds first), so a failed
-/// rung can never leak a partial answer.
+/// Maps each card of the query's Boolean ladder to its engine. `*result`
+/// is only written on normal return (an abort unwinds first), so a
+/// failed rung can never leak a partial answer.
 std::vector<PlanRung> BooleanLadder(const Hypergraph& h, const QueryInput& db,
                                     bool* result) {
   std::vector<PlanRung> ladder;
-  if (IsTriangleQuery(h)) {
-    for (const StrategyCard& card : TriangleBooleanLadder()) {
-      if (card.uses_mm) {
-        ladder.push_back({card.name, [&db, card, result](ExecContext& ec) {
-                            *result = TriangleMm(db, card.omega, card.kernel,
-                                                 nullptr, &ec);
-                          }});
-      } else {
-        ladder.push_back({card.name, [&h, &db, result](ExecContext& ec) {
-                            *result = WcojBoolean(h, db, &ec);
-                          }});
-      }
+  for (const StrategyCard& card : BooleanLadderFor(h)) {
+    if (card.uses_mm) {
+      ladder.push_back({card.name, [&db, card, result](ExecContext& ec) {
+                          *result = TriangleMm(db, card.omega, card.kernel,
+                                               nullptr, &ec);
+                        }});
+    } else if (card.name == "best-td") {
+      ladder.push_back({card.name, [&h, &db, result](ExecContext& ec) {
+                          *result = TdBooleanBest(h, db, &ec);
+                        }});
+    } else {
+      ladder.push_back({card.name, [&h, &db, result](ExecContext& ec) {
+                          *result = WcojBoolean(h, db, &ec);
+                        }});
     }
-    return ladder;
-  }
-  for (const StrategyCard& card : GenericBooleanLadder()) {
-    const EvalStrategy strategy = card.name == "elimination"
-                                      ? EvalStrategy::kElimination
-                                  : card.name == "best-td"
-                                      ? EvalStrategy::kBestTd
-                                      : EvalStrategy::kWcoj;
-    ladder.push_back({card.name, [&h, &db, strategy, result](ExecContext& ec) {
-                        *result = EvaluateBoolean(h, db, strategy, &ec);
-                      }});
   }
   return ladder;
 }

@@ -5,14 +5,14 @@
 /// Public facade of the fmmsw library. A downstream user needs three
 /// things: (1) define a Boolean conjunctive query as a hypergraph plus a
 /// database, (2) ask for its widths (subw / w-subw, Tables 1-2), and
-/// (3) evaluate it with the engine of their choice. See
-/// examples/quickstart.cpp.
+/// (3) evaluate it, through the status-returning entry points below or
+/// by calling an engine directly (engine/wcoj.h, engine/td_eval.h,
+/// engine/triangle.h, ...). See examples/quickstart.cpp.
 
 #include <string>
 
 #include "core/exec_context.h"
 #include "core/recovery.h"
-#include "engine/elimination.h"
 #include "hypergraph/hypergraph.h"
 #include "relation/relation.h"
 #include "util/rational.h"
@@ -52,23 +52,6 @@ WidthReport ComputeWidths(const Hypergraph& h, const Rational& omega,
 std::string FormatWidthReport(const Hypergraph& h, const Rational& omega,
                               const WidthReport& report);
 
-enum class EvalStrategy {
-  kWcoj,        ///< generic worst-case optimal join (for-loops)
-  kBestTd,      ///< fhtw-optimal tree decomposition plan
-  kElimination, ///< GVEO interpreter with kAuto for-loop/MM choice
-};
-
-/// Evaluates the Boolean query with the chosen strategy. Specialized
-/// faster algorithms for the paper's query classes live in
-/// engine/{triangle,four_cycle,clique,pyramid}.h.
-///
-/// `ctx` supplies the thread pool, scratch arenas and per-op stats the
-/// evaluation runs on (see core/exec_context.h); nullptr uses the
-/// process-default context sized by FMMSW_THREADS.
-bool EvaluateBoolean(const Hypergraph& h, const QueryInput& db,
-                     EvalStrategy strategy = EvalStrategy::kWcoj,
-                     ExecContext* ctx = nullptr);
-
 /// Structural validation of a (query, database) pair: one relation per
 /// hyperedge, each relation's schema equal to its edge's variable set,
 /// and every edge variable inside the hypergraph's vertex range. Returns
@@ -83,8 +66,10 @@ ExecResult ValidateQuery(const Hypergraph& h, const QueryInput& db);
 /// query's degradation ladder from the engine/strategy.h cards — for the
 /// canonical triangle, Strassen hybrid -> blocked GEMM -> bit-sliced ->
 /// WCOJ (count) or Strassen hybrid -> Boolean-product hybrid -> WCOJ
-/// (Boolean); otherwise elimination -> best-TD -> WCOJ (Boolean) or
-/// WCOJ alone (count; join onto `output_vars`, canonically sorted).
+/// (Boolean). Any other Boolean query's ladder follows its shape
+/// (BooleanLadderFor): best-TD -> WCOJ when it is alpha-acyclic, WCOJ
+/// alone otherwise. Count and join run WCOJ alone (join onto
+/// `output_vars`, canonically sorted).
 /// Each rung runs under `limits` via RunGuarded; a retryable abort falls
 /// through to the next rung, a terminal one is returned. The answer is
 /// bit-identical to a clean run of the winning rung at every thread

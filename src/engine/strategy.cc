@@ -37,15 +37,14 @@ const std::vector<StrategyCard>& TriangleBooleanLadder() {
   return ladder;
 }
 
-const std::vector<StrategyCard>& GenericBooleanLadder() {
-  static const std::vector<StrategyCard> ladder = [] {
-    std::vector<StrategyCard> l;
-    l.push_back({"elimination", false, MmKernel::kBoolean, 3.0, 2});
-    l.push_back({"best-td", false, MmKernel::kBoolean, 3.0, 1});
-    l.push_back({"wcoj", false, MmKernel::kBoolean, 3.0, 0});
-    return l;
-  }();
-  return ladder;
+const std::vector<StrategyCard>& BooleanLadderFor(const Hypergraph& h) {
+  static const std::vector<StrategyCard> acyclic = {
+      {"best-td", false, MmKernel::kBoolean, 3.0, 1},
+      {"wcoj", false, MmKernel::kBoolean, 3.0, 0}};
+  static const std::vector<StrategyCard> cyclic = {
+      {"wcoj", false, MmKernel::kBoolean, 3.0, 0}};
+  if (IsTriangleQuery(h)) return TriangleBooleanLadder();
+  return h.IsAcyclic() ? acyclic : cyclic;
 }
 
 bool IsTriangleQuery(const Hypergraph& h) {

@@ -5,16 +5,16 @@
 /// Capability metadata for the evaluation strategies — the raw material
 /// of the recovery plane's degradation ladders (core/recovery.h).
 ///
-/// The paper's central observation is that one query admits a spectrum
-/// of strategies with very different memory/time profiles: the
-/// MM-hybrids materialize dense matrices and packed panels (fast, but
-/// memory-hungry), while the plain worst-case-optimal join streams over
-/// sorted tries with only per-worker stacks. A StrategyCard records
-/// where each strategy sits on that spectrum; the ladders below order
-/// them by *descending* memory appetite, so a query that trips its
-/// memory budget on one rung retries on the next-cheaper rung and the
-/// last rung (plain WCOJ) needs essentially no transient memory beyond
-/// its input indexes.
+/// A ladder lists the rungs RunWithRecovery tries in order: the first
+/// rung is the plan picked for the query, and a rung that trips its
+/// memory budget falls through to the next one, which always has a
+/// strictly lower `memory_rank`. The last rung is plain WCOJ, which
+/// streams over sorted tries and needs essentially no transient memory
+/// beyond its input indexes. Higher memory appetite does not imply
+/// higher speed, so the first rung is chosen per query shape rather
+/// than by appetite (BooleanLadderFor): the triangle's MM hybrids lead
+/// its ladders, a tree-decomposition plan leads for an alpha-acyclic
+/// query, and every other Boolean query runs WCOJ alone.
 ///
 /// Everything here is pure metadata — no ExecContext flows through, and
 /// these functions never touch a database — so the ctx-threading lint
@@ -55,10 +55,12 @@ const std::vector<StrategyCard>& TriangleCountLadder();
 /// plain WCOJ.
 const std::vector<StrategyCard>& TriangleBooleanLadder();
 
-/// Degradation ladder for a generic Boolean query, by EvalStrategy name
-/// ("elimination" -> "best-td" -> "wcoj"): the GVEO interpreter and TD
-/// plans materialize bags, the WCOJ streams.
-const std::vector<StrategyCard>& GenericBooleanLadder();
+/// The Boolean query's ladder, picked from its shape alone: the
+/// canonical triangle gets TriangleBooleanLadder(); an alpha-acyclic
+/// query (Hypergraph::IsAcyclic, submodular width 1) gets "best-td" ->
+/// "wcoj", whose Yannakakis pass is linear in the input; every other
+/// query gets "wcoj" alone, the worst-case-optimal join.
+const std::vector<StrategyCard>& BooleanLadderFor(const Hypergraph& h);
 
 /// True iff `h` is exactly the paper's triangle query in its canonical
 /// layout (Hypergraph::Triangle(): vertices {X,Y,Z}, edges [XY, YZ, XZ]

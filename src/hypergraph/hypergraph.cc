@@ -73,6 +73,31 @@ bool Hypergraph::IsClustered() const {
   return true;
 }
 
+bool Hypergraph::IsAcyclic() const {
+  std::vector<VarSet> edges = edges_;
+  size_t i = 0;
+  while (i < edges.size() && edges.size() > 1) {
+    // Edge i is an ear if the vertices it shares with the other edges all
+    // lie in one of them; ears can be removed in any order.
+    VarSet shared;
+    for (size_t j = 0; j < edges.size(); ++j) {
+      if (j != i) shared = shared | (edges[i] & edges[j]);
+    }
+    bool ear = false;
+    for (size_t j = 0; j < edges.size() && !ear; ++j) {
+      ear = j != i && edges[j].ContainsAll(shared);
+    }
+    if (!ear) {
+      ++i;
+      continue;
+    }
+    edges[i] = edges.back();
+    edges.pop_back();
+    i = 0;
+  }
+  return edges.size() <= 1;
+}
+
 Hypergraph Hypergraph::WithoutSubsumedEdges() const {
   Hypergraph out;
   out.num_vars_ = num_vars_;

@@ -54,6 +54,11 @@ class Hypergraph {
   /// these the w-submodular width reduces to the first elimination (Eq. 40).
   bool IsClustered() const;
 
+  /// True if the hypergraph is alpha-acyclic: GYO ear removal reduces it
+  /// to at most one edge. Equivalently fhtw = 1, so Yannakakis over a
+  /// join tree answers it in O(N) (Section 1.1.1).
+  bool IsAcyclic() const;
+
   /// Drops edges strictly contained in other edges (does not change any
   /// width; shrinks EMM enumeration).
   Hypergraph WithoutSubsumedEdges() const;

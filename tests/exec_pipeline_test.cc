@@ -8,6 +8,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <functional>
 #include <limits>
 #include <set>
 #include <string>
@@ -17,7 +18,9 @@
 
 #include "core/api.h"
 #include "core/exec_context.h"
+#include "engine/elimination.h"
 #include "engine/four_cycle.h"
+#include "engine/td_eval.h"
 #include "engine/triangle.h"
 #include "engine/wcoj.h"
 #include "gtest/gtest.h"
@@ -475,9 +478,9 @@ TEST(ParallelWcojTest, EnginesAgreeUnderParallelContext) {
   QueryInput db = MakeWorkload(h, opts);
   ExecContext ec(4);
   const bool expect = WcojBoolean(h, db, &ec);
-  EXPECT_EQ(EvaluateBoolean(h, db, EvalStrategy::kWcoj, &ec), expect);
-  EXPECT_EQ(EvaluateBoolean(h, db, EvalStrategy::kBestTd, &ec), expect);
-  EXPECT_EQ(EvaluateBoolean(h, db, EvalStrategy::kElimination, &ec), expect);
+  EXPECT_EQ(WcojBoolean(h, db, &ec), expect);  // rerun on the warm context
+  EXPECT_EQ(TdBooleanBest(h, db, &ec), expect);
+  EXPECT_EQ(ExecutePlan(h, db, ForLoopPlan(h), {}, nullptr, &ec), expect);
   EXPECT_EQ(TriangleMm(db, 2.371552, MmKernel::kBoolean, nullptr, &ec),
             expect);
 }
@@ -884,14 +887,18 @@ TEST(GuardrailTest, GuardedMatchesUnguardedForEveryStrategy) {
   const Hypergraph h = Hypergraph::Triangle();
   const QueryInput db = GuardWorkload(78);
   const QueryLimits limits = {.deadline_ms = 60000};
-  for (EvalStrategy strategy : {EvalStrategy::kWcoj, EvalStrategy::kBestTd,
-                                EvalStrategy::kElimination}) {
+  const std::vector<std::function<bool(ExecContext&)>> engines = {
+      [&](ExecContext& ec) { return WcojBoolean(h, db, &ec); },
+      [&](ExecContext& ec) { return TdBooleanBest(h, db, &ec); },
+      [&](ExecContext& ec) {
+        return ExecutePlan(h, db, ForLoopPlan(h), {}, nullptr, &ec);
+      }};
+  for (const auto& engine : engines) {
     ExecContext ec(4);
-    const bool plain = EvaluateBoolean(h, db, strategy, &ec);
+    const bool plain = engine(ec);
     bool guarded = !plain;
-    const ExecResult r = RunGuarded(ec, limits, [&] {
-      guarded = EvaluateBoolean(h, db, strategy, &ec);
-    });
+    const ExecResult r =
+        RunGuarded(ec, limits, [&] { guarded = engine(ec); });
     ASSERT_TRUE(r.ok()) << r.message;
     EXPECT_EQ(guarded, plain);
   }
@@ -901,7 +908,7 @@ TEST(GuardrailTest, GuardedMatchesUnguardedForEveryStrategy) {
   const ExecResult r =
       EvaluateBooleanWithRecovery(h, db, &recovered, &ec, limits);
   ASSERT_TRUE(r.ok()) << r.message;
-  EXPECT_EQ(recovered, EvaluateBoolean(h, db, EvalStrategy::kWcoj, &ec));
+  EXPECT_EQ(recovered, WcojBoolean(h, db, &ec));
 }
 
 TEST(GuardrailTest, FlatIndexCapacityOverflowThrowsQueryAbort) {

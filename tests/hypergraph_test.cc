@@ -7,6 +7,9 @@
 #include "gtest/gtest.h"
 #include "hypergraph/decomposition.h"
 #include "hypergraph/hypergraph.h"
+#include "query_shapes.h"
+#include "util/rational.h"
+#include "width/subw.h"
 
 namespace fmmsw {
 namespace {
@@ -74,6 +77,40 @@ TEST(HypergraphTest, IsClustered) {
   // {XYW, XYL, XZ, YZ, ZWL}: the hypergraph is clustered, so the exact
   // Eq. (40) path applies to it.
   EXPECT_TRUE(Hypergraph::LemmaC15().IsClustered());
+}
+
+// Reference for alpha-acyclicity: fhtw = 1, i.e. some tree decomposition
+// has every bag inside one edge (a fractional edge cover of weight 1).
+bool AcyclicByTds(const Hypergraph& h) {
+  for (const TreeDecomposition& td : EnumerateTds(h)) {
+    bool all_in_one_edge = true;
+    for (VarSet bag : td.bags) {
+      all_in_one_edge &= FractionalEdgeCover(h, bag) == Rational(1);
+    }
+    if (all_in_one_edge) return true;
+  }
+  return false;
+}
+
+TEST(HypergraphTest, IsAcyclicMatchesTreeDecompositionReference) {
+  std::vector<QueryShape> shapes = QueryShapeTable();
+  shapes.push_back({"triangle", Hypergraph::Triangle(), false});
+  shapes.push_back({"clique5", Hypergraph::Clique(5), false});
+  shapes.push_back({"cycle6", Hypergraph::Cycle(6), false});
+  // Example A.1 loses E as an ear, then ABC, ABD, CD form a cycle.
+  shapes.push_back({"example_a1", FromEdges(5, {{0, 1, 2}, {0, 1, 3},
+                                                {2, 3, 4}}), false});
+  // Two components: a join forest.
+  shapes.push_back({"disjoint_edges", FromEdges(4, {{0, 1}, {2, 3}}), true});
+  shapes.push_back({"triangle_and_edge",
+                    FromEdges(5, {{0, 1}, {1, 2}, {0, 2}, {3, 4}}), false});
+  // A join tree ABC - BCD - DE with a nested edge.
+  shapes.push_back({"join_tree", FromEdges(5, {{0, 1, 2}, {1, 2, 3},
+                                               {3, 4}, {1, 2}}), true});
+  for (const QueryShape& s : shapes) {
+    EXPECT_EQ(s.h.IsAcyclic(), s.acyclic) << s.name;
+    EXPECT_EQ(AcyclicByTds(s.h), s.acyclic) << s.name;
+  }
 }
 
 TEST(HypergraphTest, EliminatePreservesIndices) {

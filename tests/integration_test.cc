@@ -4,6 +4,7 @@
 
 #include "core/api.h"
 #include "engine/elimination.h"
+#include "engine/td_eval.h"
 #include "engine/wcoj.h"
 #include "entropy/witnesses.h"
 #include "gtest/gtest.h"
@@ -156,11 +157,10 @@ TEST_P(AllEnginesTest, EverythingAgreesWithBruteForce) {
     opts.plant_witness = seed % 2 == 0;
     QueryInput db = MakeWorkload(h, opts);
     const bool expect = BruteForceBoolean(h, db);
-    EXPECT_EQ(EvaluateBoolean(h, db, EvalStrategy::kWcoj), expect)
+    EXPECT_EQ(WcojBoolean(h, db), expect) << h.ToString() << " seed=" << seed;
+    EXPECT_EQ(TdBooleanBest(h, db), expect)
         << h.ToString() << " seed=" << seed;
-    EXPECT_EQ(EvaluateBoolean(h, db, EvalStrategy::kBestTd), expect)
-        << h.ToString() << " seed=" << seed;
-    EXPECT_EQ(EvaluateBoolean(h, db, EvalStrategy::kElimination), expect)
+    EXPECT_EQ(ExecutePlan(h, db, ForLoopPlan(h)), expect)
         << h.ToString() << " seed=" << seed;
   }
 }

@@ -33,6 +33,7 @@
 #include "gtest/gtest.h"
 #include "mm/matrix.h"
 #include "panda/executor.h"
+#include "query_shapes.h"
 #include "relation/generators.h"
 #include "util/rational.h"
 #include "width/closed_forms.h"
@@ -935,20 +936,123 @@ TEST(AdmissionTest, SmallProbeSlotsRunConcurrently) {
   EXPECT_EQ(ctrl.active(QueryClass::kSmallProbe), 0);
 }
 
+// ------------------------------------------- shape-picked Boolean ladder --
+
+// Zipf instances whose intermediates a materializing plan blows up: the
+// Boolean ladder once opened with a variable-elimination rung that
+// overran a 64 MiB budget on all three and answered only on its second
+// attempt. The shape-picked ladder answers each on its first rung.
+TEST(BooleanLadderTest, ZipfInstancesAnswerOnTheFirstRungWithinBudget) {
+  const QueryLimits limits = {.memory_budget_bytes = int64_t{64} << 20};
+  for (const Hypergraph& h :
+       {StarQuery(4), Hypergraph::Clique(4), Hypergraph::Pyramid(3)}) {
+    WorkloadOptions opts;
+    opts.kind = WorkloadKind::kZipf;
+    opts.tuples_per_relation = 2000;
+    opts.domain = 1000;
+    opts.seed = 3;
+    const QueryInput db = MakeWorkload(h, opts);
+    for (int threads : {1, 4}) {
+      ExecContext ec(threads);
+      bool answer = false;
+      RecoveryReport report;
+      const ExecResult r =
+          EvaluateBooleanWithRecovery(h, db, &answer, &ec, limits, {}, &report);
+      ASSERT_TRUE(r.ok()) << h.ToString() << ": " << r.message;
+      EXPECT_EQ(report.attempts, 1) << h.ToString() << " threads=" << threads;
+      EXPECT_EQ(report.degraded_runs, 0) << h.ToString();
+      EXPECT_EQ(answer, WcojBoolean(h, db, &ec)) << h.ToString();
+    }
+  }
+}
+
+// R = {(i, 0)}, S = {(0, j)}, T = {(n + j, 0)}: R join S has n^2 rows
+// and none of them extends into T. A path query's worst case for a plan
+// without semijoin reduction.
+QueryInput AdversarialPath3(int n) {
+  Relation r(VarSet{0, 1}), s(VarSet{1, 2}), t(VarSet{2, 3});
+  for (Value i = 0; i < n; ++i) {
+    r.Add({i, 0});
+    s.Add({0, i});
+    t.Add({n + i, 0});
+  }
+  return Sorted({std::move(r), std::move(s), std::move(t)});
+}
+
+// The public path on every table shape: the answer equals the join of
+// all relations, an acyclic query wins on "best-td" and any other on
+// "wcoj", and no row needs a second attempt.
+TEST(BooleanLadderTest, ShapeTablePicksRungByAcyclicity) {
+  struct Row {
+    std::string label;
+    Hypergraph h;
+    bool acyclic;
+    QueryInput db;
+  };
+  std::vector<Row> rows;
+  rows.push_back({"path3 adversarial", PathQuery(3), true,
+                  AdversarialPath3(500)});
+  for (const QueryShape& s : QueryShapeTable()) {
+    for (WorkloadKind kind : {WorkloadKind::kUniform, WorkloadKind::kZipf}) {
+      for (bool plant : {false, true}) {
+        WorkloadOptions opts;
+        opts.kind = kind;
+        opts.domain = 1000;
+        opts.seed = 11;
+        opts.plant_witness = plant;
+        // Zipf skews each relation's lowest variable. Where several
+        // relations share variable 0, the all-relation join the reference
+        // materializes grows with the product of their heavy degrees.
+        opts.tuples_per_relation = 2000;
+        if (kind == WorkloadKind::kZipf) {
+          if (s.name == "star4") opts.tuples_per_relation = 150;
+          if (s.name == "clique4" || s.name == "pyramid3") {
+            opts.tuples_per_relation = 300;
+          }
+        }
+        rows.push_back({s.name + (kind == WorkloadKind::kZipf ? " zipf"
+                                                              : " uniform") +
+                            (plant ? " planted" : ""),
+                        s.h, s.acyclic, MakeWorkload(s.h, opts)});
+      }
+    }
+  }
+  for (const Row& row : rows) {
+    const bool expect = BruteForceBoolean(row.h, row.db);
+    for (int threads : {1, 4}) {
+      ExecContext ec(threads);
+      bool answer = !expect;
+      RecoveryReport report;
+      const ExecResult r = EvaluateBooleanWithRecovery(
+          row.h, row.db, &answer, &ec, {}, {}, &report);
+      ASSERT_TRUE(r.ok()) << row.label << ": " << r.message;
+      EXPECT_EQ(answer, expect) << row.label << " threads=" << threads;
+      EXPECT_EQ(report.winning_rung, row.acyclic ? "best-td" : "wcoj")
+          << row.label;
+      EXPECT_EQ(report.attempts, 1) << row.label;
+    }
+  }
+}
+
 // ------------------------------------------------- strategy metadata --
 
 TEST(StrategyTest, LaddersDescendByMemoryRankAndEndInWcoj) {
-  for (const auto* ladder :
-       {&TriangleCountLadder(), &TriangleBooleanLadder(),
-        &GenericBooleanLadder()}) {
+  std::vector<const std::vector<StrategyCard>*> ladders = {
+      &TriangleCountLadder(), &TriangleBooleanLadder()};
+  for (const QueryShape& s : QueryShapeTable()) {
+    ladders.push_back(&BooleanLadderFor(s.h));
+  }
+  for (const auto* ladder : ladders) {
     ASSERT_FALSE(ladder->empty());
     for (size_t i = 1; i < ladder->size(); ++i) {
       EXPECT_LT((*ladder)[i].memory_rank, (*ladder)[i - 1].memory_rank);
     }
     EXPECT_FALSE(ladder->back().uses_mm)
         << "the last rung must be the memory-lightest combinatorial plan";
+    EXPECT_EQ(ladder->back().name, "wcoj");
   }
-  EXPECT_EQ(TriangleCountLadder().back().name, "wcoj");
+  EXPECT_EQ(&BooleanLadderFor(Hypergraph::Triangle()),
+            &TriangleBooleanLadder());
   EXPECT_TRUE(IsTriangleQuery(Hypergraph::Triangle()));
   EXPECT_FALSE(IsTriangleQuery(Hypergraph::Cycle(4)));
   EXPECT_FALSE(IsTriangleQuery(Hypergraph::Clique(4)));

@@ -236,7 +236,7 @@ CTX_EXEMPT = {
     "ForLoopPlan",           # pure plan construction from the hypergraph
     "TriangleCountLadder",   # strategy capability metadata, no execution
     "TriangleBooleanLadder", # strategy capability metadata, no execution
-    "GenericBooleanLadder",  # strategy capability metadata, no execution
+    "BooleanLadderFor",      # ladder picked from the query's shape, no execution
     "IsTriangleQuery",       # pure shape predicate on the hypergraph
 }
 
