@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <utility>
 #include <vector>
 
@@ -64,17 +65,26 @@ struct SplitCost {
   int64_t light_pairs = 0;
   double mm_ops = 0;
   int64_t heavy[3] = {0, 0, 0};  ///< |X_h|, |Y_h|, |Z_h|
+  /// The corner that answers alone when its side has no heavy value, or
+  /// -1 for the full split.
+  int solo = -1;
 
   double Total() const { return static_cast<double>(light_pairs) + mm_ops; }
+  /// The core's operand cells; a split with an empty heavy side builds no
+  /// core.
   double CoreCells() const {
+    if (solo >= 0) return 0;
     return static_cast<double>(heavy[0]) * static_cast<double>(heavy[1]) +
            static_cast<double>(heavy[1]) * static_cast<double>(heavy[2]);
   }
 };
 
-/// Light term: the three corners' probed pairs. MM term: the core's fill
-/// (one pass over R, S and T) plus its product, converted to probes by the
-/// kernel's weight; zero when a heavy side is empty (the core is skipped).
+/// When every side keeps a heavy value: the light term is the three
+/// corners' probed pairs, and the MM term the core's fill (one pass over
+/// R, S and T) plus its product, converted to probes by the kernel's
+/// weight. When side i has no heavy value, corner i holds every triangle
+/// (it is light on all of them), so the split is priced as the cheapest
+/// such corner's candidate pairs alone, with no core.
 SplitCost PredictSplit(const CornerProfile (&corners)[3], int64_t delta,
                        double core_rows, double omega, MmKernel kernel) {
   SplitCost c;
@@ -82,15 +92,21 @@ SplitCost PredictSplit(const CornerProfile (&corners)[3], int64_t delta,
     const size_t light = corners[i].LightCount(delta);
     c.light_pairs += corners[i].pairs[light];
     c.heavy[i] = static_cast<int64_t>(corners[i].degrees.size() - light);
+    if (c.heavy[i] == 0 && (c.solo < 0 || corners[i].pairs.back() <
+                                               corners[c.solo].pairs.back())) {
+      c.solo = i;
+    }
   }
-  if (c.heavy[0] > 0 && c.heavy[1] > 0 && c.heavy[2] > 0) {
-    const double ops_per_probe = kernel == MmKernel::kBoolean
-                                     ? kBooleanMmOpsPerProbe
-                                     : kCountingMmOpsPerProbe;
-    c.mm_ops = core_rows +
-               PredictedMmOps(c.heavy[0], c.heavy[1], c.heavy[2], omega) /
-                   ops_per_probe;
+  if (c.solo >= 0) {
+    c.light_pairs = corners[c.solo].pairs.back();
+    return c;
   }
+  const double ops_per_probe = kernel == MmKernel::kBoolean
+                                   ? kBooleanMmOpsPerProbe
+                                   : kCountingMmOpsPerProbe;
+  c.mm_ops = core_rows +
+             PredictedMmOps(c.heavy[0], c.heavy[1], c.heavy[2], omega) /
+                 ops_per_probe;
   return c;
 }
 
@@ -113,8 +129,10 @@ bool TriangleMm(const QueryInput& db, double omega, MmKernel kernel,
   // The split is correct at any Delta (Theorem E.10); pick the one whose
   // predicted cost on these degree profiles is least. Corner i partitions
   // its side on the key its probe partner joins on: R on deg(Y|X) probed
-  // by T on X, S on deg(Z|Y) by R on Y, T on deg(X|Z) by S on Z. The
-  // scope lets the partitions below reuse the profiles' grouping orders.
+  // by T on X, S on deg(Z|Y) by R on Y, T on deg(X|Z) by S on Z. On
+  // stored (sorted, duplicate-free) relations the profiles are counted
+  // without a sort; on any other input the scope lets the partitions
+  // below reuse the profiles' grouping orders.
   ExecContext::SortOrderScope sort_scope(ec);
   const CornerProfile corners[3] = {
       {DegreeProfile(r, VarSet{kY}, kX, &ec),
@@ -127,11 +145,15 @@ bool TriangleMm(const QueryInput& db, double omega, MmKernel kernel,
   // except those whose core operands outgrow Figure 1's worst case. Delta0
   // always fits (under it each side has fewer than N / Delta0 heavy
   // values), so the choice never predicts more than the worst-case plan.
+  // Each side's largest degree is a candidate, so every solo corner is
+  // priced.
   const double core_rows = static_cast<double>(r.size() + s.size() + t.size());
   const double max_cells = 2.0 * (n / delta0) * (n / delta0);
   std::vector<int64_t> candidates = {delta0, 0};
   for (const CornerProfile& c : corners) {
-    candidates.insert(candidates.end(), c.degrees.begin(), c.degrees.end());
+    // Ascending, so each distinct degree is priced once.
+    std::unique_copy(c.degrees.begin(), c.degrees.end(),
+                     std::back_inserter(candidates));
   }
   int64_t delta = -1;
   SplitCost best;
@@ -152,6 +174,36 @@ bool TriangleMm(const QueryInput& db, double omega, MmKernel kernel,
     stats->predicted_mm_ops = best.mm_ops;
     stats->predicted_ops_worst_case =
         PredictSplit(corners, delta0, core_rows, omega, kernel).Total();
+    stats->solo_corner = best.solo;
+    stats->heavy_x = best.heavy[kX];
+    stats->heavy_y = best.heavy[kY];
+    stats->heavy_z = best.heavy[kZ];
+  }
+
+  // Light corners: Q_l1 = T join R_l (check S), Q_l2 = R join S_l (check
+  // T), Q_l3 = S join T_l (check R). The checking semijoin is fused into
+  // the join as an existence-only probe, so the N * Delta intermediate is
+  // never materialized — with limit 1 the first surviving triangle stops
+  // the enumeration. `part` is the side the corner partitions.
+  const struct {
+    const Relation* a;
+    const Relation* part;
+    const Relation* check;
+  } corner_joins[3] = {{&t, &r, &s}, {&r, &s, &t}, {&s, &t, &r}};
+  auto found_in = [&](const Relation& a, const Relation& b,
+                      const Relation& check) {
+    Relation witness = Join(a, b, {.exist_filter = &check, .limit = 1}, &ec);
+    if (stats != nullptr) {
+      stats->light_join_tuples += static_cast<int64_t>(witness.size());
+      stats->answer_from_light |= !witness.empty();
+    }
+    return !witness.empty();
+  };
+  if (best.solo >= 0) {
+    // Side `solo` has no heavy value: its corner, on the unpartitioned
+    // relations, is the whole query.
+    const auto& q = corner_joins[best.solo];
+    return found_in(*q.a, *q.part, *q.check);
   }
 
   // Figure 1: three decomposition steps.
@@ -161,35 +213,10 @@ bool TriangleMm(const QueryInput& db, double omega, MmKernel kernel,
   FMMSW_DCHECK(static_cast<int64_t>(pr.heavy.size()) == best.heavy[0] &&
                static_cast<int64_t>(ps.heavy.size()) == best.heavy[1] &&
                static_cast<int64_t>(pt.heavy.size()) == best.heavy[2]);
-  if (stats != nullptr) {
-    stats->heavy_x = static_cast<int64_t>(pr.heavy.size());
-    stats->heavy_y = static_cast<int64_t>(ps.heavy.size());
-    stats->heavy_z = static_cast<int64_t>(pt.heavy.size());
-  }
-
-  // Light corners: Q_l1 = T join R_l (check S), Q_l2 = R join S_l (check
-  // T), Q_l3 = S join T_l (check R). The checking semijoin is fused into
-  // the join as an existence-only probe, so the N * Delta intermediate is
-  // never materialized — with limit 1 the first surviving triangle stops
-  // the enumeration.
-  {
-    const struct {
-      const Relation* a;
-      const Relation* b;
-      const Relation* check;
-    } light[3] = {{&t, &pr.light, &s}, {&r, &ps.light, &t},
-                  {&s, &pt.light, &r}};
-    for (const auto& q : light) {
-      Relation witness =
-          Join(*q.a, *q.b, {.exist_filter = q.check, .limit = 1}, &ec);
-      if (stats != nullptr) {
-        stats->light_join_tuples += static_cast<int64_t>(witness.size());
-      }
-      if (!witness.empty()) {
-        if (stats != nullptr) stats->answer_from_light = true;
-        return true;
-      }
-    }
+  const Relation* light[3] = {&pr.light, &ps.light, &pt.light};
+  for (int i = 0; i < 3; ++i) {
+    const auto& q = corner_joins[i];
+    if (found_in(*q.a, *light[i], *q.check)) return true;
   }
 
   // All-heavy core: M1 = Rh x Sh x R, M2 = Sh x Th x S, multiply, join T.

@@ -23,6 +23,15 @@
 /// the worst-case bound still holds; TriangleStats reports both thresholds
 /// and the predictions.
 ///
+/// A threshold at which some side has no heavy value empties the core,
+/// and that side's light corner then holds every triangle (the degenerate
+/// end of the heavy/light scheme: one binary join plus a semijoin). Such a
+/// split is priced as the cheapest such corner's candidate pairs alone and
+/// runs as one fused join on the unpartitioned relations, with no
+/// partition and no product; TriangleStats::solo_corner names the corner.
+/// Each side's largest degree is a candidate, so every solo corner is
+/// priced.
+///
 /// The database layout follows Hypergraph::Triangle(): relations
 /// [R(X,Y), S(Y,Z), T(X,Z)] with X=0, Y=1, Z=2.
 
@@ -40,12 +49,15 @@ struct TriangleStats {
   /// The chosen split's predicted cost in fused-probe units: the light
   /// corners' candidate pairs (on a duplicate-free input exactly the
   /// fused_probe_tuples a negative instance runs), and the heavy core's
-  /// fill plus product (0 when a heavy side is empty).
+  /// fill plus product (0 when a heavy side is empty). A solo corner's
+  /// light pairs are all of that corner's candidate pairs.
   int64_t predicted_light_pairs = 0;
   double predicted_mm_ops = 0;
   /// The same prediction, light plus MM, at Delta0. The chosen split's
   /// never exceeds it.
   double predicted_ops_worst_case = 0;
+  /// Heavy values per side at delta, from the degree profiles (a solo
+  /// corner partitions nothing, and its side's count is 0).
   int64_t heavy_x = 0, heavy_y = 0, heavy_z = 0;
   /// Surviving tuples of the fused light-corner joins (the filtered-away
   /// intermediate is never materialized; with limit 1 this is at most 1
@@ -53,6 +65,9 @@ struct TriangleStats {
   int64_t light_join_tuples = 0;
   int64_t mm_dim_x = 0, mm_dim_y = 0, mm_dim_z = 0;
   bool answer_from_light = false;
+  /// 0, 1 or 2 when the X-, Y- or Z-side corner answered alone (its side
+  /// had no heavy value at delta); -1 when the full split ran.
+  int solo_corner = -1;
 };
 
 /// The Figure-1 algorithm. `omega` is the kernel's exponent: it sets the

@@ -35,10 +35,14 @@ struct ValueDegree {
 
 /// The degree profile of R for the single-variable key `x` (which must be
 /// in R's schema): one entry per distinct x-value, in ascending value
-/// order, with its degree over Y. The grouping order is the one
-/// PartitionByDegree(r, y, {x}, ...) uses, so inside an active
-/// ExecContext::SortOrderScope a partition after the profile skips its
-/// sort.
+/// order, with its degree over Y. A binary relation in stored form
+/// (sorted and duplicate-free, as SortAndDedupe leaves it and every
+/// catalog version is kept) with Y covering its other column is counted
+/// without a sort: degrees are run lengths when `x` is the first column
+/// and occurrence counts when it is the second. That path does not fill
+/// the ExecContext::SortOrderScope cache. Any other input is grouped by
+/// the sort PartitionByDegree(r, y, {x}, ...) uses, so inside an active
+/// scope a partition after the profile skips its sort.
 std::vector<ValueDegree> DegreeProfile(const Relation& r, VarSet y, int x,
                                        ExecContext* ctx = nullptr);
 

@@ -3,8 +3,11 @@
 // triangle / 4-cycle / clique / pyramid algorithms) must agree with brute
 // force on randomized instances across workload regimes.
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
+#include <map>
 #include <string>
 
 #include "core/api.h"
@@ -17,6 +20,7 @@
 #include "engine/triangle.h"
 #include "engine/wcoj.h"
 #include "gtest/gtest.h"
+#include "relation/degree.h"
 #include "relation/generators.h"
 #include "relation/ops.h"
 
@@ -239,15 +243,36 @@ Relation MapValues(const Relation& rel, const Map& map) {
   return out;
 }
 
-// Triangle-free copy of a generated triangle instance: S keeps even Z, T
-// odd Z, so every light-corner candidate pair is probed and dropped.
-QueryInput ParitySplit(QueryInput db) {
-  db.relations.Set(1, MapValues(db.relations[1], [](int c, Value v) {
-                     return c == 1 ? 2 * v : v;
-                   }));
-  db.relations.Set(2, MapValues(db.relations[2], [](int c, Value v) {
-                     return c == 1 ? 2 * v + 1 : v;
-                   }));
+// Triangle-free copy of a generated triangle instance: of the two
+// relations holding `var`, the first keeps even values and the second odd
+// ones (for Z, S even and T odd), so the corner partitioned on `var` has
+// no candidate pair.
+QueryInput ParitySplit(QueryInput db, int var = 2) {
+  int parity = 0;
+  for (size_t e = 0; e < 3; ++e) {
+    const Relation& rel = db.relations[e];
+    if (!rel.schema().Contains(var)) continue;
+    const int col = rel.ColumnOf(var);
+    db.relations.Set(e, MapValues(rel, [&](int c, Value v) {
+                       return c == col ? 2 * v + parity : v;
+                     }));
+    ++parity;
+  }
+  return db;
+}
+
+// Triangle-free copy on which no corner is empty: T loses every (x, z)
+// that some R(x, y), S(y, z) reaches.
+QueryInput WithoutClosingEdges(QueryInput db) {
+  Relation wedges = Project(Join(db.relations[0], db.relations[1]),
+                            VarSet{0, 2});
+  wedges.SortAndDedupe();
+  const Relation& t = db.relations[2];
+  Relation open(t.schema());
+  for (size_t i = 0; i < t.size(); ++i) {
+    if (!wedges.Contains({t.Row(i)[0], t.Row(i)[1]})) open.AddRow(t.Row(i));
+  }
+  db.relations.Set(2, std::move(open));
   return db;
 }
 
@@ -259,18 +284,19 @@ enum class TriangleFamily {
   kEmptyRelation,
   kSingleValue,
   kExtremeValues,
+  kDenseCore,
 };
 
 constexpr TriangleFamily kTriangleFamilies[] = {
     TriangleFamily::kUniform,       TriangleFamily::kZipf,
     TriangleFamily::kDense,         TriangleFamily::kHeavyHitter,
     TriangleFamily::kEmptyRelation, TriangleFamily::kSingleValue,
-    TriangleFamily::kExtremeValues};
+    TriangleFamily::kExtremeValues, TriangleFamily::kDenseCore};
 
 // One small generated triangle instance; the same (family, seed) gives the
 // same instance. Even seeds plant a witness; seeds 1 mod 4 start from a
-// triangle-free parity split, so both light corners and the core run to
-// the end.
+// triangle-free parity split on Z, whose empty Z corner can then answer
+// alone.
 QueryInput TriangleInstance(TriangleFamily family, uint64_t seed) {
   WorkloadOptions opts;
   opts.kind = family == TriangleFamily::kZipf    ? WorkloadKind::kZipf
@@ -335,6 +361,22 @@ QueryInput TriangleInstance(TriangleFamily family, uint64_t seed) {
       }
       break;
     }
+    case TriangleFamily::kDenseCore:
+      // A complete block on the negative values -12..-1 of every variable,
+      // beside the sparse draws (so every instance is positive): the
+      // block's values are heavy on every side and cost each corner 12^3
+      // pairs, so where the product is priced low a split that sends them
+      // to the core and keeps the sparse values light beats every solo
+      // corner.
+      for (size_t e = 0; e < 3; ++e) {
+        Relation rel = db.relations[e];
+        for (Value a = -12; a < 0; ++a) {
+          for (Value b = -12; b < 0; ++b) rel.Add({a, b});
+        }
+        rel.SortAndDedupe();
+        db.relations.Set(e, std::move(rel));
+      }
+      break;
   }
   return db;
 }
@@ -351,11 +393,23 @@ void ExpectSplitInvariants(const QueryInput& db, double omega,
   EXPECT_GE(st.delta, 0);
   EXPECT_LE(static_cast<double>(st.predicted_light_pairs) + st.predicted_mm_ops,
             st.predicted_ops_worst_case);
+  // A split with an empty heavy side builds no core: it runs the solo
+  // corner on that side, with nothing priced for MM.
+  const int64_t heavy[3] = {st.heavy_x, st.heavy_y, st.heavy_z};
+  const bool core = heavy[0] > 0 && heavy[1] > 0 && heavy[2] > 0;
+  EXPECT_EQ(st.solo_corner < 0, core);
+  if (st.solo_corner >= 0) {
+    ASSERT_LT(st.solo_corner, 3);
+    EXPECT_EQ(heavy[st.solo_corner], 0);
+    EXPECT_EQ(st.predicted_mm_ops, 0);
+  }
   const double worst_side = n / static_cast<double>(st.delta_worst_case);
-  EXPECT_LE(static_cast<double>(st.heavy_x) * static_cast<double>(st.heavy_y) +
-                static_cast<double>(st.heavy_y) *
-                    static_cast<double>(st.heavy_z),
-            2.0 * worst_side * worst_side);
+  if (core) {
+    EXPECT_LE(
+        static_cast<double>(st.heavy_x) * static_cast<double>(st.heavy_y) +
+            static_cast<double>(st.heavy_y) * static_cast<double>(st.heavy_z),
+        2.0 * worst_side * worst_side);
+  }
   const int64_t heavy_cap =
       static_cast<int64_t>(n / static_cast<double>(std::max<int64_t>(
                                    st.delta, 1))) +
@@ -373,9 +427,9 @@ TEST(TriangleDifferentialTest, EveryKernelAndOmegaMatchesNestedLoops) {
   const MmKernel kernels[] = {MmKernel::kBoolean, MmKernel::kStrassen,
                               MmKernel::kNaive, MmKernel::kBitSliced};
   int instances = 0, positives = 0;
-  // Runs whose split left both light corners and a heavy core, and runs
-  // whose threshold moved off Delta0.
-  int mixed = 0, moved = 0;
+  // Runs whose split left both light corners and a heavy core, runs that
+  // one corner answered alone, and runs whose threshold moved off Delta0.
+  int mixed = 0, solo = 0, moved = 0;
   for (TriangleFamily family : kTriangleFamilies) {
     for (uint64_t seed = 0; seed < 30; ++seed) {
       const QueryInput db = TriangleInstance(family, seed);
@@ -394,6 +448,7 @@ TEST(TriangleDifferentialTest, EveryKernelAndOmegaMatchesNestedLoops) {
           ExpectSplitInvariants(db, omega, st);
           mixed += st.predicted_light_pairs > 0 && st.heavy_x > 0 &&
                    st.heavy_y > 0 && st.heavy_z > 0;
+          solo += st.solo_corner >= 0;
           moved += st.delta != st.delta_worst_case;
         }
       }
@@ -403,14 +458,16 @@ TEST(TriangleDifferentialTest, EveryKernelAndOmegaMatchesNestedLoops) {
   EXPECT_GT(positives, 0);
   EXPECT_LT(positives, instances);
   EXPECT_GT(mixed, 0);
+  EXPECT_GT(solo, 0);
   EXPECT_GT(moved, 0);
 }
 
 // The light term of the prediction is the fused joins' probe count: on a
 // triangle-free input every candidate pair is probed, so the two agree
-// exactly.
+// exactly. A parity split empties the Z corner, which then answers alone
+// with no pairs; removing T's closing edges leaves every corner pairs.
 TEST(TriangleTest, PredictedLightPairsEqualFusedProbes) {
-  int64_t probed_total = 0;
+  std::vector<std::pair<std::string, QueryInput>> instances;
   for (WorkloadKind kind :
        {WorkloadKind::kUniform, WorkloadKind::kZipf, WorkloadKind::kDense}) {
     for (int size : {1, 3}) {
@@ -419,40 +476,45 @@ TEST(TriangleTest, PredictedLightPairsEqualFusedProbes) {
       opts.tuples_per_relation = 400 * size;
       opts.domain = kind == WorkloadKind::kDense ? 12 * size : 60 * size;
       opts.seed = static_cast<uint64_t>(40 + size);
-      const QueryInput db =
-          ParitySplit(MakeWorkload(Hypergraph::Triangle(), opts));
-      for (MmKernel kernel : {MmKernel::kBoolean, MmKernel::kStrassen}) {
-        for (double omega : {2.371552, 3.0}) {
-          SCOPED_TRACE("kind=" + std::to_string(static_cast<int>(kind)) +
-                       " size=" + std::to_string(size) + " omega=" +
-                       std::to_string(omega));
-          ExecContext ec(1);
-          TriangleStats st;
-          EXPECT_FALSE(TriangleMm(db, omega, kernel, &st, &ec));
-          EXPECT_EQ(ec.stats().fused_probe_tuples.load(),
-                    st.predicted_light_pairs);
-          probed_total += st.predicted_light_pairs;
-        }
+      const QueryInput base = MakeWorkload(Hypergraph::Triangle(), opts);
+      const std::string name = "kind=" +
+                               std::to_string(static_cast<int>(kind)) +
+                               " size=" + std::to_string(size);
+      instances.emplace_back(name + " parity", ParitySplit(base));
+      instances.emplace_back(name + " open", WithoutClosingEdges(base));
+    }
+  }
+  int64_t probed_total = 0;
+  for (const auto& [name, db] : instances) {
+    for (MmKernel kernel : {MmKernel::kBoolean, MmKernel::kStrassen}) {
+      for (double omega : {2.371552, 3.0}) {
+        SCOPED_TRACE(name + " omega=" + std::to_string(omega));
+        ExecContext ec(1);
+        TriangleStats st;
+        EXPECT_FALSE(TriangleMm(db, omega, kernel, &st, &ec));
+        EXPECT_EQ(ec.stats().fused_probe_tuples.load(),
+                  st.predicted_light_pairs);
+        probed_total += st.predicted_light_pairs;
       }
     }
   }
   EXPECT_GT(probed_total, 0);
 }
 
-// Every value has degree 2 on both sides of every corner. At omega = 1
+// Every value has degree 4 on both sides of every corner. At omega = 1
 // the core is priced near free, so Delta0 = 1 and Delta = 0 (both all
-// heavy, predicted alike) beat Delta = 2 (all light); the tie goes to
+// heavy: 600 rows of fill, predicted alike) beat Delta = 4 (all light,
+// where one corner alone probes 50 * 4 * 4 = 800 pairs); the tie goes to
 // the larger threshold.
 TEST(TriangleTest, ThresholdTiesGoToTheLargerDelta) {
   constexpr Value kN = 50;
   Relation r(VarSet{0, 1}), s(VarSet{1, 2}), t(VarSet{0, 2});
   for (Value v = 0; v < kN; ++v) {
-    r.Add({v, v});
-    r.Add({v, (v + 1) % kN});
-    s.Add({v, v});
-    s.Add({v, (v + 1) % kN});
-    t.Add({v, v});
-    t.Add({(v + 1) % kN, v});
+    for (Value j = 0; j < 4; ++j) {
+      r.Add({v, (v + j) % kN});
+      s.Add({v, (v + j) % kN});
+      t.Add({(v + j) % kN, v});
+    }
   }
   QueryInput db;
   for (Relation* rel : {&r, &s, &t}) {
@@ -488,6 +550,80 @@ TEST(TriangleTest, SplitIsIdenticalAcrossThreadCounts) {
         EXPECT_EQ(st.heavy_y, ref.heavy_y);
         EXPECT_EQ(st.heavy_z, ref.heavy_z);
       }
+    }
+  }
+}
+
+// Each corner's candidate pairs, sum over v of deg_part(v) * deg_probe(v):
+// R on X probed by T, S on Y probed by R, T on Z probed by S. Corner i's
+// probe relation has index (i + 2) % 3, and that is also its other
+// variable.
+std::array<int64_t, 3> CornerPairs(const QueryInput& db) {
+  std::array<int64_t, 3> pairs{};
+  for (int i = 0; i < 3; ++i) {
+    const int probe = (i + 2) % 3;
+    std::map<Value, int64_t> probe_degree;
+    for (const ValueDegree& vd :
+         DegreeProfile(db.relations[probe], VarSet{probe}, i)) {
+      probe_degree[vd.value] = vd.degree;
+    }
+    for (const ValueDegree& vd :
+         DegreeProfile(db.relations[i], VarSet{(i + 1) % 3}, i)) {
+      pairs[i] += vd.degree * probe_degree[vd.value];
+    }
+  }
+  return pairs;
+}
+
+// A side with no heavy value answers alone: the split runs that corner
+// as one fused join on the unpartitioned relations, partitions nothing,
+// and picks the same plan at every worker count. A parity split on a side
+// leaves its corner without pairs; on the planted instance the corner
+// with the fewest pairs answers.
+TEST(TriangleTest, SoloCornerRunsOneFusedJoin) {
+  WorkloadOptions opts;
+  opts.tuples_per_relation = 3000;
+  opts.domain = 3000;
+  opts.seed = 7;
+  const QueryInput base = MakeWorkload(Hypergraph::Triangle(), opts);
+  opts.plant_witness = true;
+  const QueryInput planted = MakeWorkload(Hypergraph::Triangle(), opts);
+  const std::array<int64_t, 3> planted_pairs = CornerPairs(planted);
+  const struct {
+    QueryInput db;
+    int side;
+  } cases[] = {{ParitySplit(base, 0), 0},
+               {ParitySplit(base, 1), 1},
+               {ParitySplit(base, 2), 2},
+               {planted, static_cast<int>(std::min_element(
+                             planted_pairs.begin(), planted_pairs.end()) -
+                                         planted_pairs.begin())}};
+  for (const auto& c : cases) {
+    SCOPED_TRACE("side=" + std::to_string(c.side));
+    const bool expect = NestedLoopTriangle(c.db);
+    TriangleStats ref;
+    for (int threads : {1, 2, 4}) {
+      ExecContext ec(threads);
+      TriangleStats st;
+      EXPECT_EQ(TriangleMm(c.db, 2.371552, MmKernel::kBoolean, &st, &ec),
+                expect);
+      EXPECT_EQ(st.solo_corner, c.side);
+      EXPECT_EQ(st.predicted_light_pairs, CornerPairs(c.db)[c.side]);
+      EXPECT_EQ(ec.stats().fused_joins.load(), 1);
+      EXPECT_EQ(ec.stats().partition_calls.load(), 0);
+      EXPECT_EQ(ec.stats().mm_products.load(), 0);
+      EXPECT_EQ(st.answer_from_light, expect);
+      if (threads == 1) {
+        ref = st;
+        continue;
+      }
+      EXPECT_EQ(st.delta, ref.delta);
+      EXPECT_EQ(st.predicted_light_pairs, ref.predicted_light_pairs);
+      EXPECT_EQ(st.predicted_ops_worst_case, ref.predicted_ops_worst_case);
+      EXPECT_EQ(st.heavy_x, ref.heavy_x);
+      EXPECT_EQ(st.heavy_y, ref.heavy_y);
+      EXPECT_EQ(st.heavy_z, ref.heavy_z);
+      EXPECT_EQ(st.light_join_tuples, ref.light_join_tuples);
     }
   }
 }

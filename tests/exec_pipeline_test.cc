@@ -120,23 +120,25 @@ TEST(SemijoinAllTest, MatchesSemijoinChain) {
   EXPECT_TRUE(SemijoinAll(a, {&empty_filter}).empty());
 }
 
-// Triangle-free parity instance: n uniform draws per relation over
-// domain d, with S carrying even Z and T odd Z.
-QueryInput ParityTriangle(int64_t n, int64_t d, uint64_t seed) {
+// Triangle-free instance with no empty corner: n uniform draws per
+// relation over domain d, R keeping x + y even, S keeping y + z even and T
+// keeping x + z odd. (A parity split of one variable between two
+// relations would leave that variable's corner without candidate pairs,
+// and that corner would answer alone.)
+QueryInput OddTriangle(int64_t n, int64_t d, uint64_t seed) {
   Rng rng(seed);
   QueryInput db;
-  db.relations.push_back(UniformRelation(VarSet{0, 1}, n, d, &rng));
-  Relation raw_s = UniformRelation(VarSet{1, 2}, n, d, &rng);
-  Relation raw_t = UniformRelation(VarSet{0, 2}, n, d, &rng);
-  Relation s(VarSet{1, 2}), t(VarSet{0, 2});
-  for (size_t i = 0; i < raw_s.size(); ++i) {
-    s.Add({raw_s.Row(i)[0], 2 * raw_s.Row(i)[1]});
+  for (VarSet schema : {VarSet{0, 1}, VarSet{1, 2}, VarSet{0, 2}}) {
+    const Relation raw = UniformRelation(schema, n, d, &rng);
+    const bool odd = schema == VarSet{0, 2};
+    Relation rel(schema);
+    for (size_t i = 0; i < raw.size(); ++i) {
+      if (((raw.Row(i)[0] + raw.Row(i)[1]) % 2 == 1) == odd) {
+        rel.AddRow(raw.Row(i));
+      }
+    }
+    db.relations.push_back(std::move(rel));
   }
-  for (size_t i = 0; i < raw_t.size(); ++i) {
-    t.Add({raw_t.Row(i)[0], 2 * raw_t.Row(i)[1] + 1});
-  }
-  db.relations.push_back(std::move(s));
-  db.relations.push_back(std::move(t));
   return db;
 }
 
@@ -145,16 +147,17 @@ QueryInput ParityTriangle(int64_t n, int64_t d, uint64_t seed) {
 // none of them (the old pipeline allocated the full filtered-away join).
 TEST(FusedStatsTest, TriangleLightPathMaterializesNothingWhenNegative) {
   {
-    // Dense square: every degree is near n / d, and one small product
-    // over all values is predicted far cheaper than the light corners
-    // Delta0 would leave, so the split sends every value to the core and
-    // the corners probe nothing.
-    const QueryInput db = ParityTriangle(3000, 55, 19);
+    // Dense square: each value meets about a third of the other side's
+    // values, and one small product over all values is predicted far
+    // cheaper than the light corners Delta0 would leave, so the split
+    // sends every value to the core and the corners probe nothing.
+    const QueryInput db = OddTriangle(3000, 55, 19);
     ExecContext ec(1);
     TriangleStats stats;
     EXPECT_FALSE(TriangleMm(db, 2.371552, MmKernel::kBoolean, &stats, &ec));
     EXPECT_FALSE(stats.answer_from_light);
     EXPECT_EQ(stats.light_join_tuples, 0);
+    EXPECT_EQ(stats.solo_corner, -1);
     int64_t min_degree = std::numeric_limits<int64_t>::max();
     for (const auto& [rel, y, x] : {std::tuple{0, 1, 0}, std::tuple{1, 2, 1},
                                     std::tuple{2, 0, 2}}) {
@@ -166,15 +169,18 @@ TEST(FusedStatsTest, TriangleLightPathMaterializesNothingWhenNegative) {
     EXPECT_LT(stats.delta, min_degree);
     EXPECT_EQ(ec.stats().fused_probe_tuples.load(), 0);
   }
-  // Sparse: every degree is small, so the split keeps the corners light.
-  const QueryInput db = ParityTriangle(3000, 2000, 19);
+  // Sparse: every degree is small, so one light corner answers alone, on
+  // the unpartitioned relations.
+  const QueryInput db = OddTriangle(3000, 2000, 19);
   ExecContext ec(1);
   TriangleStats stats;
   EXPECT_FALSE(TriangleMm(db, 2.371552, MmKernel::kBoolean, &stats, &ec));
   EXPECT_FALSE(stats.answer_from_light);
+  EXPECT_GE(stats.solo_corner, 0);
   EXPECT_EQ(stats.light_join_tuples, 0);  // nothing materialized
   const ExecStats& st = ec.stats();
-  EXPECT_GE(st.fused_joins.load(), 3);       // one per light corner
+  EXPECT_EQ(st.fused_joins.load(), 1);         // the solo corner
+  EXPECT_EQ(st.partition_calls.load(), 0);
   EXPECT_GT(st.fused_probe_tuples.load(), 0);  // candidates were probed...
   EXPECT_EQ(st.fused_emit_tuples.load(), 0);   // ...but none survived
   EXPECT_EQ(st.fused_probe_tuples.load(), st.fused_drop_tuples.load());

@@ -390,23 +390,20 @@ QueryInput Sorted(std::vector<Relation> rels) {
   return db;
 }
 
-// Triangle input in which every X, Y and Z value has degree 2 in the
-// relation the Figure-1 split partitions on it. At Delta = 1 every value
-// is heavy, every light corner is empty and the heavy core decides; the
-// matrix dimensions are exactly nx, ny, nz. (0, 0, 0) is a triangle.
+// Triangle input in which every y meets three consecutive x values in R
+// and three consecutive z values in S, and every x meets three consecutive
+// z values in T. Each light corner then has about 9 ny candidate pairs,
+// more than the heavy core's fill of about 6 ny rows, so at Delta = 1
+// every value is heavy, every light corner is empty and the core decides;
+// the matrix dimensions are exactly nx, ny, nz. (0, 0, 0) is a triangle.
 QueryInput HeavyTriangle(int nx, int ny, int nz) {
   Relation r(VarSet{0, 1}), s(VarSet{1, 2}), t(VarSet{0, 2});
-  for (Value x = 0; x < nx; ++x) {
-    r.Add({x, x % ny});
-    r.Add({x, (x + 1) % ny});
-  }
-  for (Value y = 0; y < ny; ++y) {
-    s.Add({y, y % nz});
-    s.Add({y, (y + 1) % nz});
-  }
-  for (Value z = 0; z < nz; ++z) {
-    t.Add({z % nx, z});
-    t.Add({(z + 1) % nx, z});
+  for (Value j = 0; j < 3; ++j) {
+    for (Value y = 0; y < ny; ++y) {
+      r.Add({(y + j) % nx, y});
+      s.Add({y, (y + j) % nz});
+    }
+    for (Value x = 0; x < nx; ++x) t.Add({x, (x + j) % nz});
   }
   return Sorted({std::move(r), std::move(s), std::move(t)});
 }
@@ -440,11 +437,11 @@ std::vector<MmEngineCase> MmEngineCases() {
   // Inner dimensions dwarf the outer ones, so the operands outweigh the
   // (separately charged) product and every relation-side charge. Bit
   // packing shrinks the inner dimension 64x, so the kBoolean case also
-  // needs many rows.
+  // needs a wide X side.
   for (MmKernel kernel : {MmKernel::kBoolean, MmKernel::kStrassen,
                           MmKernel::kNaive, MmKernel::kBitSliced}) {
     const bool boolean = kernel == MmKernel::kBoolean;
-    const QueryInput db = boolean ? HeavyTriangle(1024, 8192, 64)
+    const QueryInput db = boolean ? HeavyTriangle(4096, 8192, 64)
                                   : HeavyTriangle(16, 20000, 16);
     cases.push_back({"TriangleMm", kernel, 1,
                      OracleBoolean(Hypergraph::Triangle(), db, true),
@@ -453,6 +450,7 @@ std::vector<MmEngineCase> MmEngineCases() {
                        const bool found =
                            TriangleMm(db, kAllHeavyOmega, kernel, &st, &ec);
                        EXPECT_FALSE(st.answer_from_light);
+                       EXPECT_EQ(st.solo_corner, -1);
                        *bytes = MmBytes(st.mm_dim_x, st.mm_dim_y,
                                         st.mm_dim_z, kernel);
                        return int64_t{found};

@@ -3,9 +3,13 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <map>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "core/exec_context.h"
 #include "gtest/gtest.h"
 #include "relation/degree.h"
 #include "relation/flat_index.h"
@@ -503,6 +507,94 @@ TEST(DegreeTest, BucketsCoverRelation) {
   }
   EXPECT_EQ(total, r.size());
   EXPECT_LE(buckets.size(), 1 + static_cast<size_t>(std::log2(r.size())) + 1);
+}
+
+// Brute-force degree profile: the distinct (Y \ {x})-projections of each
+// x-value's rows, as (value, degree) pairs in ascending value order.
+std::vector<std::pair<Value, int64_t>> ReferenceProfile(const Relation& r,
+                                                        VarSet y, int x) {
+  std::vector<int> ycols;
+  for (int v : ((y - VarSet{x}) & r.schema()).Members()) {
+    ycols.push_back(r.ColumnOf(v));
+  }
+  std::map<Value, std::set<std::vector<Value>>> groups;
+  for (size_t i = 0; i < r.size(); ++i) {
+    std::vector<Value> proj;
+    for (int c : ycols) proj.push_back(r.Row(i)[c]);
+    groups[r.Get(i, x)].insert(proj);
+  }
+  std::vector<std::pair<Value, int64_t>> out;
+  for (const auto& [value, ys] : groups) {
+    out.emplace_back(value, static_cast<int64_t>(ys.size()));
+  }
+  return out;
+}
+
+std::vector<std::pair<Value, int64_t>> AsPairs(
+    const std::vector<ValueDegree>& profile) {
+  std::vector<std::pair<Value, int64_t>> out;
+  for (const ValueDegree& vd : profile) out.emplace_back(vd.value, vd.degree);
+  return out;
+}
+
+// `r` with every value replaced by map(value), rows kept in their order.
+template <typename Map>
+Relation MapEach(const Relation& r, const Map& map) {
+  Relation out(r.schema());
+  std::vector<Value> row(r.arity());
+  for (size_t i = 0; i < r.size(); ++i) {
+    for (int c = 0; c < r.arity(); ++c) row[c] = map(r.Row(i)[c]);
+    out.Add(row);
+  }
+  return out;
+}
+
+// The rows of `r` in reverse order: the same relation, not in stored form.
+Relation Reversed(const Relation& r) {
+  Relation out(r.schema());
+  for (size_t i = r.size(); i-- > 0;) out.AddRow(r.Row(i));
+  return out;
+}
+
+// DegreeProfile counts a stored (sorted, duplicate-free) binary relation's
+// degrees without sorting: run lengths on its first column, occurrence
+// counts on its second (a dense array, or an interner when the value
+// range is much wider than the row count). Every other input takes the
+// grouping sort. Both paths must equal the brute-force profile, and the
+// fast path on a stored relation must equal the sort path on the same
+// rows reversed.
+TEST(DegreeTest, ProfileFastPathMatchesSortPath) {
+  Rng rng(12);
+  const Relation zipf = ZipfRelation(VarSet{0, 1}, 3000, 400, 1.2, &rng);
+  Relation doubled(zipf.schema());
+  for (size_t i = 0; i < zipf.size(); ++i) {
+    doubled.AddRow(zipf.Row(i));
+    doubled.AddRow(zipf.Row(i));
+  }
+  const Relation uniform = UniformRelation(VarSet{1, 3}, 2500, 900, &rng);
+  const std::vector<std::pair<std::string, Relation>> cases = {
+      {"sorted", zipf},
+      {"unsorted", Reversed(zipf)},
+      {"duplicates", doubled},
+      {"ternary", UniformRelation(VarSet{0, 1, 2}, 2000, 30, &rng)},
+      {"negative", MapEach(uniform, [](Value v) { return v - 600; })},
+      {"wide range",
+       MapEach(uniform, [](Value v) { return v * 2000003 - 900000000; })},
+      {"empty", Relation(VarSet{0, 1})}};
+  ExecContext ec(1);
+  for (const auto& [name, r] : cases) {
+    for (int x : r.schema().Members()) {
+      for (VarSet y :
+           {r.schema() - VarSet{x}, VarSet::Empty(), r.schema()}) {
+        SCOPED_TRACE(name + " x=" + std::to_string(x) +
+                     " |y|=" + std::to_string(y.size()));
+        const auto profile = AsPairs(DegreeProfile(r, y, x, &ec));
+        EXPECT_EQ(profile, ReferenceProfile(r, y, x));
+        EXPECT_EQ(profile, AsPairs(DegreeProfile(Reversed(r), y, x, &ec)));
+      }
+    }
+  }
+  EXPECT_EQ(ec.stats().mem_current_bytes.load(), 0);
 }
 
 // ----------------------------------------------------------- generators --
