@@ -129,11 +129,7 @@ bool TriangleMm(const QueryInput& db, double omega, MmKernel kernel,
   // The split is correct at any Delta (Theorem E.10); pick the one whose
   // predicted cost on these degree profiles is least. Corner i partitions
   // its side on the key its probe partner joins on: R on deg(Y|X) probed
-  // by T on X, S on deg(Z|Y) by R on Y, T on deg(X|Z) by S on Z. On
-  // stored (sorted, duplicate-free) relations the profiles are counted
-  // without a sort; on any other input the scope lets the partitions
-  // below reuse the profiles' grouping orders.
-  ExecContext::SortOrderScope sort_scope(ec);
+  // by T on X, S on deg(Z|Y) by R on Y, T on deg(X|Z) by S on Z.
   const CornerProfile corners[3] = {
       {DegreeProfile(r, VarSet{kY}, kX, &ec),
        DegreeProfile(t, VarSet{kZ}, kX, &ec)},

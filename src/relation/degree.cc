@@ -1,14 +1,11 @@
 #include "relation/degree.h"
 
 #include <algorithm>
-#include <utility>
 
 #include "core/exec_context.h"
-#include "relation/flat_index.h"
 #include "relation/ops.h"
 #include "relation/row_sort.h"
 #include "util/check.h"
-#include "util/radix.h"
 
 namespace fmmsw {
 
@@ -116,52 +113,17 @@ std::vector<ValueDegree> FirstColumnRuns(const Relation& r) {
   return out;
 }
 
-/// DegreeProfile of a stored binary relation keyed on its second column:
-/// rows are distinct, so a value's degree is its occurrence count. Counts
-/// go in a dense array over the column's value range when that range is
-/// within a few rows per value, and through a FlatInterner otherwise; only
-/// the distinct values are then sorted.
-std::vector<ValueDegree> SecondColumnCounts(const Relation& r,
-                                            ExecContext& ec) {
-  constexpr int64_t kDenseRangePerRow = 4;
-  const size_t n = r.size();
+/// DegreeProfile of a stored binary relation keyed on its second column,
+/// whose values lie in [lo, lo + range): rows are distinct, so a value's
+/// degree is its occurrence count, kept in a dense array over the range.
+std::vector<ValueDegree> SecondColumnCounts(const Relation& r, Value lo,
+                                            int64_t range, ExecContext& ec) {
+  MemCharge charge(ec, range * static_cast<int64_t>(sizeof(uint32_t)));
+  std::vector<uint32_t> counts(static_cast<size_t>(range), 0);
+  for (size_t i = 0; i < r.size(); ++i) ++counts[r.Row(i)[1] - int64_t{lo}];
   std::vector<ValueDegree> out;
-  if (n == 0) return out;
-  Value lo = r.Row(0)[1], hi = lo;
-  for (size_t i = 1; i < n; ++i) {
-    lo = std::min(lo, r.Row(i)[1]);
-    hi = std::max(hi, r.Row(i)[1]);
-  }
-  const int64_t range = int64_t{hi} - int64_t{lo} + 1;
-  if (range <= kDenseRangePerRow * static_cast<int64_t>(n)) {
-    MemCharge charge(ec, range * static_cast<int64_t>(sizeof(uint32_t)));
-    std::vector<uint32_t> counts(static_cast<size_t>(range), 0);
-    for (size_t i = 0; i < n; ++i) ++counts[r.Row(i)[1] - int64_t{lo}];
-    for (int64_t v = 0; v < range; ++v) {
-      if (counts[v] != 0) {
-        out.push_back({static_cast<Value>(lo + v), counts[v]});
-      }
-    }
-    return out;
-  }
-  // At most 4 table slots of 12 bytes per row, plus 24 bytes per value.
-  MemCharge charge(ec, static_cast<int64_t>(n) * (4 * 12 + 24));
-  FlatInterner ids(n);
-  std::vector<int64_t> counts;
-  std::vector<std::pair<uint64_t, uint32_t>> by_value;
-  for (size_t i = 0; i < n; ++i) {
-    const Value v = r.Row(i)[1];
-    const int id = ids.Intern(BiasValue(v));
-    if (static_cast<size_t>(id) == counts.size()) {
-      counts.push_back(0);
-      by_value.emplace_back(BiasValue(v), static_cast<uint32_t>(id));
-    }
-    ++counts[id];
-  }
-  RadixSortKeyed(by_value);
-  out.reserve(by_value.size());
-  for (const auto& [biased, id] : by_value) {
-    out.push_back({UnbiasValue(static_cast<uint32_t>(biased)), counts[id]});
+  for (int64_t v = 0; v < range; ++v) {
+    if (counts[v] != 0) out.push_back({static_cast<Value>(lo + v), counts[v]});
   }
   return out;
 }
@@ -184,8 +146,20 @@ std::vector<ValueDegree> DegreeProfile(const Relation& r, VarSet y, int x,
   const int col = r.ColumnOf(x);
   const VarSet other = r.schema() - VarSet{x};
   if ((y & other) == other && IsStoredBinary(r)) {
-    return col == 0 ? FirstColumnRuns(r)
-                    : SecondColumnCounts(r, ExecContext::Resolve(ctx));
+    if (col == 0) return FirstColumnRuns(r);
+    // Count the second column only when its value range is at most 4
+    // values per row; wider ranges take the sort below.
+    constexpr int64_t kDenseRangePerRow = 4;
+    if (r.empty()) return {};
+    Value lo = r.Row(0)[1], hi = lo;
+    for (size_t i = 1; i < r.size(); ++i) {
+      lo = std::min(lo, r.Row(i)[1]);
+      hi = std::max(hi, r.Row(i)[1]);
+    }
+    const int64_t range = int64_t{hi} - int64_t{lo} + 1;
+    if (range <= kDenseRangePerRow * static_cast<int64_t>(r.size())) {
+      return SecondColumnCounts(r, lo, range, ExecContext::Resolve(ctx));
+    }
   }
   // Any other input is grouped by the sort PartitionByDegree uses.
   std::vector<ValueDegree> out;

@@ -38,11 +38,12 @@ struct ValueDegree {
 /// order, with its degree over Y. A binary relation in stored form
 /// (sorted and duplicate-free, as SortAndDedupe leaves it and every
 /// catalog version is kept) with Y covering its other column is counted
-/// without a sort: degrees are run lengths when `x` is the first column
-/// and occurrence counts when it is the second. That path does not fill
-/// the ExecContext::SortOrderScope cache. Any other input is grouped by
-/// the sort PartitionByDegree(r, y, {x}, ...) uses, so inside an active
-/// scope a partition after the profile skips its sort.
+/// without a sort: degrees are run lengths when `x` is the first column,
+/// and occurrence counts in a dense array when it is the second and its
+/// value range is at most 4 values per row. That path does not fill the
+/// ExecContext::SortOrderScope cache. Any other input is grouped by the
+/// sort PartitionByDegree(r, y, {x}, ...) uses, so inside an active scope
+/// a partition after the profile skips its sort.
 std::vector<ValueDegree> DegreeProfile(const Relation& r, VarSet y, int x,
                                        ExecContext* ctx = nullptr);
 

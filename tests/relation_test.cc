@@ -558,8 +558,8 @@ Relation Reversed(const Relation& r) {
 
 // DegreeProfile counts a stored (sorted, duplicate-free) binary relation's
 // degrees without sorting: run lengths on its first column, occurrence
-// counts on its second (a dense array, or an interner when the value
-// range is much wider than the row count). Every other input takes the
+// counts on its second when the value range is at most 4 values per row.
+// Every other input, a wide-range second column included, takes the
 // grouping sort. Both paths must equal the brute-force profile, and the
 // fast path on a stored relation must equal the sort path on the same
 // rows reversed.
