@@ -283,6 +283,7 @@ void ExecStats::Reset() {
   wcoj_tasks = 0;
   wcoj_coop_tasks = 0;
   wcoj_steal_claims = 0;
+  wcoj_leaf_bitmaps = 0;
   mm_products = 0;
   mm_base_calls = 0;
   mm_simd_calls = 0;
@@ -346,6 +347,7 @@ std::string ExecStats::ToString() const {
   row("wcoj_tasks          ", wcoj_tasks);
   row("wcoj_coop_tasks     ", wcoj_coop_tasks);
   row("wcoj_steal_claims   ", wcoj_steal_claims);
+  row("wcoj_leaf_bitmaps   ", wcoj_leaf_bitmaps);
   row("mm_products         ", mm_products);
   row("mm_base_calls       ", mm_base_calls);
   row("mm_simd_calls       ", mm_simd_calls);

@@ -92,6 +92,12 @@ namespace fmmsw {
 ///                             blocks from a shared atomic cursor).
 ///   - wcoj_steal_claims     : depth-1 blocks claimed by a worker that had
 ///                             run out of whole tasks (the stealing path).
+/// WCOJ dense-leaf counter (engine/wcoj.cc):
+///   - wcoj_leaf_bitmaps     : generic-WCOJ executions that took the
+///                             bitmap leaf (every relation holding the last
+///                             variable dense enough for one bitmap per
+///                             prefix run); the others intersect the last
+///                             variable with galloping seeks.
 /// MM micro-kernel counters (mm/kernel.h; mm_products above counts
 /// engine-level product launches, these count the kernel layer under it):
 ///   - mm_base_calls         : packed-panel base-case products (GemmAdd
@@ -136,6 +142,7 @@ struct ExecStats {
   std::atomic<int64_t> wcoj_tasks{0};           ///< top-level candidate runs fanned out
   std::atomic<int64_t> wcoj_coop_tasks{0};      ///< tasks run via shared depth-1 cursor
   std::atomic<int64_t> wcoj_steal_claims{0};    ///< depth-1 blocks claimed by dry workers
+  std::atomic<int64_t> wcoj_leaf_bitmaps{0};    ///< ...that ANDed leaf bitmaps
   std::atomic<int64_t> mm_products{0};          ///< matrix-kernel launches
   std::atomic<int64_t> mm_base_calls{0};        ///< packed micro-kernel products
   std::atomic<int64_t> mm_simd_calls{0};        ///< ...with a vector inner kernel

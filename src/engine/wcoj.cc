@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstdint>
 
 #include "core/exec_context.h"
@@ -26,8 +27,21 @@ struct IndexedRelation {
   int arity = 0;
   std::vector<Value> data;  // sorted rows, columns in `vars` order
 
+  /// Dense leaf (see GenericJoin::BuildLeafBitmaps), empty unless the
+  /// join took it: one bitmap of leaf_words_ words per prefix run (rows
+  /// agreeing on every column but the last) over the shared value window,
+  /// and each row's prefix-run index.
+  std::vector<uint64_t> leaf_bits;
+  std::vector<uint32_t> leaf_run;
+
   Value At(uint32_t pos, size_t level) const {
     return data[static_cast<size_t>(pos) * arity + level];
+  }
+  /// True if rows `a` and `b` agree on every column but the last.
+  bool SamePrefix(uint32_t a, uint32_t b) const {
+    return std::equal(&data[static_cast<size_t>(a) * arity],
+                      &data[static_cast<size_t>(a) * arity + arity - 1],
+                      &data[static_cast<size_t>(b) * arity]);
   }
   uint32_t rows() const {
     return static_cast<uint32_t>(data.size() /
@@ -85,6 +99,7 @@ class GenericJoin {
       SortProjectedRows(r, cols, ec, &ir.data);
       rels_.push_back(std::move(ir));
     }
+    BuildLeafBitmaps(ec);
   }
 
   size_t total_rows() const { return total_rows_; }
@@ -307,15 +322,28 @@ class GenericJoin {
   /// the value runs of `pivot` whose start position lies in [lo, hi)
   /// (each run extends to its true end within prange, possibly past hi),
   /// Seek-probes the other `actives` with forward-only cursors, pushes
-  /// the matched subranges, recurses at `next_depth` and unwinds. The
-  /// bit-identical-across-thread-counts guarantee rests on serial and
-  /// cooperative execution sharing this single implementation.
+  /// the matched subranges, recurses at `next_depth` and unwinds; at the
+  /// leaf of a join with leaf bitmaps it hands the same runs' values to
+  /// EmitLeaf instead. The bit-identical-across-thread-counts guarantee
+  /// rests on serial and cooperative execution sharing this single
+  /// implementation.
   template <typename Emit>
   bool EnumerateRuns(EnumState* st, const size_t* actives, size_t n_active,
                      size_t pivot, const Range& prange, uint32_t lo,
                      uint32_t hi, size_t next_depth, const Emit& emit) const {
     const IndexedRelation& pr = rels_[pivot];
     const size_t plevel = st->ranges[pivot].size() - 1;
+    if (leaf_words_ != 0 && next_depth == order_.size()) {
+      if (next_depth <= 2 && (++st->poll_tick & 255) == 0) {
+        guard_->Poll(FaultSite::kWcoj);
+      }
+      // The pivot runs starting in [lo, hi) hold exactly the values
+      // [At(lo), At(hi - 1)]: lo is a run start, and the run holding
+      // hi - 1 starts at or after it.
+      if (lo >= hi) return true;
+      return EmitLeaf(st, actives, n_active, pr.At(lo, plevel),
+                      pr.At(hi - 1, plevel), emit);
+    }
     const int v = order_[next_depth - 1];
     // Forward-only probe cursors, one per active relation.
     uint32_t cursor[64];
@@ -465,9 +493,112 @@ class GenericJoin {
                          prange.end, depth + 1, emit);
   }
 
+  // ---- Dense leaf bitmaps ----------------------------------------------
+  // Every relation that holds the last variable of the order has it as
+  // its last trie level, and at the leaf each such relation's range is
+  // one prefix run. When the runs' last-column values are dense in one
+  // shared window, the leaf intersection is a word-wise AND of the runs'
+  // bitmaps instead of a galloping Seek per candidate value.
+
+  /// Builds the leaf bitmaps if, for every relation holding the last
+  /// variable, runs x words <= rows over the window spanning all of their
+  /// last-column values; otherwise leaves leaf_words_ = 0 and the join
+  /// keeps the sorted-range leaf. The bitmaps therefore never outgrow the
+  /// rows they index. The decision is one scan that stops as soon as the
+  /// test fails (runs and window only grow as it proceeds).
+  void BuildLeafBitmaps(ExecContext& ec) {
+    if (order_.empty()) return;
+    std::vector<size_t> leaf_rels;
+    for (size_t i = 0; i < rels_.size(); ++i) {
+      if (!rels_[i].vars.empty() && rels_[i].vars.back() == order_.back()) {
+        leaf_rels.push_back(i);
+      }
+    }
+    if (leaf_rels.empty()) return;
+    int64_t lo = INT64_MAX, hi = INT64_MIN;
+    std::vector<uint64_t> runs(leaf_rels.size(), 0);
+    const auto words = [&] { return static_cast<uint64_t>(hi - lo) / 64 + 1; };
+    const auto dense = [&](size_t k) {
+      return runs[k] * words() <= rels_[leaf_rels[k]].rows();
+    };
+    for (size_t k = 0; k < leaf_rels.size(); ++k) {
+      const IndexedRelation& ir = rels_[leaf_rels[k]];
+      const size_t last = ir.arity - 1;
+      for (uint32_t p = 0; p < ir.rows(); ++p) {
+        lo = std::min<int64_t>(lo, ir.At(p, last));
+        hi = std::max<int64_t>(hi, ir.At(p, last));
+        if (p > 0 && ir.SamePrefix(p - 1, p)) continue;
+        ++runs[k];
+        if (!dense(k)) return;
+      }
+      if (runs[k] == 0) return;  // empty relation: nothing to index
+    }
+    for (size_t k = 0; k < leaf_rels.size(); ++k) {
+      if (!dense(k)) return;
+    }
+    const uint64_t w = words();
+    int64_t bytes = 0;
+    for (size_t k = 0; k < leaf_rels.size(); ++k) {
+      bytes += static_cast<int64_t>(runs[k] * w * sizeof(uint64_t) +
+                                    rels_[leaf_rels[k]].rows() *
+                                        sizeof(uint32_t));
+    }
+    trie_charge_.Add(bytes);
+    for (size_t k = 0; k < leaf_rels.size(); ++k) {
+      IndexedRelation& ir = rels_[leaf_rels[k]];
+      const uint32_t n = ir.rows();
+      const size_t last = ir.arity - 1;
+      ir.leaf_bits.assign(runs[k] * w, 0);
+      ir.leaf_run.resize(n);
+      uint32_t run = 0;
+      for (uint32_t p = 0; p < n; ++p) {
+        if (p > 0 && !ir.SamePrefix(p - 1, p)) ++run;
+        ir.leaf_run[p] = run;
+        const uint64_t off = static_cast<uint64_t>(ir.At(p, last) - lo);
+        ir.leaf_bits[run * w + off / 64] |= uint64_t{1} << (off % 64);
+      }
+    }
+    leaf_lo_ = lo;
+    leaf_words_ = w;
+    Bump(ec.stats().wcoj_leaf_bitmaps);
+  }
+
+  /// Bitmap leaf: ANDs the prefix-run bitmaps of the `actives` (every
+  /// relation holding the last variable) over the window positions of
+  /// values [vmin, vmax] and emits the set bits in ascending order, the
+  /// order the sorted-range leaf visits its runs in.
+  template <typename Emit>
+  bool EmitLeaf(EnumState* st, const size_t* actives, size_t n_active,
+                Value vmin, Value vmax, const Emit& emit) const {
+    const uint64_t* row[64];
+    for (size_t a = 0; a < n_active; ++a) {
+      const IndexedRelation& ir = rels_[actives[a]];
+      row[a] = ir.leaf_bits.data() +
+               static_cast<size_t>(
+                   ir.leaf_run[st->ranges[actives[a]].back().begin]) *
+                   leaf_words_;
+    }
+    const uint64_t b0 = static_cast<uint64_t>(vmin - leaf_lo_);
+    const uint64_t b1 = static_cast<uint64_t>(vmax - leaf_lo_);
+    const int v = order_.back();
+    for (uint64_t w = b0 / 64; w <= b1 / 64; ++w) {
+      uint64_t m = ~uint64_t{0};
+      for (size_t a = 0; a < n_active; ++a) m &= row[a][w];
+      if (w == b0 / 64) m &= ~uint64_t{0} << (b0 % 64);
+      if (w == b1 / 64) m &= ~uint64_t{0} >> (63 - b1 % 64);
+      while (m != 0) {
+        st->assignment[v] = static_cast<Value>(
+            leaf_lo_ + static_cast<int64_t>(w * 64) + std::countr_zero(m));
+        if (!emit(st->assignment)) return false;
+        m &= m - 1;
+      }
+    }
+    return true;
+  }
+
   std::vector<int> order_;
   QueryGuard* guard_;
-  MemCharge trie_charge_;  ///< trie buffers, held for the join's lifetime
+  MemCharge trie_charge_;  ///< tries and leaf bitmaps (join lifetime)
   std::vector<IndexedRelation> rels_;
   size_t total_rows_ = 0;
   std::vector<size_t> active_;     // relations constrained at depth 0
@@ -476,6 +607,8 @@ class GenericJoin {
   std::vector<size_t> d1_active_;  // relations constrained at depth 1
   std::vector<size_t> d1_pivot_;   // per task: depth-1 pivot relation
   std::vector<Range> d1_range_;    // per task: pivot's depth-1 range
+  int64_t leaf_lo_ = 0;      // value of bit 0 of every leaf bitmap
+  uint64_t leaf_words_ = 0;  // words per leaf bitmap; 0 = sorted-range leaf
 };
 
 std::vector<int> DefaultOrder(const Hypergraph& h) {

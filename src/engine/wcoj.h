@@ -14,6 +14,12 @@
 /// stacks over the shared read-only tries; outputs are merged in task
 /// order (and WcojJoin canonically sorts), so results are identical for
 /// every thread count.
+///
+/// Dense leaf: when every relation holding the last variable has
+/// runs x words <= rows over one shared value window, the last variable
+/// is intersected by ANDing per-prefix-run bitmaps (charged to the
+/// query's memory budget with the tries) and its values are emitted in
+/// ascending order, exactly as the sorted-range leaf emits them.
 
 #include "hypergraph/hypergraph.h"
 #include "relation/relation.h"

@@ -1,8 +1,9 @@
 // Tests for the ExecContext pipeline: fused join–semijoin probes (the
 // exist_filter / SemijoinAll contracts of relation/ops.h), the parallel
 // WCOJ fan-out (identical canonical output across thread counts, including
-// skewed heavy-hitter inputs), the partition sort-order cache, and the
-// radix-sort path of SortAndDedupe.
+// skewed heavy-hitter inputs), the WCOJ dense leaf bitmaps against a
+// nested-loop oracle, the partition sort-order cache, and the radix-sort
+// path of SortAndDedupe.
 
 #include <algorithm>
 #include <atomic>
@@ -10,6 +11,7 @@
 #include <cstdlib>
 #include <functional>
 #include <limits>
+#include <memory>
 #include <set>
 #include <string>
 #include <thread>
@@ -489,6 +491,203 @@ TEST(ParallelWcojTest, EnginesAgreeUnderParallelContext) {
   EXPECT_EQ(ExecutePlan(h, db, ForLoopPlan(h), {}, nullptr, &ec), expect);
   EXPECT_EQ(TriangleMm(db, 2.371552, MmKernel::kBoolean, nullptr, &ec),
             expect);
+}
+
+// ------------------------------------------------- dense leaf bitmaps --
+
+/// Nested-loop oracle: every full assignment (indexed by variable) that
+/// agrees with one row of each relation, in ascending order.
+std::vector<std::vector<Value>> NestedLoopJoin(const Hypergraph& h,
+                                               const QueryInput& db) {
+  std::set<std::vector<Value>> out;
+  std::vector<Value> assign(h.num_vars(), 0);
+  std::vector<int> binders(h.num_vars(), 0);  // relations binding each var
+  std::function<void(size_t)> visit = [&](size_t e) {
+    if (e == db.relations.size()) {
+      out.insert(assign);
+      return;
+    }
+    const Relation& r = db.relations[e];
+    const std::vector<int>& vars = r.vars();
+    for (size_t i = 0; i < r.size(); ++i) {
+      const Value* row = r.Row(i);
+      bool ok = true;
+      for (size_t c = 0; c < vars.size() && ok; ++c) {
+        ok = binders[vars[c]] == 0 || assign[vars[c]] == row[c];
+      }
+      if (!ok) continue;
+      for (size_t c = 0; c < vars.size(); ++c) {
+        assign[vars[c]] = row[c];
+        ++binders[vars[c]];
+      }
+      visit(e + 1);
+      for (int v : vars) --binders[v];
+    }
+  };
+  visit(0);
+  return {out.begin(), out.end()};
+}
+
+/// WcojJoin, WcojCount and WcojBoolean against the nested-loop oracle at
+/// threads {1, 2, 4} and on the process pool (sized by FMMSW_THREADS);
+/// every run must take the bitmap leaf iff `bitmaps`.
+void ExpectLeafMatchesOracle(const Hypergraph& h, const QueryInput& db,
+                             bool bitmaps, const std::string& where) {
+  const std::vector<std::vector<Value>> expect = NestedLoopJoin(h, db);
+  for (int threads : {1, 2, 4, 0}) {
+    const std::string at = where + " threads=" + std::to_string(threads);
+    auto ec = threads == 0 ? std::make_unique<ExecContext>()
+                           : std::make_unique<ExecContext>(threads);
+    EXPECT_EQ(Rows(WcojJoin(h, db, h.vertices(), nullptr, ec.get())), expect)
+        << at;
+    EXPECT_EQ(WcojCount(h, db, ec.get()), static_cast<int64_t>(expect.size()))
+        << at;
+    EXPECT_EQ(WcojBoolean(h, db, ec.get()), !expect.empty()) << at;
+    EXPECT_EQ(ec->stats().wcoj_leaf_bitmaps.load(),
+              bitmaps ? ec->stats().wcoj_runs.load() : 0)
+        << at;
+  }
+}
+
+QueryInput Generated(const Hypergraph& h, WorkloadKind kind, int64_t tuples,
+                     int64_t domain, uint64_t seed) {
+  WorkloadOptions opts;
+  opts.kind = kind;
+  opts.tuples_per_relation = tuples;
+  opts.domain = domain;
+  opts.dense_density = 0.3;
+  opts.seed = seed;
+  opts.plant_witness = true;
+  return MakeWorkload(h, opts);
+}
+
+/// `db` with `delta` added to variable `var` in every relation.
+QueryInput Shifted(const QueryInput& db, int var, int64_t delta) {
+  QueryInput out;
+  for (const Relation& r : db.relations) {
+    Relation moved(r.schema());
+    std::vector<Value> row(r.arity());
+    for (size_t i = 0; i < r.size(); ++i) {
+      for (int c = 0; c < r.arity(); ++c) {
+        row[c] = static_cast<Value>(
+            r.Row(i)[c] + (r.vars()[c] == var ? delta : 0));
+      }
+      moved.AddRow(row.data());
+    }
+    moved.SortAndDedupe();
+    out.relations.push_back(std::move(moved));
+  }
+  return out;
+}
+
+TEST(WcojLeafBitmapTest, GeneratedFamiliesMatchOracle) {
+  const std::vector<std::pair<std::string, Hypergraph>> shapes = {
+      {"triangle", Hypergraph::Triangle()},
+      {"cycle4", Hypergraph::Cycle(4)},
+      {"clique4", Hypergraph::Clique(4)},
+      {"pyramid3", Hypergraph::Pyramid(3)},
+  };
+  for (const auto& [name, h] : shapes) {
+    for (uint64_t seed : {1u, 2u}) {
+      const std::string where = name + " seed=" + std::to_string(seed);
+      // Dense: a small domain, so every leaf run is a few words wide.
+      ExpectLeafMatchesOracle(
+          h, Generated(h, WorkloadKind::kDense, 0, 14, seed), true,
+          where + " dense");
+      // Sparse: a domain far wider than each relation's degrees.
+      ExpectLeafMatchesOracle(
+          h, Generated(h, WorkloadKind::kUniform, 300, 2000, seed), false,
+          where + " sparse");
+    }
+  }
+}
+
+TEST(WcojLeafBitmapTest, NegativeLeafValues) {
+  const Hypergraph h = Hypergraph::Triangle();
+  const QueryInput db = Generated(h, WorkloadKind::kDense, 0, 24, 5);
+  // Z straddling zero, and Z at the bottom of the value range.
+  ExpectLeafMatchesOracle(h, Shifted(db, 2, -12), true, "z - 12");
+  ExpectLeafMatchesOracle(
+      h, Shifted(db, 2, std::numeric_limits<Value>::min()), true,
+      "z + INT32_MIN");
+}
+
+TEST(WcojLeafBitmapTest, UnaryRelationEndsAtTheLeaf) {
+  Hypergraph h(3);
+  h.AddEdge({0, 1});
+  h.AddEdge({1, 2});
+  h.AddEdge({0, 2});
+  h.AddEdge({2});
+  const QueryInput tri =
+      Generated(Hypergraph::Triangle(), WorkloadKind::kDense, 0, 24, 6);
+  Relation u(VarSet{2});
+  for (Value z = 0; z < 24; z += 3) u.Add({z});
+  QueryInput db;
+  for (const Relation& r : tri.relations) db.relations.push_back(r);
+  db.relations.push_back(std::move(u));
+  ExpectLeafMatchesOracle(h, db, true, "triangle + U(Z)");
+}
+
+TEST(WcojLeafBitmapTest, OneSparseLeafRelationDeclinesForAll) {
+  // T(X, Z) alone is dense (4 runs over a 7-word window, 1600 rows);
+  // S(Y, Z) holds one Z per Y, so 200 runs x 7 words > 200 rows. The
+  // window is shared, so the join keeps the sorted-range leaf.
+  const Hypergraph h = Hypergraph::Triangle();
+  Relation r(VarSet{0, 1}), s(VarSet{1, 2}), t(VarSet{0, 2});
+  for (Value x = 0; x < 4; ++x) {
+    for (Value y = 0; y < 200; ++y) r.Add({x, y});
+    for (Value z = 0; z < 400; ++z) t.Add({x, z});
+  }
+  for (Value y = 0; y < 200; ++y) s.Add({y, (y * 37) % 400});
+  QueryInput db;
+  db.relations = {r, s, t};
+  ExpectLeafMatchesOracle(h, db, false, "dense T + sparse S");
+}
+
+TEST(WcojLeafBitmapTest, CooperativeClaimsReachTheLeaf) {
+  // Two variables: the depth-1 cooperative blocks of the hot X = 0 task
+  // are leaf calls, each covering only part of the pivot range.
+  Hypergraph h(2);
+  h.AddEdge({0, 1});
+  h.AddEdge({1});
+  Rng rng(67);
+  Relation r(VarSet{0, 1}), u(VarSet{1});
+  for (Value y = 0; y < 3000; ++y) r.Add({0, y});
+  for (Value x = 1; x <= 40; ++x) {
+    for (int j = 0; j < 5; ++j) {
+      r.Add({x, static_cast<Value>(rng.Uniform(0, 2999))});
+    }
+  }
+  for (int i = 0; i < 1500; ++i) {
+    u.Add({static_cast<Value>(rng.Uniform(0, 2999))});
+  }
+  r.SortAndDedupe();
+  u.SortAndDedupe();
+  QueryInput db;
+  db.relations = {r, u};
+  ExpectLeafMatchesOracle(h, db, true, "R(X, Y) + U(Y)");
+  for (int threads : {2, 4}) {
+    ExecContext ec(threads);
+    WcojCount(h, db, &ec);
+    EXPECT_GT(ec.stats().wcoj_coop_tasks.load(), 0) << threads;
+    EXPECT_EQ(ec.stats().wcoj_leaf_bitmaps.load(), 1) << threads;
+  }
+}
+
+TEST(WcojLeafBitmapTest, CounterMarksDensePyramidNotSparseZipf) {
+  const Hypergraph pyramid = Hypergraph::Pyramid(3);
+  ExecContext dense_ec(1);
+  WcojBoolean(pyramid, Generated(pyramid, WorkloadKind::kDense, 0, 20, 7),
+              &dense_ec);
+  EXPECT_EQ(dense_ec.stats().wcoj_leaf_bitmaps.load(), 1);
+  EXPECT_NE(dense_ec.stats().ToString().find("wcoj_leaf_bitmaps    : 1"),
+            std::string::npos);
+  const Hypergraph tri = Hypergraph::Triangle();
+  ExecContext zipf_ec(1);
+  WcojBoolean(tri, Generated(tri, WorkloadKind::kZipf, 3000, 100000, 8),
+              &zipf_ec);
+  EXPECT_EQ(zipf_ec.stats().wcoj_runs.load(), 1);
+  EXPECT_EQ(zipf_ec.stats().wcoj_leaf_bitmaps.load(), 0);
 }
 
 // --------------------------------------------------- sort-order cache ----

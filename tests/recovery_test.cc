@@ -35,6 +35,7 @@
 #include "panda/executor.h"
 #include "query_shapes.h"
 #include "relation/generators.h"
+#include "util/random.h"
 #include "util/rational.h"
 #include "width/closed_forms.h"
 #include "width/omega_subw.h"
@@ -388,6 +389,72 @@ QueryInput Sorted(std::vector<Relation> rels) {
     db.relations.push_back(std::move(rel));
   }
   return db;
+}
+
+// The generic join charges its dense leaf bitmaps and run indexes with
+// the tries, before allocating them. Triangle over X in [0, 20), Y in
+// [0, 50), Z in [0, 640): every Y and every X meets 12 Z values, so the
+// Z-leaf relations S(Y, Z) and T(X, Z) have 50 and 20 runs over a
+// 10-word window, within their 600 and 240 rows.
+TEST(RecoveryTest, LeafBitmapsChargedBeforeAllocation) {
+  const Hypergraph h = Hypergraph::Triangle();
+  Rng rng(131);
+  Relation r(VarSet{0, 1}), s(VarSet{1, 2}), t(VarSet{0, 2});
+  for (int i = 0; i < 300; ++i) {
+    r.Add({static_cast<Value>(rng.Uniform(0, 19)),
+           static_cast<Value>(rng.Uniform(0, 49))});
+  }
+  const auto twelve_z = [&](Value key, Relation* rel) {
+    for (int j = 0; j < 12; ++j) {
+      rel->Add({key, static_cast<Value>((key * 53 + j * 53) % 640)});
+    }
+  };
+  for (Value y = 0; y < 50; ++y) twelve_z(y, &s);
+  for (Value x = 0; x < 20; ++x) twelve_z(x, &t);
+  s.Add({0, 639});  // pin the window to [0, 639]
+  const QueryInput db = Sorted({std::move(r), std::move(s), std::move(t)});
+  int64_t trie_bytes = 0;
+  for (const Relation& rel : db.relations) {
+    trie_bytes +=
+        static_cast<int64_t>(rel.size() * rel.arity() * sizeof(Value));
+  }
+  constexpr int64_t kWords = 10;  // (639 - 0) / 64 + 1
+  int64_t bitmap_bytes = 0;
+  for (size_t e : {size_t{1}, size_t{2}}) {
+    const Relation& rel = db.relations[e];
+    std::set<Value> runs;
+    for (size_t i = 0; i < rel.size(); ++i) runs.insert(rel.Row(i)[0]);
+    ASSERT_LE(static_cast<int64_t>(runs.size()) * kWords,
+              static_cast<int64_t>(rel.size()));
+    bitmap_bytes += static_cast<int64_t>(runs.size()) * kWords * 8 +
+                    static_cast<int64_t>(rel.size()) * 4;
+  }
+  ExecContext ref_ec(1);
+  const int64_t clean_count = WcojCount(h, db, &ref_ec);
+  ASSERT_EQ(ref_ec.stats().wcoj_leaf_bitmaps.load(), 1);
+  for (int threads : {1, 4}) {
+    ExecContext ec(threads);
+    int64_t count = -1;
+    const auto run_count = [&] { count = WcojCount(h, db, &ec); };
+    // The tries fit, the bitmaps do not: the abort comes before any
+    // bitmap byte is allocated and leaves nothing charged.
+    const ExecResult aborted = RunGuarded(
+        ec, {.memory_budget_bytes = trie_bytes + bitmap_bytes - 1}, run_count);
+    ASSERT_EQ(aborted.status, ExecStatus::kMemoryLimitExceeded)
+        << "threads=" << threads;
+    EXPECT_EQ(count, -1);
+    EXPECT_EQ(ec.stats().mem_current_bytes.load(), 0);
+    // The same context runs the query once tries and bitmaps both fit,
+    // and its tracked peak covers them.
+    ec.stats().Reset();
+    const ExecResult ok = RunGuarded(
+        ec, {.memory_budget_bytes = trie_bytes + bitmap_bytes}, run_count);
+    ASSERT_TRUE(ok.ok()) << ok.message;
+    EXPECT_EQ(count, clean_count);
+    EXPECT_EQ(ec.stats().wcoj_leaf_bitmaps.load(), 1);
+    EXPECT_GE(ec.stats().mem_peak_bytes.load(), trie_bytes + bitmap_bytes);
+    EXPECT_EQ(ec.stats().mem_current_bytes.load(), 0);
+  }
 }
 
 // Triangle input in which every y meets three consecutive x values in R
