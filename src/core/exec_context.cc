@@ -269,7 +269,6 @@ void ExecStats::Reset() {
   union_calls = 0;
   select_calls = 0;
   partition_calls = 0;
-  sort_order_hits = 0;
   sort_calls = 0;
   sort_rows = 0;
   sort_parallel = 0;
@@ -333,7 +332,6 @@ std::string ExecStats::ToString() const {
   row("union_calls         ", union_calls);
   row("select_calls        ", select_calls);
   row("partition_calls     ", partition_calls);
-  row("sort_order_hits     ", sort_order_hits);
   row("sort_calls          ", sort_calls);
   row("sort_rows           ", sort_rows);
   row("sort_parallel       ", sort_parallel);
@@ -383,33 +381,6 @@ ExecContext::ExecContext(int threads)
 }
 
 ExecContext::~ExecContext() = default;
-
-ExecContext::SortOrderScope::SortOrderScope(ExecContext& ec) : ec_(ec) {
-  if (ec_.sort_cache_depth_++ == 0) ec_.sort_orders_.clear();
-}
-
-ExecContext::SortOrderScope::~SortOrderScope() {
-  if (--ec_.sort_cache_depth_ == 0) ec_.sort_orders_.clear();
-}
-
-const std::vector<uint32_t>* ExecContext::FindSortOrder(
-    const void* data, size_t rows, uint32_t xmask, uint32_t ymask) const {
-  if (sort_cache_depth_ == 0) return nullptr;
-  for (const SortOrderEntry& e : sort_orders_) {
-    if (e.data == data && e.rows == rows && e.xmask == xmask &&
-        e.ymask == ymask) {
-      return &e.order;
-    }
-  }
-  return nullptr;
-}
-
-void ExecContext::StoreSortOrder(const void* data, size_t rows,
-                                 uint32_t xmask, uint32_t ymask,
-                                 const std::vector<uint32_t>& order) {
-  if (sort_cache_depth_ == 0) return;
-  sort_orders_.push_back(SortOrderEntry{data, rows, xmask, ymask, order});
-}
 
 ExecContext& ExecContext::Default() {
   static ExecContext ctx;

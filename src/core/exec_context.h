@@ -15,7 +15,7 @@
 ///   - per-op stats counters: joins/semijoins executed, tuples
 ///     materialized, tuples *not* materialized thanks to fused
 ///     existence-only probes, WCOJ task fan-out, MM kernel launches,
-///     sort-order cache hits, and tracked memory (current/peak bytes).
+///     and tracked memory (current/peak bytes).
 ///     Counters are relaxed atomics so operators running inside parallel
 ///     regions can bump them safely, and
 ///   - a QueryGuard: cooperative guardrails (cancellation, wall-clock
@@ -128,7 +128,6 @@ struct ExecStats {
   std::atomic<int64_t> union_calls{0};          ///< Union operator invocations
   std::atomic<int64_t> select_calls{0};         ///< SelectEq operator invocations
   std::atomic<int64_t> partition_calls{0};      ///< PartitionByDegree invocations
-  std::atomic<int64_t> sort_order_hits{0};      ///< partition sort orders reused
   std::atomic<int64_t> sort_calls{0};           ///< wide-key row sorts executed
   std::atomic<int64_t> sort_rows{0};            ///< rows through the sort layer
   std::atomic<int64_t> sort_parallel{0};        ///< ...sorts run pool-parallel
@@ -497,37 +496,6 @@ class ExecContext {
   /// parallel regions).
   ScratchArena& scratch(int worker = 0) { return scratch_[worker]; }
 
-  // ---- Partition sort-order cache -------------------------------------
-  // PartitionByDegree sorts its input once per (relation, X, Y). Within a
-  // SortOrderScope (opened by e.g. the PANDA proof-sequence executor,
-  // whose tables stay alive in its TableMap for the whole execution),
-  // repeated partitions of the same stored table reuse the cached order
-  // instead of re-sorting. The cache is keyed on the table's buffer
-  // address + row count + column masks, so it is only safe while the
-  // tables it refers to are pinned — hence the explicit scope, which
-  // clears the cache on entry and exit.
-
-  /// RAII activation of the sort-order cache (nestable).
-  class SortOrderScope {
-   public:
-    explicit SortOrderScope(ExecContext& ec);
-    ~SortOrderScope();
-    SortOrderScope(const SortOrderScope&) = delete;
-    SortOrderScope& operator=(const SortOrderScope&) = delete;
-
-   private:
-    ExecContext& ec_;
-  };
-
-  bool sort_cache_active() const { return sort_cache_depth_ > 0; }
-  /// Cached row order for (data, rows, xmask, ymask), or nullptr.
-  const std::vector<uint32_t>* FindSortOrder(const void* data, size_t rows,
-                                             uint32_t xmask,
-                                             uint32_t ymask) const;
-  /// Stores a copy of `order` under the key (no-op outside a scope).
-  void StoreSortOrder(const void* data, size_t rows, uint32_t xmask,
-                      uint32_t ymask, const std::vector<uint32_t>& order);
-
   /// The process-default context (global pool, shared stats).
   static ExecContext& Default();
   static ExecContext& Resolve(ExecContext* ctx) {
@@ -535,20 +503,11 @@ class ExecContext {
   }
 
  private:
-  struct SortOrderEntry {
-    const void* data;
-    size_t rows;
-    uint32_t xmask, ymask;
-    std::vector<uint32_t> order;
-  };
-
   std::unique_ptr<ThreadPool> owned_pool_;
   ThreadPool* pool_;
   mutable ExecStats stats_;
   mutable QueryGuard guard_{&stats_};
   std::vector<ScratchArena> scratch_;
-  int sort_cache_depth_ = 0;
-  std::vector<SortOrderEntry> sort_orders_;
 };
 
 /// RAII lease of the first free worker arena on a context, or unbound

@@ -14,7 +14,7 @@
 /// The database layout follows Hypergraph::Clique(k): one relation per
 /// vertex pair (i, j), i < j, in lexicographic order.
 
-#include "engine/elimination.h"
+#include "mm/kernel.h"
 #include "relation/relation.h"
 
 namespace fmmsw {

@@ -1,26 +1,49 @@
 #include "engine/elimination.h"
 
-#include <algorithm>
-#include <cmath>
 #include <map>
-#include <unordered_map>
+#include <memory>
+#include <utility>
 
 #include "core/exec_context.h"
 #include "engine/wcoj.h"
-#include "mm/cost_model.h"
-#include "relation/ops.h"
 #include "util/check.h"
 
 namespace fmmsw {
 
 namespace {
 
-/// Execution state: the current hypergraph plus one relation per edge.
+/// Execution state: the current hypergraph plus one shared relation
+/// version per edge.
 struct State {
   Hypergraph hg;
-  std::vector<Relation> rels;  // aligned with hg.edges()
+  RelationList rels;  // aligned with hg.edges()
   bool definitely_empty = false;
 };
+
+/// An edgeless hypergraph over `h`'s variables with active set `vertices`.
+Hypergraph EdgelessOn(const Hypergraph& h, VarSet vertices) {
+  return Hypergraph(h.num_vars(), h.names())
+      .Eliminate(VarSet::Full(h.num_vars()) - vertices);
+}
+
+/// Replaces the state by the hypergraph after eliminating `block`: the
+/// non-incident edges keep their relations, and `produced` becomes the
+/// relation of the new edge N(block). Edges are added in the order
+/// Hypergraph::Eliminate uses.
+void Advance(State* s, VarSet block, RelationPtr produced, ExecContext* ec) {
+  State next;
+  next.hg = EdgelessOn(s->hg, s->hg.vertices() - block);
+  for (size_t e = 0; e < s->hg.edges().size(); ++e) {
+    if (s->hg.edges()[e].Intersects(block)) continue;
+    AddBySchema(&next.hg, &next.rels, s->hg.edges()[e], s->rels.ptr(e), ec);
+  }
+  next.definitely_empty = produced->empty();
+  const VarSet n = s->hg.N(block);
+  if (!n.empty()) {
+    AddBySchema(&next.hg, &next.rels, n, std::move(produced), ec);
+  }
+  *s = std::move(next);
+}
 
 /// Joins the incident relations with WCOJ and projects the block away
 /// (the "for-loops" elimination).
@@ -28,67 +51,18 @@ void EliminateForLoop(State* s, VarSet block, EliminationStats* stats,
                       ExecContext* ec) {
   const std::vector<int> incident = s->hg.IncidentEdges(block);
   FMMSW_CHECK(!incident.empty());
-  Hypergraph sub(s->hg.num_vars(), s->hg.names());
-  sub = sub.Eliminate(VarSet::Full(s->hg.num_vars()) - s->hg.U(block));
+  Hypergraph sub = EdgelessOn(s->hg, s->hg.U(block));
   QueryInput sub_db;
-  // contracts: allow(no-node-map) schema-keyed merge pool, O(#edges)
-  // entries per elimination step.
-  std::map<VarSet, Relation> merged;
   for (int e : incident) {
-    auto it = merged.find(s->hg.edges()[e]);
-    if (it == merged.end()) {
-      merged.emplace(s->hg.edges()[e], s->rels[e]);
-    } else {
-      it->second = Intersect(it->second, s->rels[e], ec);
-    }
+    AddBySchema(&sub, &sub_db.relations, s->hg.edges()[e], s->rels.ptr(e), ec);
   }
-  for (auto& [schema, rel] : merged) {
-    sub.AddEdge(schema);
-    sub_db.relations.push_back(std::move(rel));
-  }
-  Relation result = WcojJoin(sub, sub_db, s->hg.N(block), nullptr, ec);
+  auto result = std::make_shared<const Relation>(
+      WcojJoin(sub, sub_db, s->hg.N(block), nullptr, ec));
   if (stats != nullptr) {
     ++stats->forloop_steps;
-    stats->intermediate_tuples += static_cast<int64_t>(result.size());
+    stats->intermediate_tuples += static_cast<int64_t>(result->size());
   }
-  // Rebuild the state: next.hg's edges are the old non-incident edges
-  // (deduped) plus N(block); relations are matched to edges by schema.
-  State next;
-  next.hg = s->hg.Eliminate(block);
-  // contracts: allow(no-node-map) schema-keyed relation pool, O(#edges)
-  // entries per elimination step.
-  std::map<VarSet, Relation> pool;
-  for (size_t e = 0; e < s->hg.edges().size(); ++e) {
-    if (std::find(incident.begin(), incident.end(), static_cast<int>(e)) !=
-        incident.end()) {
-      continue;
-    }
-    auto it = pool.find(s->hg.edges()[e]);
-    if (it == pool.end()) {
-      pool.emplace(s->hg.edges()[e], s->rels[e]);
-    } else {
-      it->second = Intersect(it->second, s->rels[e], ec);
-    }
-  }
-  const VarSet n = s->hg.N(block);
-  if (!n.empty()) {
-    auto it = pool.find(n);
-    if (it == pool.end()) {
-      pool.emplace(n, result);
-    } else {
-      it->second = Intersect(it->second, result, ec);
-    }
-  } else if (result.empty()) {
-    next.definitely_empty = true;
-  }
-  next.rels.clear();
-  for (const VarSet& e : next.hg.edges()) {
-    auto it = pool.find(e);
-    FMMSW_CHECK(it != pool.end());
-    next.rels.push_back(it->second);
-  }
-  if (result.empty()) next.definitely_empty = true;
-  *s = std::move(next);
+  Advance(s, block, std::move(result), ec);
 }
 
 /// Dense index assignment for composite keys.
@@ -145,53 +119,38 @@ void EliminateMm(State* s, VarSet block, const MmExpr& mm,
   const std::vector<int> incident = s->hg.IncidentEdges(block);
   FMMSW_CHECK(!incident.empty());
   QueryInput a_db, b_db;
-  Hypergraph a_hg(s->hg.num_vars(), s->hg.names());
-  a_hg = a_hg.Eliminate(VarSet::Full(s->hg.num_vars()) - a_side);
-  Hypergraph b_hg(s->hg.num_vars(), s->hg.names());
-  b_hg = b_hg.Eliminate(VarSet::Full(s->hg.num_vars()) - b_side);
+  Hypergraph a_hg = EdgelessOn(s->hg, a_side);
+  Hypergraph b_hg = EdgelessOn(s->hg, b_side);
   for (int e : incident) {
     const VarSet schema = s->hg.edges()[e];
     bool placed = false;
     if (a_side.ContainsAll(schema)) {
-      if (std::find(a_hg.edges().begin(), a_hg.edges().end(), schema) ==
-          a_hg.edges().end()) {
-        a_hg.AddEdge(schema);
-        a_db.relations.push_back(s->rels[e]);
-      } else {
-        for (size_t i = 0; i < a_hg.edges().size(); ++i) {
-          if (a_hg.edges()[i] == schema) {
-            a_db.relations.Set(i, Intersect(a_db.relations[i], s->rels[e], ec));
-          }
-        }
-      }
+      AddBySchema(&a_hg, &a_db.relations, schema, s->rels.ptr(e), ec);
       placed = true;
     }
     if (b_side.ContainsAll(schema)) {
-      if (std::find(b_hg.edges().begin(), b_hg.edges().end(), schema) ==
-          b_hg.edges().end()) {
-        b_hg.AddEdge(schema);
-        b_db.relations.push_back(s->rels[e]);
-      } else {
-        for (size_t i = 0; i < b_hg.edges().size(); ++i) {
-          if (b_hg.edges()[i] == schema) {
-            b_db.relations.Set(i, Intersect(b_db.relations[i], s->rels[e], ec));
-          }
-        }
-      }
+      AddBySchema(&b_hg, &b_db.relations, schema, s->rels.ptr(e), ec);
       placed = true;
     }
     FMMSW_CHECK(placed &&
                 "MM option does not cover an incident relation; invalid "
                 "MmExpr for this step");
   }
+  // Definition 4.5 lets G hold a variable that only one side binds; it
+  // indexes that side's matrix rows (A) or columns (B) instead of a group.
+  const VarSet va = a_hg.U(block), vb = b_hg.U(block);
+  const VarSet g = mm.g & va & vb;
+  const VarSet x = mm.x | (mm.g - vb), y = mm.y | (mm.g - va);
+  FMMSW_CHECK(va.ContainsAll(x | block) && vb.ContainsAll(y | block) &&
+              "MM option names a variable its side's relations do not bind");
   // M1(x, z, g) and M2(y, z, g).
-  Relation m1 = WcojJoin(a_hg, a_db, a_side, nullptr, ec);
-  Relation m2 = WcojJoin(b_hg, b_db, b_side, nullptr, ec);
+  Relation m1 = WcojJoin(a_hg.Eliminate(a_side - va), a_db, va, nullptr, ec);
+  Relation m2 = WcojJoin(b_hg.Eliminate(b_side - vb), b_db, vb, nullptr, ec);
 
   // Group rows by G-key; within each group build matrices over x/z and z/y.
-  const std::vector<int> m1_g = ColsFor(m1, mm.g), m1_x = ColsFor(m1, mm.x),
+  const std::vector<int> m1_g = ColsFor(m1, g), m1_x = ColsFor(m1, x),
                          m1_z = ColsFor(m1, block);
-  const std::vector<int> m2_g = ColsFor(m2, mm.g), m2_y = ColsFor(m2, mm.y),
+  const std::vector<int> m2_g = ColsFor(m2, g), m2_y = ColsFor(m2, y),
                          m2_z = ColsFor(m2, block);
   // contracts: allow(no-node-map) reference MM-step evaluator; keys are
   // variable-length Value tuples with no packed-key form yet (ROADMAP).
@@ -227,8 +186,8 @@ void EliminateMm(State* s, VarSet block, const MmExpr& mm,
                                         xkeys,
                     const std::vector<std::vector<Value>>& ykeys) {
       std::vector<Value> tuple(out_vars.size());
-      const std::vector<int> xv = mm.x.Members(), yv = mm.y.Members(),
-                             gv = mm.g.Members();
+      const std::vector<int> xv = x.Members(), yv = y.Members(),
+                             gv = g.Members();
       for (size_t i = 0; i < out_vars.size(); ++i) {
         const int v = out_vars[i];
         for (size_t j = 0; j < xv.size(); ++j) {
@@ -266,58 +225,7 @@ void EliminateMm(State* s, VarSet block, const MmExpr& mm,
     ++stats->mm_steps;
     stats->intermediate_tuples += static_cast<int64_t>(result.size());
   }
-
-  // Rebuild state exactly as the for-loop path does.
-  State next;
-  next.hg = s->hg.Eliminate(block);
-  // contracts: allow(no-node-map) schema-keyed relation pool, O(#edges)
-  // entries per elimination step.
-  std::map<VarSet, Relation> pool;
-  for (size_t e = 0; e < s->hg.edges().size(); ++e) {
-    if (s->hg.edges()[e].Intersects(block)) continue;
-    auto it = pool.find(s->hg.edges()[e]);
-    if (it == pool.end()) {
-      pool.emplace(s->hg.edges()[e], s->rels[e]);
-    } else {
-      it->second = Intersect(it->second, s->rels[e], ec);
-    }
-  }
-  const VarSet n = s->hg.N(block);
-  if (!n.empty()) {
-    auto it = pool.find(n);
-    if (it == pool.end()) {
-      pool.emplace(n, result);
-    } else {
-      it->second = Intersect(it->second, result, ec);
-    }
-  }
-  next.rels.clear();
-  for (const VarSet& e : next.hg.edges()) {
-    auto it = pool.find(e);
-    FMMSW_CHECK(it != pool.end());
-    next.rels.push_back(it->second);
-  }
-  if (result.empty()) next.definitely_empty = true;
-  *s = std::move(next);
-}
-
-/// kAuto: crude operation-count comparison between the for-loop join and
-/// the best MM option, using distinct-value counts as dimensions.
-StepMethod ChooseMethod(const State& s, VarSet block, const MmExpr& mm,
-                        const EliminationOptions& opts) {
-  if (mm.x.empty() || mm.y.empty()) return StepMethod::kForLoop;
-  int64_t total = 0;
-  for (int e : s.hg.IncidentEdges(block)) {
-    total += static_cast<int64_t>(s.rels[e].size());
-  }
-  // For-loop cost ~ product of two largest incident sizes (pessimistic),
-  // MM cost ~ square-blocked product of the distinct-count dimensions.
-  double forloop = static_cast<double>(total) * total;
-  double dim = std::max<double>(1.0, std::sqrt(static_cast<double>(total)));
-  double mm_cost = PredictedMmOps(static_cast<int64_t>(dim),
-                                  static_cast<int64_t>(dim),
-                                  static_cast<int64_t>(dim), opts.omega);
-  return mm_cost < forloop ? StepMethod::kMm : StepMethod::kForLoop;
+  Advance(s, block, std::make_shared<const Relation>(std::move(result)), ec);
 }
 
 }  // namespace
@@ -329,7 +237,6 @@ EliminationPlan ForLoopPlan(const Hypergraph& h,
   for (int v : ord) {
     PlanStep step;
     step.block = VarSet::Singleton(v);
-    step.method = StepMethod::kForLoop;
     plan.steps.push_back(step);
   }
   return plan;
@@ -340,9 +247,7 @@ bool ExecutePlan(const Hypergraph& h, const QueryInput& db,
                  EliminationStats* stats, ExecContext* ctx) {
   ExecContext& ec = ExecContext::Resolve(ctx);
   FMMSW_CHECK(db.relations.size() == h.edges().size());
-  State s;
-  s.hg = h;
-  s.rels = db.relations.Materialize();
+  State s{h, db.relations};
   VarSet eliminated;
   for (const PlanStep& step : plan.steps) {
     ec.guard().Poll(FaultSite::kOps);  // elimination steps are the plan's morsels
@@ -351,11 +256,7 @@ bool ExecutePlan(const Hypergraph& h, const QueryInput& db,
     for (const Relation& r : s.rels) {
       if (r.empty()) return false;
     }
-    StepMethod method = step.method;
-    if (method == StepMethod::kAuto) {
-      method = ChooseMethod(s, step.block, step.mm, opts);
-    }
-    if (method == StepMethod::kMm) {
+    if (step.method == StepMethod::kMm) {
       EliminateMm(&s, step.block, step.mm, opts, stats, &ec);
     } else {
       EliminateForLoop(&s, step.block, stats, &ec);

@@ -8,13 +8,15 @@
 /// block away) or by a matrix multiplication MM((A\B)\G; (B\A)\G; X | G)
 /// over a chosen cover of the incident relations (Definition 4.5, executed
 /// as in Appendix E.6: group by G, multiply Boolean matrices indexed by the
-/// block values, keep non-zero entries).
+/// block values, keep non-zero entries). The state holds relation
+/// versions by pointer, starting from the input's own: a step shares the
+/// edges it does not touch and never copies an input.
 
 #include <string>
 #include <vector>
 
 #include "hypergraph/hypergraph.h"
-#include "mm/kernel.h"  // MmKernel / IndicatorProduct, shared by every engine
+#include "mm/kernel.h"
 #include "relation/relation.h"
 #include "width/mm_expr.h"
 
@@ -25,12 +27,11 @@ class ExecContext;
 enum class StepMethod {
   kForLoop,  ///< join incident relations, project the block away
   kMm,       ///< matrix multiplication per the step's MmExpr
-  kAuto,     ///< pick by the operation-count cost model at run time
 };
 
 struct PlanStep {
   VarSet block;
-  StepMethod method = StepMethod::kAuto;
+  StepMethod method = StepMethod::kForLoop;
   /// For kMm: the option to execute; mm.z must equal `block`.
   MmExpr mm;
 };
@@ -41,8 +42,6 @@ struct EliminationPlan {
 
 struct EliminationOptions {
   MmKernel kernel = MmKernel::kBoolean;
-  /// omega used by the kAuto cost model.
-  double omega = 2.8073549;  // log2 7
 };
 
 struct EliminationStats {

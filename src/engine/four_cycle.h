@@ -17,7 +17,7 @@
 ///    against the light 2-path set, so on adversarial instances the
 ///    measured exponent can exceed the Table 1 value.
 
-#include "engine/elimination.h"
+#include "mm/kernel.h"
 #include "relation/relation.h"
 
 namespace fmmsw {

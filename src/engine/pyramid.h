@@ -22,7 +22,7 @@
 /// QueryInput layout per Hypergraph::Pyramid(3): relations
 /// [R1(Y,X1), R2(Y,X2), R3(Y,X3), B(X1,X2,X3)].
 
-#include "engine/elimination.h"
+#include "mm/kernel.h"
 #include "relation/relation.h"
 
 namespace fmmsw {

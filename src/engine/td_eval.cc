@@ -1,6 +1,6 @@
 #include "engine/td_eval.h"
 
-#include <map>
+#include <memory>
 
 #include "core/exec_context.h"
 #include "engine/wcoj.h"
@@ -17,32 +17,17 @@ namespace {
 /// projection of the full join onto the bag) and O(N^{rho*(bag)}).
 Relation MaterializeBag(const Hypergraph& h, const QueryInput& db, VarSet bag,
                         ExecContext* ec) {
-  // Merge relations with the same projected schema by intersection so the
-  // sub-hypergraph's edges and relations stay aligned.
-  // contracts: allow(no-node-map) schema-keyed merge pool, O(#edges)
-  // entries per bag.
-  std::map<VarSet, Relation> by_schema;
+  Hypergraph sub = Hypergraph(h.num_vars(), h.names())
+                       .Eliminate(VarSet::Full(h.num_vars()) - bag);
+  QueryInput sub_db;
   for (size_t e = 0; e < h.edges().size(); ++e) {
     const VarSet overlap = h.edges()[e] & bag;
     if (overlap.empty()) continue;
-    Relation proj = Project(db.relations[e], bag, ec);
-    auto it = by_schema.find(overlap);
-    if (it == by_schema.end()) {
-      by_schema.emplace(overlap, std::move(proj));
-    } else {
-      it->second = Intersect(it->second, proj, ec);
-    }
+    AddBySchema(&sub, &sub_db.relations, overlap,
+                std::make_shared<const Relation>(
+                    Project(db.relations[e], bag, ec)),
+                ec);
   }
-  Hypergraph sub(h.num_vars(), h.names());
-  QueryInput sub_db;
-  // Restrict the vertex set to the bag by eliminating the complement.
-  sub = Hypergraph(h.num_vars(), h.names()).Eliminate(VarSet::Full(
-      h.num_vars()) - bag);
-  for (auto& [schema, rel] : by_schema) {
-    sub.AddEdge(schema);
-    sub_db.relations.push_back(std::move(rel));
-  }
-  FMMSW_CHECK(sub.edges().size() == sub_db.relations.size());
   return WcojJoin(sub, sub_db, bag, nullptr, ec);
 }
 

@@ -35,7 +35,7 @@
 /// The database layout follows Hypergraph::Triangle(): relations
 /// [R(X,Y), S(Y,Z), T(X,Z)] with X=0, Y=1, Z=2.
 
-#include "engine/elimination.h"
+#include "mm/kernel.h"
 #include "relation/relation.h"
 
 namespace fmmsw {

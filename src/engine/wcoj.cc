@@ -4,6 +4,7 @@
 #include <atomic>
 #include <bit>
 #include <cstdint>
+#include <utility>
 
 #include "core/exec_context.h"
 #include "relation/ops.h"
@@ -950,6 +951,19 @@ int64_t WcojCount(const Hypergraph& h, const QueryInput& db, ExecContext* ctx) {
     return h;
   });
   return total.load();
+}
+
+void AddBySchema(Hypergraph* h, RelationList* rels, VarSet schema,
+                 RelationPtr rel, ExecContext* ctx) {
+  FMMSW_CHECK(h->edges().size() == rels->size());
+  for (size_t e = 0; e < h->edges().size(); ++e) {
+    if (h->edges()[e] == schema) {
+      rels->Set(e, Intersect((*rels)[e], *rel, ctx));
+      return;
+    }
+  }
+  h->AddEdge(schema);
+  rels->push_back(std::move(rel));
 }
 
 }  // namespace fmmsw

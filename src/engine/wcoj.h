@@ -44,6 +44,13 @@ Relation WcojJoin(const Hypergraph& h, const QueryInput& db, VarSet output_vars,
 int64_t WcojCount(const Hypergraph& h, const QueryInput& db,
                   ExecContext* ctx = nullptr);
 
+/// Adds `rel` as the relation of edge `schema` to a query being assembled
+/// edge by edge (`rels` aligned with `h->edges()`). Hypergraph::AddEdge
+/// drops duplicate edges, so a schema already present is instead
+/// Intersected into that edge's relation. A linear scan over the edges.
+void AddBySchema(Hypergraph* h, RelationList* rels, VarSet schema,
+                 RelationPtr rel, ExecContext* ctx);
+
 }  // namespace fmmsw
 
 #endif  // FMMSW_ENGINE_WCOJ_H_

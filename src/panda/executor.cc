@@ -1,6 +1,8 @@
 #include "panda/executor.h"
 
 #include <cmath>
+#include <memory>
+#include <utility>
 
 #include "core/exec_context.h"
 #include "hypergraph/hypergraph.h"
@@ -22,44 +24,40 @@ uint64_t Key(VarSet given, VarSet total) {
 
 /// Tables currently associated with conditional terms. Several tables can
 /// share a key (e.g. the three Q_l tables of Figure 1 all sit on h(XYZ)).
-/// Keys are interned through the flat index into dense slots (was a
-/// std::map over std::pair keys). Stored tables are pinned for the
-/// lifetime of the map — the sort-order cache keys on their buffers.
+/// Keys are interned through the flat index into dense slots. Tables are
+/// shared versions: an atom or a re-conditioned table is stored by
+/// pointer, never copied.
 class TableMap {
  public:
-  void Add(VarSet given, VarSet total, Relation table) {
+  void Add(VarSet given, VarSet total, RelationPtr table) {
     const int slot = keys_.Intern(Key(given, total));
     if (slot == static_cast<int>(tables_.size())) tables_.emplace_back();
     tables_[slot].push_back(std::move(table));
   }
-  /// Last table registered for the key (the freshest derivation).
-  const Relation* Find(VarSet given, VarSet total) const {
+  void Add(VarSet given, VarSet total, Relation table) {
+    Add(given, total, std::make_shared<const Relation>(std::move(table)));
+  }
+  /// Last table registered for the key (the freshest derivation), or null.
+  RelationPtr Find(VarSet given, VarSet total) const {
     const int slot = keys_.Find(Key(given, total));
     if (slot < 0 || tables_[slot].empty()) return nullptr;
-    return &tables_[slot].back();
+    return tables_[slot].back();
   }
-  Relation Pop(VarSet given, VarSet total) {
-    const int slot = keys_.Find(Key(given, total));
-    FMMSW_CHECK(slot >= 0 && !tables_[slot].empty());
-    Relation out = std::move(tables_[slot].back());
-    tables_[slot].pop_back();
-    return out;
-  }
-  const std::vector<Relation>* All(VarSet given, VarSet total) const {
+  const std::vector<RelationPtr>* All(VarSet given, VarSet total) const {
     const int slot = keys_.Find(Key(given, total));
     return slot < 0 ? nullptr : &tables_[slot];
   }
 
  private:
   FlatInterner keys_;
-  std::vector<std::vector<Relation>> tables_;
+  std::vector<std::vector<RelationPtr>> tables_;
 };
 
-/// Finds an input relation with exactly the given schema.
-const Relation* AtomWithSchema(const Hypergraph& h, const QueryInput& db,
-                               VarSet schema) {
+/// The input relation with exactly the given schema, or null.
+RelationPtr AtomWithSchema(const Hypergraph& h, const QueryInput& db,
+                           VarSet schema) {
   for (size_t e = 0; e < h.edges().size(); ++e) {
-    if (h.edges()[e] == schema) return &db.relations[e];
+    if (h.edges()[e] == schema) return db.relations.ptr(e);
   }
   return nullptr;
 }
@@ -72,19 +70,14 @@ bool ExecuteProofSequence(const Hypergraph& h, const QueryInput& db,
                           MmKernel kernel, PandaStats* stats,
                           ExecContext* ctx) {
   ExecContext& ec = ExecContext::Resolve(ctx);
-  // Tables live in the TableMap for the whole execution, so repeated
-  // decompositions of the same table can reuse its grouping sort order
-  // through the context's arena (the order depends on (table, X, Y) but
-  // not on the threshold).
-  ExecContext::SortOrderScope sort_scope(ec);
   TableMap tables;
   // RHS terms start as the input atoms (Theorem E.10's initial
   // association). Unconditional terms must match an atom schema.
   for (const CondTerm& t : ineq.rhs) {
-    const Relation* atom = AtomWithSchema(h, db, t.x | t.y);
+    RelationPtr atom = AtomWithSchema(h, db, t.x | t.y);
     FMMSW_CHECK(atom != nullptr &&
                 "RHS term does not correspond to an input atom");
-    tables.Add(t.x, t.x | t.y, *atom);
+    tables.Add(t.x, t.x | t.y, std::move(atom));
   }
 
   for (const ProofStep& s : seq.steps) {
@@ -94,7 +87,7 @@ bool ExecuteProofSequence(const Hypergraph& h, const QueryInput& db,
     switch (s.kind) {
       case ProofStepKind::kDecomposition: {
         // h(c,x,y): partition the table on deg(y | c x) at the threshold.
-        const Relation* t = tables.Find(s.c, s.c | s.x | s.y);
+        const RelationPtr t = tables.Find(s.c, s.c | s.x | s.y);
         FMMSW_CHECK(t != nullptr);
         auto part = PartitionByDegree(*t, s.y, s.c | s.x, threshold, &ec);
         if (stats != nullptr) ++stats->partitions;
@@ -103,8 +96,8 @@ bool ExecuteProofSequence(const Hypergraph& h, const QueryInput& db,
         break;
       }
       case ProofStepKind::kComposition: {
-        const Relation* a = tables.Find(s.c, s.c | s.x);
-        const Relation* b = tables.Find(s.c | s.x, s.c | s.x | s.y);
+        const RelationPtr a = tables.Find(s.c, s.c | s.x);
+        const RelationPtr b = tables.Find(s.c | s.x, s.c | s.x | s.y);
         FMMSW_CHECK(a != nullptr && b != nullptr);
         // The composed table is the join; but compositions consuming a
         // *heavy projection* table must instead join the light table's
@@ -117,7 +110,7 @@ bool ExecuteProofSequence(const Hypergraph& h, const QueryInput& db,
         break;
       }
       case ProofStepKind::kMonotonicity: {
-        const Relation* t = tables.Find(s.c, s.c | s.x | s.y);
+        const RelationPtr t = tables.Find(s.c, s.c | s.x | s.y);
         FMMSW_CHECK(t != nullptr);
         tables.Add(s.c, s.c | s.x, Project(*t, s.c | s.x, &ec));
         break;
@@ -125,9 +118,9 @@ bool ExecuteProofSequence(const Hypergraph& h, const QueryInput& db,
       case ProofStepKind::kSubmodularity: {
         // Re-conditioning only: the same tuples witness the weaker bound
         // h(y | c z) <= h(y | c).
-        const Relation* t = tables.Find(s.c, s.c | s.y);
+        RelationPtr t = tables.Find(s.c, s.c | s.y);
         FMMSW_CHECK(t != nullptr);
-        tables.Add(s.c | s.z, s.c | s.z | s.y, *t);
+        tables.Add(s.c | s.z, s.c | s.z | s.y, std::move(t));
         break;
       }
     }
@@ -146,10 +139,10 @@ bool ExecuteProofSequence(const Hypergraph& h, const QueryInput& db,
         filters.push_back(&db.relations[e]);
       }
     }
-    for (const Relation& p : *all) {
+    for (const RelationPtr& p : *all) {
       ec.guard().Poll(FaultSite::kPanda);
       if (stats != nullptr) ++stats->plain_tables;
-      if (!SemijoinAll(p, filters, &ec).empty()) return true;
+      if (!SemijoinAll(*p, filters, &ec).empty()) return true;
     }
   }
 
@@ -160,9 +153,9 @@ bool ExecuteProofSequence(const Hypergraph& h, const QueryInput& db,
     ec.guard().Poll(FaultSite::kPanda);
     FMMSW_CHECK(t.g.empty() &&
                 "executor scope: group-by-free MM groups (Figure 1 class)");
-    const Relation* rxy = AtomWithSchema(h, db, t.x | t.y);
-    const Relation* ryz = AtomWithSchema(h, db, t.y | t.z);
-    const Relation* rxz = AtomWithSchema(h, db, t.x | t.z);
+    const RelationPtr rxy = AtomWithSchema(h, db, t.x | t.y);
+    const RelationPtr ryz = AtomWithSchema(h, db, t.y | t.z);
+    const RelationPtr rxz = AtomWithSchema(h, db, t.x | t.z);
     FMMSW_CHECK(rxy != nullptr && ryz != nullptr && rxz != nullptr &&
                 "executor scope: MM group must align with binary atoms");
     // A dimension with a zero coefficient (e.g. zeta = 0 at omega = 2) has
@@ -170,12 +163,12 @@ bool ExecuteProofSequence(const Hypergraph& h, const QueryInput& db,
     Relation all_x = Project(*rxy, t.x, &ec);
     Relation all_y = Project(*rxy, t.y, &ec);
     Relation all_z = Project(*ryz, t.z, &ec);
-    const Relation* hx = tables.Find(VarSet::Empty(), t.x);
-    const Relation* hy = tables.Find(VarSet::Empty(), t.y);
-    const Relation* hz = tables.Find(VarSet::Empty(), t.z);
-    if (hx == nullptr) hx = &all_x;
-    if (hy == nullptr) hy = &all_y;
-    if (hz == nullptr) hz = &all_z;
+    const RelationPtr heavy_x = tables.Find(VarSet::Empty(), t.x);
+    const RelationPtr heavy_y = tables.Find(VarSet::Empty(), t.y);
+    const RelationPtr heavy_z = tables.Find(VarSet::Empty(), t.z);
+    const Relation* hx = heavy_x ? heavy_x.get() : &all_x;
+    const Relation* hy = heavy_y ? heavy_y.get() : &all_y;
+    const Relation* hz = heavy_z ? heavy_z.get() : &all_z;
     if (stats != nullptr) ++stats->mm_executed;
     Relation m1 = SemijoinAll(*rxy, {hx, hy}, &ec);
     Relation m2 = SemijoinAll(*ryz, {hy, hz}, &ec);

@@ -14,9 +14,13 @@
 /// Figure 1 in particular). PandaTriangleBoolean is the end-to-end
 /// instantiation: it *derives* the Figure-1 algorithm from
 /// TriangleInequality + TriangleProofSequence instead of hard-coding it.
+///
+/// Tables are shared relation versions: the input atoms and re-conditioned
+/// (submodularity) tables are held by pointer, and only partitions, joins
+/// and projections build new relations.
 
-#include "engine/elimination.h"
 #include "hypergraph/hypergraph.h"
+#include "mm/kernel.h"
 #include "panda/proof.h"
 #include "relation/relation.h"
 
@@ -33,10 +37,7 @@ struct PandaStats {
 
 /// Executes the proof sequence for the inequality on the database.
 /// `threshold` is the heavy/light degree threshold Delta (Figure 1 uses
-/// Delta = N^{(w-1)/(w+1)}). Returns the Boolean query answer. Runs under
-/// an ExecContext::SortOrderScope: decomposition steps re-partitioning a
-/// table already held by the executor reuse its grouping sort order from
-/// the context's arena.
+/// Delta = N^{(w-1)/(w+1)}). Returns the Boolean query answer.
 bool ExecuteProofSequence(const Hypergraph& h, const QueryInput& db,
                           const OmegaShannonInequality& ineq,
                           const ProofSequence& seq, int64_t threshold,

@@ -31,11 +31,7 @@ bool IsStoredBinary(const Relation& r) {
 /// the wide-key layer (relation/row_sort.h): the (X, Y) columns pack into
 /// 1..8 order-preserving uint64 words with the row index as a payload
 /// word, sorted by stable LSD radix on the context's pool and arena —
-/// no comparator fallback for 3+ grouping columns anymore, which is also
-/// what the PANDA executor's sort-order cache fills run through. Inside a
-/// SortOrderScope the computed order is cached per (buffer, rows, X, Y)
-/// and reused (the order is threshold-independent, so proof-sequence
-/// steps re-partitioning the same pinned table skip the sort entirely).
+/// no comparator fallback for 3+ grouping columns.
 struct GroupedOrder {
   std::vector<int> xcols, ycols;
   std::vector<uint32_t> order;
@@ -46,22 +42,9 @@ struct GroupedOrder {
     for (int v : ((y - x) & r.schema()).Members()) {
       ycols.push_back(r.ColumnOf(v));
     }
-    const void* key_data = r.empty() ? nullptr : r.Row(0);
-    if (ctx != nullptr && ctx->sort_cache_active()) {
-      const std::vector<uint32_t>* cached =
-          ctx->FindSortOrder(key_data, r.size(), x.mask(), y.mask());
-      if (cached != nullptr) {
-        Bump(ctx->stats().sort_order_hits);
-        order = *cached;
-        return;
-      }
-    }
     std::vector<int> cols = xcols;
     cols.insert(cols.end(), ycols.begin(), ycols.end());
     SortedRowOrder(r, cols, ExecContext::Resolve(ctx), &order);
-    if (ctx != nullptr && ctx->sort_cache_active()) {
-      ctx->StoreSortOrder(key_data, r.size(), x.mask(), y.mask(), order);
-    }
   }
 
   bool SameX(const Relation& r, uint32_t a, uint32_t b) const {

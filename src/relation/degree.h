@@ -40,10 +40,8 @@ struct ValueDegree {
 /// catalog version is kept) with Y covering its other column is counted
 /// without a sort: degrees are run lengths when `x` is the first column,
 /// and occurrence counts in a dense array when it is the second and its
-/// value range is at most 4 values per row. That path does not fill the
-/// ExecContext::SortOrderScope cache. Any other input is grouped by the
-/// sort PartitionByDegree(r, y, {x}, ...) uses, so inside an active scope
-/// a partition after the profile skips its sort.
+/// value range is at most 4 values per row. Any other input is grouped by
+/// the sort PartitionByDegree(r, y, {x}, ...) uses.
 std::vector<ValueDegree> DegreeProfile(const Relation& r, VarSet y, int x,
                                        ExecContext* ctx = nullptr);
 
@@ -56,12 +54,8 @@ struct DegreePartition {
   Relation light;
 };
 
-/// Splits R on deg(Y|X) at `threshold`. The grouping sort order depends
-/// only on (R, X, Y), not on the threshold: within an active
-/// ExecContext::SortOrderScope the order is cached and reused across
-/// repeated partitions of the same pinned relation (the PANDA executor's
-/// proof-sequence steps), and the packed-key sort borrows the context's
-/// scratch arena instead of allocating.
+/// Splits R on deg(Y|X) at `threshold`. The packed-key grouping sort
+/// borrows the context's scratch arena instead of allocating.
 DegreePartition PartitionByDegree(const Relation& r, VarSet y, VarSet x,
                                   int64_t threshold,
                                   ExecContext* ctx = nullptr);

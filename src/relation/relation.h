@@ -177,15 +177,6 @@ class RelationList {
   void clear() { ptrs_.clear(); }
   void reserve(size_t n) { ptrs_.reserve(n); }
 
-  /// Deep copy into plain mutable relations (engine-local scratch that
-  /// needs to edit rows in place, e.g. variable elimination state).
-  std::vector<Relation> Materialize() const {
-    std::vector<Relation> out;
-    out.reserve(ptrs_.size());
-    for (const RelationPtr& p : ptrs_) out.push_back(*p);
-    return out;
-  }
-
   /// Forward iterator yielding `const Relation&` so range-for over a
   /// binding reads like iteration over a vector of relations.
   class const_iterator {

@@ -20,9 +20,11 @@
 #include "engine/triangle.h"
 #include "engine/wcoj.h"
 #include "gtest/gtest.h"
+#include "hypergraph/decomposition.h"
 #include "relation/degree.h"
 #include "relation/generators.h"
 #include "relation/ops.h"
+#include "width/emm.h"
 
 namespace fmmsw {
 namespace {
@@ -207,6 +209,58 @@ TEST(EliminationTest, StrassenKernelMatchesBoolean) {
   strassen_opts.kernel = MmKernel::kStrassen;
   EXPECT_EQ(ExecutePlan(h, db, plan, bool_opts),
             ExecutePlan(h, db, plan, strassen_opts));
+}
+
+// Every generalized elimination order of every query class, on planted
+// and unplanted instances: all-for-loop blocks, then each MM option of the
+// first block as a kMm step with for-loops after it; plus the TD plan
+// along every canonical tree decomposition. Brute force is the oracle.
+TEST(EliminationTest, EveryOrderAndTdMatchesBruteForce) {
+  Hypergraph path(4), star(4);
+  for (VarSet e : {VarSet{0, 1}, VarSet{1, 2}, VarSet{2, 3}}) path.AddEdge(e);
+  for (VarSet e : {VarSet{0, 1}, VarSet{0, 2}, VarSet{0, 3}}) star.AddEdge(e);
+  const Hypergraph queries[] = {
+      Hypergraph::Triangle(),       Hypergraph::Cycle(4),
+      Hypergraph::Cycle(5),         Hypergraph::Pyramid(3),
+      Hypergraph::Clique(4),        Hypergraph::DoubleTriangle(),
+      Hypergraph::LemmaC15(),       path,
+      star};
+  for (const Hypergraph& h : queries) {
+    // Dense unplanted, sparse unplanted and sparse planted instances; the
+    // three together must give both answers.
+    bool answers[2] = {false, false};
+    for (int regime = 0; regime < 3; ++regime) {
+      WorkloadOptions opts;
+      opts.tuples_per_relation = regime == 0 ? 12 : 6;
+      opts.domain = regime == 0 ? 4 : 200;
+      opts.plant_witness = regime == 2;
+      opts.seed = 200 + regime;
+      const QueryInput db = MakeWorkload(h, opts);
+      const bool expect = BruteForceBoolean(h, db);
+      answers[expect] = true;
+      const std::string where = h.ToString() + " regime=" +
+                                std::to_string(regime);
+      for (const Gveo& gveo : AllGveos(h)) {
+        EliminationPlan plan;
+        for (VarSet block : gveo.blocks) {
+          PlanStep step;
+          step.block = block;
+          plan.steps.push_back(step);
+        }
+        EXPECT_EQ(ExecutePlan(h, db, plan), expect) << where;
+        for (const MmExpr& mm : EnumerateMmOptions(h, gveo.blocks[0])) {
+          plan.steps[0].method = StepMethod::kMm;
+          plan.steps[0].mm = mm;
+          EXPECT_EQ(ExecutePlan(h, db, plan), expect)
+              << where << " mm=" << mm.ToString(&h.names());
+        }
+      }
+      for (const TreeDecomposition& td : EnumerateTds(h)) {
+        EXPECT_EQ(TdBoolean(h, db, td), expect) << where;
+      }
+    }
+    EXPECT_TRUE(answers[0] && answers[1]) << h.ToString();
+  }
 }
 
 // ---------------------------------------------------------- triangle ----

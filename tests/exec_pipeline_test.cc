@@ -690,33 +690,6 @@ TEST(WcojLeafBitmapTest, CounterMarksDensePyramidNotSparseZipf) {
   EXPECT_EQ(zipf_ec.stats().wcoj_leaf_bitmaps.load(), 0);
 }
 
-// --------------------------------------------------- sort-order cache ----
-
-TEST(ExecContextTest, SortOrderCacheReusedAcrossPartitions) {
-  Rng rng(31);
-  Relation r = UniformRelation(VarSet{0, 1}, 500, 40, &rng);
-  ExecContext ec(1);
-  DegreePartition no_cache2 = PartitionByDegree(r, VarSet{1}, VarSet{0}, 2);
-  DegreePartition no_cache9 = PartitionByDegree(r, VarSet{1}, VarSet{0}, 9);
-  {
-    ExecContext::SortOrderScope scope(ec);
-    DegreePartition p2 = PartitionByDegree(r, VarSet{1}, VarSet{0}, 2, &ec);
-    // Second partition of the same pinned relation: different threshold,
-    // same grouping order — served from the cache.
-    DegreePartition p9 = PartitionByDegree(r, VarSet{1}, VarSet{0}, 9, &ec);
-    EXPECT_GE(ec.stats().sort_order_hits.load(), 1);
-    EXPECT_EQ(Rows(Sorted(p2.heavy)), Rows(Sorted(no_cache2.heavy)));
-    EXPECT_EQ(Rows(Sorted(p2.light)), Rows(Sorted(no_cache2.light)));
-    EXPECT_EQ(Rows(Sorted(p9.heavy)), Rows(Sorted(no_cache9.heavy)));
-    EXPECT_EQ(Rows(Sorted(p9.light)), Rows(Sorted(no_cache9.light)));
-  }
-  // Outside the scope the cache is inert.
-  const int64_t hits = ec.stats().sort_order_hits.load();
-  PartitionByDegree(r, VarSet{1}, VarSet{0}, 2, &ec);
-  PartitionByDegree(r, VarSet{1}, VarSet{0}, 2, &ec);
-  EXPECT_EQ(ec.stats().sort_order_hits.load(), hits);
-}
-
 // ------------------------------------------------------- radix sorting ---
 
 TEST(RadixSortTest, LargeSortAndDedupeMatchesReference) {

@@ -180,10 +180,10 @@ TEST(ExecutorTest, FlatInternedDimensionsHandleExtremeValues) {
   }
 }
 
-TEST(ExecutorTest, ProofSequenceRunsUnderSortOrderScope) {
-  // The executor opens an ExecContext::SortOrderScope; repeated executions
-  // on the same context must not leak cache state across calls (each call
-  // clears the cache on entry and exit).
+TEST(ExecutorTest, RepeatedExecutionsOnOneContextAgree) {
+  // Repeated executions on the same context share its stats and arenas
+  // but no other state: every call gives the same answer and partitions
+  // afresh.
   WorkloadOptions opts;
   opts.kind = WorkloadKind::kZipf;
   opts.tuples_per_relation = 200;

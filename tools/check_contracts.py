@@ -63,9 +63,8 @@ comments and PR descriptions. This linter turns them into build failures
                       itself clean today; the carve-out exists so a
                       future in-place compaction under the catalog lock
                       lands in the one file the reviewers watch). Code
-                      that needs a mutable copy takes one:
-                      RelationList::Materialize() or Relation's copy
-                      constructor.
+                      that needs a mutable copy takes one with
+                      Relation's copy constructor.
 
   fault-site-coverage Every site tag registered in kFaultSiteNames
                       (core/exec_context.cc) must appear at >= 1
@@ -368,8 +367,8 @@ def check_catalog_mutation(text, path):
             violations.append(Violation(
                 "no-catalog-mutation", path, i,
                 f"{m.group(0).strip()!r} mutates a published relation "
-                "version; registered versions are immutable (copy via "
-                "RelationList::Materialize() instead, or move the code "
+                "version; registered versions are immutable (copy with "
+                "Relation's copy constructor instead, or move the code "
                 "into core/database.cc under the catalog lock)"))
     return violations
 
