@@ -2,18 +2,15 @@
 //   (1) LP backend: double simplex vs exact rational (value agreement and
 //       cost of exactness);
 //   (2) MM off (omega = 3) vs on: w-subw collapses to subw (Prop. 4.10);
-//   (3) branch-and-bound vs coordinate-ascent-only on the width search;
-//   (4) MM kernel choice inside the triangle algorithm.
+//   (3) branch-and-bound vs coordinate-ascent-only on the width search.
 
 #include <cstdio>
 #include <functional>
 
 #include "bench_util.h"
-#include "engine/triangle.h"
 #include "entropy/polymatroid.h"
 #include "hypergraph/hypergraph.h"
 #include "lp/simplex.h"
-#include "relation/generators.h"
 #include "util/stopwatch.h"
 #include "width/omega_subw.h"
 #include "width/subw.h"
@@ -72,29 +69,6 @@ void SearchAblation() {
   }
 }
 
-void KernelAblation() {
-  std::printf("\n");
-  bench::Header("Ablation 4: MM kernel inside the triangle hybrid");
-  WorkloadOptions opts;
-  opts.kind = WorkloadKind::kZipf;
-  opts.tuples_per_relation = 32000;
-  opts.domain = 8000;
-  opts.seed = 5;
-  QueryInput db = MakeWorkload(Hypergraph::Triangle(), opts);
-  auto time_it = [&](MmKernel kernel, double omega) {
-    Stopwatch sw;
-    bool sink = TriangleMm(db, omega, kernel);
-    (void)sink;
-    return sw.Seconds();
-  };
-  bench::Row("boolean bit-packed", "-",
-             bench::Fmt(time_it(MmKernel::kBoolean, 2.371552)) + " s");
-  bench::Row("strassen (w=log2 7)", "-",
-             bench::Fmt(time_it(MmKernel::kStrassen, 2.8073549)) + " s");
-  bench::Row("naive cubic", "-",
-             bench::Fmt(time_it(MmKernel::kNaive, 3.0)) + " s");
-}
-
 }  // namespace
 }  // namespace fmmsw
 
@@ -102,6 +76,5 @@ int main() {
   fmmsw::LpBackendAblation();
   fmmsw::OmegaThreeCollapse();
   fmmsw::SearchAblation();
-  fmmsw::KernelAblation();
   return 0;
 }

@@ -15,7 +15,6 @@
 #include "mm/kernel.h"
 #include "mm/matrix.h"
 #include "util/random.h"
-#include "util/stopwatch.h"
 
 namespace fmmsw {
 namespace {
@@ -39,15 +38,21 @@ Matrix RandomIndicator(int rows, int cols, double density, Rng* rng) {
   return m;
 }
 
-double TimeKernel(const std::function<Matrix()>& f, int reps,
-                  const Matrix& expect) {
-  FMMSW_CHECK(f() == expect);  // verify once, untimed
-  Stopwatch sw;
-  for (int i = 0; i < reps; ++i) {
+/// Verifies f() against `expect` once, untimed, then samples it.
+bench::Timing SampleVerified(ExecContext& ec, const std::function<Matrix()>& f,
+                             const Matrix& expect) {
+  FMMSW_CHECK(f() == expect);
+  return bench::Sample(ec, [&] {
     Matrix m = f();
     if (m.rows() < 0) std::abort();  // keep the product alive
-  }
-  return sw.Seconds() / reps;
+  });
+}
+
+/// Mean mm_pack_ns per call since `pack0`, in ms, over one SampleVerified
+/// (the verification call plus the protocol's calls).
+double PackMsPerCall(const ExecContext& ec, int64_t pack0) {
+  return static_cast<double>(ec.stats().mm_pack_ns.load() - pack0) * 1e-6 /
+         (1 + bench::kWarmups + bench::kSamples);
 }
 
 void Run() {
@@ -56,12 +61,12 @@ void Run() {
   ExecContext ec;
   std::printf("active SIMD level: %s (FMMSW_SIMD overrides)\n",
               SimdLevelName(ActiveSimdLevel()));
+  std::printf("median ms per product:\n");
   std::printf("%6s %12s %12s %12s %12s %12s %12s\n", "n", "gemm_scalar",
               "gemm_simd", "strassen", "rect_wide", "bitsliced",
               "bitmatrix");
   for (int n : {128, 256, 512}) {
     if (!bench::StepEnabled(n)) continue;
-    const int reps = n <= 256 ? 5 : 2;
     Rng rng(17);
     Matrix a = RandomMatrix(n, n, &rng), b = RandomMatrix(n, n, &rng);
     const Matrix ref = MultiplyNaive(a, b);
@@ -77,27 +82,28 @@ void Run() {
                 n, n, &ec, &pack);
       return out;
     };
-    const double t_scalar =
-        TimeKernel([&] { return gemm_at(SimdLevel::kScalar); }, reps, ref);
-    double t_simd = -1.0;
-    if (MaxSimdLevel() != SimdLevel::kScalar) {
-      t_simd =
-          TimeKernel([&] { return gemm_at(SimdLevel::kAvx2); }, reps, ref);
+    const bench::Timing t_scalar = SampleVerified(
+        ec, [&] { return gemm_at(SimdLevel::kScalar); }, ref);
+    const bool has_simd = MaxSimdLevel() != SimdLevel::kScalar;
+    bench::Timing t_simd;
+    if (has_simd) {
+      t_simd = SampleVerified(
+          ec, [&] { return gemm_at(SimdLevel::kAvx2); }, ref);
     }
     // Sub-n cutoff so the strassen column always exercises the recursion
     // (AddInto/Accumulate + pow2 embedding); with the production default
     // of kMmDefaultCutoff the n <= 256 sizes would collapse to a single
     // micro-kernel call and duplicate the gemm columns.
-    const double t_strassen = TimeKernel(
-        [&] { return MultiplyStrassen(a, b, 64, &ec); }, reps, ref);
+    const bench::Timing t_strassen = SampleVerified(
+        ec, [&] { return MultiplyStrassen(a, b, 64, &ec); }, ref);
 
     // Rectangular n x sqrt(n) x n — the Eq. (6) wide shape.
     const int mid = static_cast<int>(std::sqrt(static_cast<double>(n)));
     Matrix wa = RandomMatrix(n, mid, &rng), wb = RandomMatrix(mid, n, &rng);
     const Matrix wref = MultiplyNaive(wa, wb);
-    const double t_rect = TimeKernel(
-        [&] { return MultiplyRectangular(wa, wb, kMmDefaultCutoff, &ec); },
-        reps, wref);
+    const bench::Timing t_rect = SampleVerified(
+        ec, [&] { return MultiplyRectangular(wa, wb, kMmDefaultCutoff, &ec); },
+        wref);
 
     // 0/1 counting product: bit-sliced vs the same product through the
     // int64 micro-kernel path (the cost it removes). The mm_pack_ns delta
@@ -106,11 +112,9 @@ void Run() {
     Matrix ib = RandomIndicator(n, n, 0.3, &rng);
     const Matrix iref = MultiplyNaive(ia, ib);
     const int64_t pack0 = ec.stats().mm_pack_ns.load();
-    const double t_bits = TimeKernel(
-        [&] { return MultiplyBitSliced(ia, ib, &ec); }, reps, iref);
-    const double t_bits_pack =
-        static_cast<double>(ec.stats().mm_pack_ns.load() - pack0) * 1e-9 /
-        (reps + 1);  // TimeKernel runs one extra verification call
+    const bench::Timing t_bits = SampleVerified(
+        ec, [&] { return MultiplyBitSliced(ia, ib, &ec); }, iref);
+    const double bits_pack_ms = PackMsPerCall(ec, pack0);
     BitMatrix ba(n, n), bb(n, n);
     for (int i = 0; i < n; ++i) {
       for (int j = 0; j < n; ++j) {
@@ -118,28 +122,27 @@ void Run() {
         if (ib.At(i, j) != 0) bb.Set(i, j);
       }
     }
-    Stopwatch sw;
-    for (int r = 0; r < reps; ++r) {
+    const bench::Timing t_bool = bench::Sample(ec, [&] {
       BitMatrix bm = BitMatrix::Multiply(ba, bb, &ec);
       if (bm.rows() < 0) std::abort();
-    }
-    const double t_bool = sw.Seconds() / reps;
+    });
 
     char simd_col[16];
-    if (t_simd >= 0) {
-      std::snprintf(simd_col, sizeof(simd_col), "%12.5f", t_simd);
+    if (has_simd) {
+      std::snprintf(simd_col, sizeof(simd_col), "%12.3f", t_simd.median_ms);
     } else {
       std::snprintf(simd_col, sizeof(simd_col), "%12s", "n/a");
     }
-    std::printf("%6d %12.5f %s %12.5f %12.5f %12.5f %12.5f\n", n, t_scalar,
-                simd_col, t_strassen, t_rect, t_bits, t_bool);
-    bench::Json("mm", n, "gemm_scalar", t_scalar * 1e3);
-    if (t_simd >= 0) bench::Json("mm", n, "gemm_simd", t_simd * 1e3);
-    bench::Json("mm", n, "strassen", t_strassen * 1e3);
-    bench::Json("mm", n, "rect_wide", t_rect * 1e3);
-    bench::Json("mm", n, "bitsliced", t_bits * 1e3);
-    bench::Json("mm", n, "bitsliced_pack", t_bits_pack * 1e3);
-    bench::Json("mm", n, "bitmatrix", t_bool * 1e3);
+    std::printf("%6d %12.3f %s %12.3f %12.3f %12.3f %12.3f\n", n,
+                t_scalar.median_ms, simd_col, t_strassen.median_ms,
+                t_rect.median_ms, t_bits.median_ms, t_bool.median_ms);
+    bench::Json("mm", n, "gemm_scalar", t_scalar);
+    if (has_simd) bench::Json("mm", n, "gemm_simd", t_simd);
+    bench::Json("mm", n, "strassen", t_strassen);
+    bench::Json("mm", n, "rect_wide", t_rect);
+    bench::Json("mm", n, "bitsliced", t_bits);
+    bench::Json("mm", n, "bitsliced_pack", bits_pack_ms);
+    bench::Json("mm", n, "bitmatrix", t_bool);
   }
 
   // Pack-focused sweep at sizes where the B planes outgrow cache — the
@@ -153,16 +156,14 @@ void Run() {
     Matrix ia = RandomIndicator(n, n, 0.3, &rng);
     Matrix ib = RandomIndicator(n, n, 0.3, &rng);
     const Matrix ref = MultiplyBlocked(ia, ib, &ec);
-    const int reps = 2;
     const int64_t pack0 = ec.stats().mm_pack_ns.load();
-    const double t = TimeKernel(
-        [&] { return MultiplyBitSliced(ia, ib, &ec); }, reps, ref);
-    const double t_pack =
-        static_cast<double>(ec.stats().mm_pack_ns.load() - pack0) * 1e-9 /
-        (reps + 1);
-    std::printf("%6d bitsliced %10.5fs  pack %10.5fs\n", n, t, t_pack);
-    bench::Json("mm", n, "bitsliced_large", t * 1e3);
-    bench::Json("mm", n, "bitsliced_large_pack", t_pack * 1e3);
+    const bench::Timing t = SampleVerified(
+        ec, [&] { return MultiplyBitSliced(ia, ib, &ec); }, ref);
+    const double pack_ms = PackMsPerCall(ec, pack0);
+    std::printf("%6d bitsliced %10.3f ms  pack %10.3f ms\n", n, t.median_ms,
+                pack_ms);
+    bench::Json("mm", n, "bitsliced_large", t);
+    bench::Json("mm", n, "bitsliced_large_pack", pack_ms);
   }
 
   // Shape table: predicted block count * d^w vs Eq. (6) exponent.

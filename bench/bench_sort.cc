@@ -23,7 +23,6 @@
 #include "relation/relation.h"
 #include "relation/row_sort.h"
 #include "util/random.h"
-#include "util/stopwatch.h"
 
 namespace fmmsw {
 namespace {
@@ -87,16 +86,20 @@ std::vector<Value> ComparatorTrieBuild(const Relation& r) {
   return out;
 }
 
-double Time(const std::function<void()>& f, int reps) {
-  Stopwatch sw;
-  for (int i = 0; i < reps; ++i) f();
-  return sw.Seconds() / reps;
+void Report(const char* name, size_t n, const bench::Timing& cmp,
+            const bench::Timing& radix, const bench::Timing& mt) {
+  bench::Json(name, static_cast<long long>(n), "comparator", cmp);
+  bench::Json(name, static_cast<long long>(n), "radix", radix);
+  bench::Json(name, static_cast<long long>(n), "radix_mt4", mt);
+  std::printf("%-22s n=%8zu  comparator=%9.3fms  radix=%9.3fms (%4.1fx)"
+              "  mt4=%9.3fms\n",
+              name, n, cmp.median_ms, radix.median_ms,
+              cmp.median_ms / radix.median_ms, mt.median_ms);
 }
 
 void SweepConfig(int arity, size_t n, Value domain, const char* dtag) {
   Rng rng(17 + arity);
   const Relation input = RandomRows(arity, n, domain, &rng);
-  const int reps = n <= 100000 ? 5 : 2;
   ExecContext ec1(1), ec4(4);
   std::vector<int> cols(arity);
   for (int c = 0; c < arity; ++c) cols[c] = c;
@@ -111,35 +114,18 @@ void SweepConfig(int arity, size_t n, Value domain, const char* dtag) {
                                  check.Row(0) + check.size() * arity);
     FMMSW_CHECK(got == dd_ref);
   }
-  const double t_cmp = Time([&] { ComparatorSortDedupe(input); }, reps);
-  const int64_t s1 = ec1.stats().sort_ns.load();
-  const double t_radix = Time(
-      [&] {
-        Relation r = input;
-        r.SortAndDedupe(&ec1);
-      },
-      reps);
-  const double radix_sort_ms =
-      static_cast<double>(ec1.stats().sort_ns.load() - s1) * 1e-6 / reps;
-  const int64_t s4 = ec4.stats().sort_ns.load();
-  const double t_mt = Time(
-      [&] {
-        Relation r = input;
-        r.SortAndDedupe(&ec4);
-      },
-      reps);
-  const double mt_sort_ms =
-      static_cast<double>(ec4.stats().sort_ns.load() - s4) * 1e-6 / reps;
+  const bench::Timing cmp =
+      bench::Sample(ec1, [&] { ComparatorSortDedupe(input); });
+  const bench::Timing radix = bench::Sample(ec1, [&] {
+    Relation r = input;
+    r.SortAndDedupe(&ec1);
+  });
+  const bench::Timing mt = bench::Sample(ec4, [&] {
+    Relation r = input;
+    r.SortAndDedupe(&ec4);
+  });
   std::snprintf(name, sizeof(name), "dedupe_a%d_%s", arity, dtag);
-  bench::Json(name, static_cast<long long>(n), "comparator", t_cmp * 1e3);
-  bench::Json(name, static_cast<long long>(n), "radix", t_radix * 1e3, -1.0,
-              radix_sort_ms);
-  bench::Json(name, static_cast<long long>(n), "radix_mt4", t_mt * 1e3,
-              -1.0, mt_sort_ms);
-  std::printf("%-22s n=%8zu  comparator=%9.3fms  radix=%9.3fms (%4.1fx)"
-              "  mt4=%9.3fms\n",
-              name, n, t_cmp * 1e3, t_radix * 1e3, t_cmp / t_radix,
-              t_mt * 1e3);
+  Report(name, n, cmp, radix, mt);
 
   // ---- trie-build shape -------------------------------------------------
   const std::vector<Value> tb_ref = ComparatorTrieBuild(input);
@@ -150,35 +136,18 @@ void SweepConfig(int arity, size_t n, Value domain, const char* dtag) {
     SortProjectedRows(input, cols, ec4, &got);
     FMMSW_CHECK(got == tb_ref);
   }
-  const double b_cmp = Time([&] { ComparatorTrieBuild(input); }, reps);
-  const int64_t b1 = ec1.stats().sort_ns.load();
-  const double b_radix = Time(
-      [&] {
-        std::vector<Value> out;
-        SortProjectedRows(input, cols, ec1, &out);
-      },
-      reps);
-  const double b_radix_sort_ms =
-      static_cast<double>(ec1.stats().sort_ns.load() - b1) * 1e-6 / reps;
-  const int64_t b4 = ec4.stats().sort_ns.load();
-  const double b_mt = Time(
-      [&] {
-        std::vector<Value> out;
-        SortProjectedRows(input, cols, ec4, &out);
-      },
-      reps);
-  const double b_mt_sort_ms =
-      static_cast<double>(ec4.stats().sort_ns.load() - b4) * 1e-6 / reps;
+  const bench::Timing b_cmp =
+      bench::Sample(ec1, [&] { ComparatorTrieBuild(input); });
+  const bench::Timing b_radix = bench::Sample(ec1, [&] {
+    std::vector<Value> out;
+    SortProjectedRows(input, cols, ec1, &out);
+  });
+  const bench::Timing b_mt = bench::Sample(ec4, [&] {
+    std::vector<Value> out;
+    SortProjectedRows(input, cols, ec4, &out);
+  });
   std::snprintf(name, sizeof(name), "triebuild_a%d_%s", arity, dtag);
-  bench::Json(name, static_cast<long long>(n), "comparator", b_cmp * 1e3);
-  bench::Json(name, static_cast<long long>(n), "radix", b_radix * 1e3, -1.0,
-              b_radix_sort_ms);
-  bench::Json(name, static_cast<long long>(n), "radix_mt4", b_mt * 1e3,
-              -1.0, b_mt_sort_ms);
-  std::printf("%-22s n=%8zu  comparator=%9.3fms  radix=%9.3fms (%4.1fx)"
-              "  mt4=%9.3fms\n",
-              name, n, b_cmp * 1e3, b_radix * 1e3, b_cmp / b_radix,
-              b_mt * 1e3);
+  Report(name, n, b_cmp, b_radix, b_mt);
 }
 
 void Run() {

@@ -4,10 +4,12 @@
 /// \file
 /// Shared helpers for the table/figure reproduction binaries: uniform
 /// "paper=... ours=..." rows (the paper's value next to the measured one),
-/// log-log slope fitting for runtime shape checks, and a --json mode that
-/// emits one machine-readable line per measurement for BENCH_*.json
-/// trajectories.
+/// one timing protocol (Sample), log-log slope fitting with a confidence
+/// interval for runtime shape checks, the triangle sweeps' instance, and a
+/// --json mode that emits one machine-readable line per measurement for
+/// BENCH_*.json trajectories.
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -18,6 +20,7 @@
 #include <vector>
 
 #include "core/exec_context.h"
+#include "relation/generators.h"
 #include "util/stopwatch.h"
 
 namespace fmmsw {
@@ -26,7 +29,8 @@ namespace bench {
 /// Set by Init when the binary is invoked with --json.
 inline bool json_mode = false;
 
-/// Upper bound on the per-step instance size N; sweep loops skip larger
+/// Upper bound on a sweep step's size: for a query sweep, the instance's
+/// total tuple count N (QueryInput::TotalSize); sweep loops skip larger
 /// steps. Set with --max-n <N> (CI runs the benches at a small fixed N to
 /// record BENCH_*.json trajectories without paying full-sweep time).
 inline long long max_n = (1LL << 62);
@@ -80,32 +84,62 @@ inline void Json(const std::string& name, long long n,
   std::printf("%s}\n", line.c_str());
 }
 
-/// Times `reps` runs of f against `ec`, returning mean wall seconds and
-/// storing the mean per-rep aggregate phase milliseconds (the context's
-/// index_build_ns / sort_ns deltas; see Json above for the
-/// summed-across-workers caveat) in the non-null out-params — how the
-/// per-phase index-construction and sort-layer times are split out of the
-/// end-to-end numbers.
-inline double TimeWithPhases(ExecContext& ec, const std::function<bool()>& f,
-                             int reps, double* index_build_ms,
-                             double* sort_ms = nullptr) {
-  const int64_t ns0 = ec.stats().index_build_ns.load();
-  const int64_t sort0 = ec.stats().sort_ns.load();
-  Stopwatch sw;
-  bool sink = false;
-  for (int i = 0; i < reps; ++i) sink ^= f();
-  (void)sink;
-  const double wall = sw.Seconds() / reps;
-  if (index_build_ms != nullptr) {
-    *index_build_ms =
-        static_cast<double>(ec.stats().index_build_ns.load() - ns0) * 1e-6 /
-        reps;
+/// One sampled measurement: the median and quartiles of the timed calls'
+/// wall milliseconds, and the median per-call aggregate phase milliseconds
+/// (the context's index_build_ns / sort_ns deltas; see Json above for the
+/// summed-across-workers caveat).
+struct Timing {
+  double median_ms = 0, q1_ms = 0, q3_ms = 0;
+  double index_build_ms = 0, sort_ms = 0;
+};
+
+/// The one timing protocol: kWarmups untimed calls (arena growth, index
+/// caches, first-touch pages), then kSamples timed ones.
+constexpr int kWarmups = 1;
+constexpr int kSamples = 5;
+
+/// Linear-interpolated p-quantile of `v` (sorted in place).
+inline double Quantile(std::vector<double>& v, double p) {
+  std::sort(v.begin(), v.end());
+  const double pos = p * static_cast<double>(v.size() - 1);
+  const size_t lo = static_cast<size_t>(pos);
+  const size_t hi = std::min(lo + 1, v.size() - 1);
+  return v[lo] + (pos - static_cast<double>(lo)) * (v[hi] - v[lo]);
+}
+
+/// Runs f under the protocol above against `ec`.
+inline Timing Sample(ExecContext& ec, const std::function<void()>& f) {
+  for (int i = 0; i < kWarmups; ++i) f();
+  std::vector<double> wall, index_build, sort;
+  for (int i = 0; i < kSamples; ++i) {
+    const int64_t ib0 = ec.stats().index_build_ns.load();
+    const int64_t sort0 = ec.stats().sort_ns.load();
+    Stopwatch sw;
+    f();
+    wall.push_back(sw.Millis());
+    index_build.push_back(
+        static_cast<double>(ec.stats().index_build_ns.load() - ib0) * 1e-6);
+    sort.push_back(static_cast<double>(ec.stats().sort_ns.load() - sort0) *
+                   1e-6);
   }
-  if (sort_ms != nullptr) {
-    *sort_ms =
-        static_cast<double>(ec.stats().sort_ns.load() - sort0) * 1e-6 / reps;
-  }
-  return wall;
+  Timing t;
+  t.q1_ms = Quantile(wall, 0.25);
+  t.median_ms = Quantile(wall, 0.5);
+  t.q3_ms = Quantile(wall, 0.75);
+  t.index_build_ms = Quantile(index_build, 0.5);
+  t.sort_ms = Quantile(sort, 0.5);
+  return t;
+}
+
+/// A measurement line for a sampled Timing: wall_ms is the median, and
+/// iqr_ms = q3 - q1 its spread.
+inline void Json(const std::string& name, long long n,
+                 const std::string& kernel, const Timing& t,
+                 const std::string& extra = "") {
+  char iqr[48];
+  std::snprintf(iqr, sizeof(iqr), "\"iqr_ms\":%.6f", t.q3_ms - t.q1_ms);
+  Json(name, n, kernel, t.median_ms, t.index_build_ms, t.sort_ms,
+       extra.empty() ? std::string(iqr) : std::string(iqr) + "," + extra);
 }
 
 inline void Header(const std::string& title) {
@@ -124,19 +158,78 @@ inline std::string Fmt(double v) {
   return buf;
 }
 
-/// Least-squares slope of log(time) vs log(n) — the measured exponent.
-inline double FitSlope(const std::vector<double>& ns,
-                       const std::vector<double>& ts) {
-  double sx = 0, sy = 0, sxx = 0, sxy = 0;
-  const int n = static_cast<int>(ns.size());
+/// A fitted log-log slope — the measured exponent — with the half-width
+/// of its 95% confidence interval. Both are NaN below 3 points, where the
+/// interval has no degrees of freedom.
+struct Fit {
+  double slope = NAN, ci95 = NAN;
+  int points = 0;
+};
+
+/// Least-squares slope of log(time) vs log(n), with ci95 = t(0.975, n-2)
+/// times the slope's standard error.
+inline Fit FitSlope(const std::vector<double>& ns,
+                    const std::vector<double>& ts) {
+  Fit fit;
+  fit.points = static_cast<int>(ns.size());
+  const int n = fit.points;
+  if (n < 3) return fit;
+  double mx = 0, my = 0;
   for (int i = 0; i < n; ++i) {
-    const double x = std::log(ns[i]), y = std::log(ts[i]);
-    sx += x;
-    sy += y;
-    sxx += x * x;
-    sxy += x * y;
+    mx += std::log(ns[i]) / n;
+    my += std::log(ts[i]) / n;
   }
-  return (n * sxy - sx * sy) / (n * sxx - sx * sx);
+  double sxx = 0, sxy = 0;
+  for (int i = 0; i < n; ++i) {
+    const double dx = std::log(ns[i]) - mx, dy = std::log(ts[i]) - my;
+    sxx += dx * dx;
+    sxy += dx * dy;
+  }
+  fit.slope = sxy / sxx;
+  double ssr = 0;
+  for (int i = 0; i < n; ++i) {
+    const double r = std::log(ts[i]) - my -
+                     fit.slope * (std::log(ns[i]) - mx);
+    ssr += r * r;
+  }
+  // Two-sided 97.5% Student t quantiles for 1..10 degrees of freedom;
+  // past that 1.96 + 2.5/df is within 1%.
+  static constexpr double kT975[] = {12.706, 4.303, 3.182, 2.776, 2.571,
+                                     2.447,  2.365, 2.306, 2.262, 2.228};
+  const int df = n - 2;
+  const double t = df <= 10 ? kT975[df - 1] : 1.96 + 2.5 / df;
+  fit.ci95 = t * std::sqrt(ssr / df / sxx);
+  return fit;
+}
+
+/// `v` as Fmt does, or "n/a" when it is NaN.
+inline std::string FmtOrNa(double v) { return std::isnan(v) ? "n/a" : Fmt(v); }
+
+/// The triangle sweeps' instance: Lemma C.5's hard regime. R(X,Y),
+/// S(Y,Z) and T(X,Z) are ~n uniform draws from a sqrt(n) x sqrt(n) dense
+/// square, so every value is heavy (degree ~sqrt(n)). Sum parity makes
+/// the instance triangle-free: R keeps x + y even, S keeps y + z even and
+/// T keeps x + z odd. Every variable keeps both parities in both of its
+/// relations, so no light corner of the Figure-1 split is empty and none
+/// answers alone (a parity split of one variable between its two
+/// relations would empty that variable's corner).
+inline QueryInput TriangleInstance(int64_t n) {
+  const int64_t d = std::max<int64_t>(
+      4, static_cast<int64_t>(std::sqrt(static_cast<double>(n))));
+  Rng rng(19);
+  QueryInput db;
+  for (VarSet schema : {VarSet{0, 1}, VarSet{1, 2}, VarSet{0, 2}}) {
+    const Relation raw = UniformRelation(schema, n, d, &rng);
+    const int parity = schema == VarSet{0, 2} ? 1 : 0;
+    Relation rel(schema);
+    for (size_t i = 0; i < raw.size(); ++i) {
+      if ((raw.Row(i)[0] + raw.Row(i)[1]) % 2 == parity) {
+        rel.AddRow(raw.Row(i));
+      }
+    }
+    db.relations.push_back(std::move(rel));
+  }
+  return db;
 }
 
 }  // namespace bench
