@@ -21,13 +21,16 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "core/api.h"
 #include "engine/clique.h"
 #include "engine/four_cycle.h"
 #include "engine/pyramid.h"
+#include "engine/strategy.h"
 #include "engine/triangle.h"
 #include "engine/wcoj.h"
 #include "mm/kernel.h"
 #include "panda/executor.h"
+#include "query_shapes.h"
 #include "relation/generators.h"
 #include "width/closed_forms.h"
 
@@ -167,12 +170,13 @@ QueryInput CliqueInstance(int k, int64_t domain) {
   return db;
 }
 
-Plan Wcoj(const Hypergraph& h, const Rational& predicted) {
+Plan Wcoj(const Hypergraph& h, const Rational& predicted,
+          int64_t max_total = 0) {
   return {"wcoj",
           [h](const QueryInput& db, ExecContext* ec, TriangleStats*) {
             return WcojBoolean(h, db, ec);
           },
-          Rational(3), predicted};
+          Rational(3), predicted, max_total};
 }
 
 /// The Figure-1 triangle split under `kernel`; `engine_omega` sets the
@@ -244,6 +248,27 @@ std::vector<Family> Table() {
            return Pyramid3Mm(db, 2.371552, MmKernel::kBoolean, nullptr, ec);
          },
          w3, cf::OmegaSubwPyramid3(w3)}}});
+  // Ears raise no width: the public path, which reduces them first,
+  // should follow the triangle core's closed form at its first rung's
+  // omega, while WCOJ alone pays rho* = 5/2 (quadratic on this instance;
+  // capped to keep the sweep short).
+  const Hypergraph pendant = TrianglePendantQuery();
+  const Rational public_omega =
+      RealizedOmega(TriangleBooleanLadder().front().kernel);
+  t.push_back(
+      {"triangle_pendant",
+       {500, 1000, 2000, 4000, 8000, 16000, 32000},
+       TrianglePendantNegative,
+       {{"public",
+         [pendant](const QueryInput& db, ExecContext* ec, TriangleStats*) {
+           // A failed evaluation reads as a wrong answer.
+           bool answer = true;
+           return !EvaluateBooleanWithRecovery(pendant, db, &answer, ec)
+                       .ok() ||
+                  answer;
+         },
+         public_omega, cf::OmegaSubwTriangle(public_omega)},
+        Wcoj(pendant, Rational(5, 2), 20000)}});
   for (int k : {3, 4, 5, 6}) {
     t.push_back({"clique_k" + std::to_string(k),
                  k <= 4 ? std::vector<int64_t>{24, 36, 54, 80, 120}

@@ -89,27 +89,24 @@ ExecResult ValidateQuery(const Hypergraph& h, const QueryInput& db) {
 
 namespace {
 
-/// Maps each card of the query's Boolean ladder to its engine. `*result`
-/// is only written on normal return (an abort unwinds first), so a
-/// failed rung can never leak a partial answer.
+/// Maps each card of the query's Boolean ladder to ReduceEars, then the
+/// card's engine on the core. `*result` is only written on normal return
+/// (an abort unwinds first), so a failed rung never leaks a partial answer.
 std::vector<PlanRung> BooleanLadder(const Hypergraph& h, const QueryInput& db,
                                     bool* result) {
   std::vector<PlanRung> ladder;
   for (const StrategyCard& card : BooleanLadderFor(h)) {
-    if (card.uses_mm) {
-      ladder.push_back({card.name, [&db, card, result](ExecContext& ec) {
-                          *result = TriangleMm(db, card.omega, card.kernel,
-                                               nullptr, &ec);
-                        }});
-    } else if (card.name == "best-td") {
-      ladder.push_back({card.name, [&h, &db, result](ExecContext& ec) {
-                          *result = TdBooleanBest(h, db, &ec);
-                        }});
-    } else {
-      ladder.push_back({card.name, [&h, &db, result](ExecContext& ec) {
-                          *result = WcojBoolean(h, db, &ec);
-                        }});
-    }
+    ladder.push_back({card.name, [&h, &db, card, result](ExecContext& ec) {
+                        Hypergraph core;
+                        QueryInput core_db;
+                        *result =
+                            ReduceEars(h, db, &core, &core_db, &ec) &&
+                            (core.edges().size() <= 1 ||
+                             (card.uses_mm
+                                  ? TriangleMm(core_db, card.omega,
+                                               card.kernel, nullptr, &ec)
+                                  : WcojBoolean(core, core_db, &ec)));
+                      }});
   }
   return ladder;
 }

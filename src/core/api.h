@@ -66,9 +66,11 @@ ExecResult ValidateQuery(const Hypergraph& h, const QueryInput& db);
 /// query's degradation ladder from the engine/strategy.h cards — for the
 /// canonical triangle, Strassen hybrid -> blocked GEMM -> bit-sliced ->
 /// WCOJ (count) or Strassen hybrid -> Boolean-product hybrid -> WCOJ
-/// (Boolean). Any other Boolean query's ladder follows its shape
-/// (BooleanLadderFor): best-TD -> WCOJ when it is alpha-acyclic, WCOJ
-/// alone otherwise. Count and join run WCOJ alone (join onto
+/// (Boolean). Each Boolean rung first removes the query's ears
+/// (ReduceEars, a linear semijoin pass that answers an alpha-acyclic
+/// query outright), and the ladder follows the shape of the cyclic core
+/// left (BooleanLadderFor): the triangle ladder above for a triangle
+/// core, WCOJ alone otherwise. Count and join run WCOJ alone (join onto
 /// `output_vars`, canonically sorted).
 /// Each rung runs under `limits` via RunGuarded; a retryable abort falls
 /// through to the next rung, a terminal one is returned. The answer is

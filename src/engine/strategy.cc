@@ -38,13 +38,9 @@ const std::vector<StrategyCard>& TriangleBooleanLadder() {
 }
 
 const std::vector<StrategyCard>& BooleanLadderFor(const Hypergraph& h) {
-  static const std::vector<StrategyCard> acyclic = {
-      {"best-td", false, MmKernel::kBoolean, 3.0, 1},
+  static const std::vector<StrategyCard> wcoj = {
       {"wcoj", false, MmKernel::kBoolean, 3.0, 0}};
-  static const std::vector<StrategyCard> cyclic = {
-      {"wcoj", false, MmKernel::kBoolean, 3.0, 0}};
-  if (IsTriangleQuery(h)) return TriangleBooleanLadder();
-  return h.IsAcyclic() ? acyclic : cyclic;
+  return IsTriangleQuery(h.Core()) ? TriangleBooleanLadder() : wcoj;
 }
 
 bool IsTriangleQuery(const Hypergraph& h) {

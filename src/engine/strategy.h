@@ -12,9 +12,9 @@
 /// streams over sorted tries and needs essentially no transient memory
 /// beyond its input indexes. Higher memory appetite does not imply
 /// higher speed, so the first rung is chosen per query shape rather
-/// than by appetite (BooleanLadderFor): the triangle's MM hybrids lead
-/// its ladders, a tree-decomposition plan leads for an alpha-acyclic
-/// query, and every other Boolean query runs WCOJ alone.
+/// than by appetite (BooleanLadderFor): every Boolean rung removes ears
+/// first (ReduceEars), the triangle's MM hybrids lead when the cyclic
+/// core left is the triangle, and every other core runs WCOJ alone.
 ///
 /// Everything here is pure metadata — no ExecContext flows through, and
 /// these functions never touch a database — so the ctx-threading lint
@@ -55,11 +55,11 @@ const std::vector<StrategyCard>& TriangleCountLadder();
 /// plain WCOJ.
 const std::vector<StrategyCard>& TriangleBooleanLadder();
 
-/// The Boolean query's ladder, picked from its shape alone: the
-/// canonical triangle gets TriangleBooleanLadder(); an alpha-acyclic
-/// query (Hypergraph::IsAcyclic, submodular width 1) gets "best-td" ->
-/// "wcoj", whose Yannakakis pass is linear in the input; every other
-/// query gets "wcoj" alone, the worst-case-optimal join.
+/// The Boolean query's ladder, picked from the shape of its cyclic core
+/// (Hypergraph::Core, what ear removal leaves; no width rises in the
+/// removal): the canonical triangle gets TriangleBooleanLadder(), and
+/// every other core, an acyclic query's single edge included, gets
+/// "wcoj" alone, the worst-case-optimal join.
 const std::vector<StrategyCard>& BooleanLadderFor(const Hypergraph& h);
 
 /// True iff `h` is exactly the paper's triangle query in its canonical

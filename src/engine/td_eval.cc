@@ -33,54 +33,52 @@ Relation MaterializeBag(const Hypergraph& h, const QueryInput& db, VarSet bag,
 
 }  // namespace
 
-bool YannakakisBoolean(std::vector<Relation> bags,
-                       const std::vector<std::pair<int, int>>& tree_edges,
-                       ExecContext* ctx) {
+bool ReduceEars(const Hypergraph& h, const QueryInput& db, Hypergraph* core,
+                QueryInput* core_db, ExecContext* ctx) {
   ExecContext& ec = ExecContext::Resolve(ctx);
-  if (bags.empty()) return true;
-  const int n = static_cast<int>(bags.size());
-  std::vector<std::vector<int>> adj(n);
-  for (auto [a, b] : tree_edges) {
-    adj[a].push_back(b);
-    adj[b].push_back(a);
+  for (const Relation& r : db.relations) {
+    if (r.empty()) return false;
   }
-  // Bottom-up semijoin pass (iterative post-order from root 0).
-  std::vector<int> order, stack = {0}, parent(n, -1);
-  std::vector<bool> seen(n, false);
-  seen[0] = true;
-  while (!stack.empty()) {
-    int cur = stack.back();
-    stack.pop_back();
-    order.push_back(cur);
-    for (int nx : adj[cur]) {
-      if (!seen[nx]) {
-        seen[nx] = true;
-        parent[nx] = cur;
-        stack.push_back(nx);
-      }
+  RelationList rels = db.relations;
+  const std::vector<Hypergraph::Ear> ears = h.EarOrder();
+  for (size_t i = 0; i < ears.size(); ++i) {
+    const auto [e, w] = ears[i];
+    ec.guard().Poll(FaultSite::kOps);
+    if (w >= 0 && i + 2 == rels.size()) {
+      // An acyclic query's last ear: one match answers the query.
+      *core = Hypergraph();
+      return !Join(rels[w], rels[e], {.limit = 1}, &ec).empty();
     }
+    if (w >= 0) {  // else a non-empty component of its own
+      rels.Set(w, Semijoin(rels[w], rels[e], &ec));
+      if (rels[w].empty()) return false;
+    }
+    rels.Set(e, RelationPtr());
   }
-  for (auto it = order.rbegin(); it != order.rend(); ++it) {
-    const int node = *it;
-    if (parent[node] < 0) continue;
-    bags[parent[node]] = Semijoin(bags[parent[node]], bags[node], &ec);
-    if (bags[node].empty()) return false;
+  *core = h.Core();
+  core_db->relations.clear();
+  for (size_t e = 0; e < rels.size(); ++e) {
+    if (rels.ptr(e)) core_db->relations.push_back(rels.ptr(e));
   }
-  return !bags[0].empty();
+  return true;
 }
 
 bool TdBoolean(const Hypergraph& h, const QueryInput& db,
                const TreeDecomposition& td, ExecContext* ctx) {
   ExecContext& ec = ExecContext::Resolve(ctx);
   FMMSW_CHECK(IsValidTd(h, td));
-  std::vector<Relation> bags;
-  bags.reserve(td.bags.size());
+  Hypergraph bags(h.num_vars(), h.names());
+  QueryInput bag_db;
   for (VarSet bag : td.bags) {
     ec.guard().Poll(FaultSite::kOps);  // bag materializations are the TD plan's morsels
-    bags.push_back(MaterializeBag(h, db, bag, &ec));
-    if (bags.back().empty()) return false;
+    Relation r = MaterializeBag(h, db, bag, &ec);
+    if (r.empty()) return false;
+    AddBySchema(&bags, &bag_db.relations, bag,
+                std::make_shared<const Relation>(std::move(r)), &ec);
   }
-  return YannakakisBoolean(std::move(bags), TreeEdges(td), &ec);
+  Hypergraph core;
+  QueryInput core_db;
+  return ReduceEars(bags, bag_db, &core, &core_db, &ec);
 }
 
 bool TdBooleanBest(const Hypergraph& h, const QueryInput& db,

@@ -73,29 +73,41 @@ bool Hypergraph::IsClustered() const {
   return true;
 }
 
-bool Hypergraph::IsAcyclic() const {
-  std::vector<VarSet> edges = edges_;
+std::vector<Hypergraph::Ear> Hypergraph::EarOrder() const {
+  std::vector<int> left(edges_.size());
+  for (size_t e = 0; e < left.size(); ++e) left[e] = static_cast<int>(e);
+  std::vector<Ear> ears;
   size_t i = 0;
-  while (i < edges.size() && edges.size() > 1) {
+  while (i < left.size() && left.size() > 1) {
     // Edge i is an ear if the vertices it shares with the other edges all
     // lie in one of them; ears can be removed in any order.
+    const VarSet ear = edges_[left[i]];
     VarSet shared;
-    for (size_t j = 0; j < edges.size(); ++j) {
-      if (j != i) shared = shared | (edges[i] & edges[j]);
+    for (size_t j = 0; j < left.size(); ++j) {
+      if (j != i) shared = shared | (ear & edges_[left[j]]);
     }
-    bool ear = false;
-    for (size_t j = 0; j < edges.size() && !ear; ++j) {
-      ear = j != i && edges[j].ContainsAll(shared);
+    int witness = -1;
+    for (size_t j = 0; j < left.size() && witness < 0; ++j) {
+      if (j != i && edges_[left[j]].ContainsAll(shared)) witness = left[j];
     }
-    if (!ear) {
+    if (witness < 0) {
       ++i;
       continue;
     }
-    edges[i] = edges.back();
-    edges.pop_back();
+    ears.push_back({left[i], shared.empty() ? -1 : witness});
+    left.erase(left.begin() + static_cast<std::ptrdiff_t>(i));
     i = 0;
   }
-  return edges.size() <= 1;
+  return ears;
+}
+
+Hypergraph Hypergraph::Core() const {
+  Hypergraph out = *this;
+  for (const Ear& ear : EarOrder()) out.edges_[ear.edge] = VarSet();
+  std::erase(out.edges_, VarSet());
+  out.vertices_ = VarSet();
+  for (VarSet e : out.edges_) out.vertices_ = out.vertices_ | e;
+  return out;
 }
 
 Hypergraph Hypergraph::WithoutSubsumedEdges() const {

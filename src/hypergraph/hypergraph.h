@@ -54,10 +54,20 @@ class Hypergraph {
   /// these the w-submodular width reduces to the first elimination (Eq. 40).
   bool IsClustered() const;
 
-  /// True if the hypergraph is alpha-acyclic: GYO ear removal reduces it
-  /// to at most one edge. Equivalently fhtw = 1, so Yannakakis over a
-  /// join tree answers it in O(N) (Section 1.1.1).
-  bool IsAcyclic() const;
+  /// One GYO step, in edges() numbering: ear `edge` leaves, and `witness`
+  /// holds every vertex it shares with the edges left (-1: it shares none).
+  struct Ear {
+    int edge;
+    int witness;
+  };
+
+  /// GYO ear removal, lowest index first, until no ear or one edge is
+  /// left. Ears raise no width, so the edges left (Core()) set the cost
+  /// of the query; at most one is left iff it is alpha-acyclic (fhtw = 1).
+  std::vector<Ear> EarOrder() const;
+
+  /// The edges EarOrder() leaves, in their order, over their vertex union.
+  Hypergraph Core() const;
 
   /// Drops edges strictly contained in other edges (does not change any
   /// width; shrinks EMM enumeration).

@@ -92,7 +92,7 @@ bool AcyclicByTds(const Hypergraph& h) {
   return false;
 }
 
-TEST(HypergraphTest, IsAcyclicMatchesTreeDecompositionReference) {
+TEST(HypergraphTest, EarRemovalMatchesTreeDecompositionReference) {
   std::vector<QueryShape> shapes = QueryShapeTable();
   shapes.push_back({"triangle", Hypergraph::Triangle(), false});
   shapes.push_back({"clique5", Hypergraph::Clique(5), false});
@@ -108,9 +108,35 @@ TEST(HypergraphTest, IsAcyclicMatchesTreeDecompositionReference) {
   shapes.push_back({"join_tree", FromEdges(5, {{0, 1, 2}, {1, 2, 3},
                                                {3, 4}, {1, 2}}), true});
   for (const QueryShape& s : shapes) {
-    EXPECT_EQ(s.h.IsAcyclic(), s.acyclic) << s.name;
+    EXPECT_EQ(s.h.Core().edges().size() <= 1, s.acyclic) << s.name;
     EXPECT_EQ(AcyclicByTds(s.h), s.acyclic) << s.name;
   }
+}
+
+TEST(HypergraphTest, EarOrderKeepsEdgeNumberingAndCoreKeepsOrder) {
+  // A triangle with the path Z - X3 - X4 hanging off Z: X3X4 leaves into
+  // ZX3, then ZX3 into YZ, the first edge holding Z.
+  const Hypergraph pendant = TrianglePendantQuery();
+  const std::vector<Hypergraph::Ear> ears = pendant.EarOrder();
+  ASSERT_EQ(ears.size(), 2u);
+  EXPECT_EQ(ears[0].edge, 4);
+  EXPECT_EQ(ears[0].witness, 3);
+  EXPECT_EQ(ears[1].edge, 3);
+  EXPECT_EQ(ears[1].witness, 1);
+  const Hypergraph core = pendant.Core();
+  EXPECT_EQ(core.vertices(), Hypergraph::Triangle().vertices());
+  EXPECT_EQ(core.edges(), Hypergraph::Triangle().edges());
+  EXPECT_EQ(core.num_vars(), 5);
+  // An edge sharing no vertex leaves with no witness.
+  const Hypergraph apart = FromEdges(4, {{0, 1}, {2, 3}});
+  ASSERT_EQ(apart.EarOrder().size(), 1u);
+  EXPECT_EQ(apart.EarOrder()[0].edge, 0);
+  EXPECT_EQ(apart.EarOrder()[0].witness, -1);
+  EXPECT_EQ(apart.Core().vertices(), VarSet({2, 3}));
+  // No ears: the core is the hypergraph itself.
+  EXPECT_TRUE(Hypergraph::Pyramid(3).EarOrder().empty());
+  EXPECT_EQ(Hypergraph::Pyramid(3).Core().edges(),
+            Hypergraph::Pyramid(3).edges());
 }
 
 TEST(HypergraphTest, EliminatePreservesIndices) {

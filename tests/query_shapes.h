@@ -2,17 +2,21 @@
 #define FMMSW_TESTS_QUERY_SHAPES_H_
 
 // The query shapes the Boolean ladder chooser is tested on: acyclic
-// paths and stars, the cyclic paper families, and two edge cases (one
-// edge; a triangle whose vertices a fourth edge covers, which makes it
-// acyclic). Shared by hypergraph_test (IsAcyclic against a
-// tree-decomposition reference) and recovery_test (the public path's
-// answers and winning rungs).
+// paths and stars, the cyclic paper families, a triangle with a path
+// hanging off it, and three edge cases (one edge; two components; a
+// triangle whose vertices a fourth edge covers, which makes it acyclic).
+// Shared by hypergraph_test (ear removal against a tree-decomposition
+// reference), recovery_test (the public path's answers and winning
+// rungs) and bench_exponents (the pendant family's instance).
 
+#include <cstdint>
 #include <initializer_list>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "hypergraph/hypergraph.h"
+#include "relation/relation.h"
 #include "util/varset.h"
 
 namespace fmmsw {
@@ -43,6 +47,35 @@ inline Hypergraph StarQuery(int k) {
   return h;
 }
 
+/// Hypergraph::Triangle()'s edges, then the path Z - X3 - X4 off Z.
+inline Hypergraph TrianglePendantQuery() {
+  return FromEdges(5, {{0, 1}, {1, 2}, {0, 2}, {2, 3}, {3, 4}});
+}
+
+/// A negative instance of TrianglePendantQuery(): n triangles (i, i, 0)
+/// through Z = 0, then U(Z,X3) = {(0, 2i)} and V(X3,X4) = {(2i+1, 0)}.
+/// No X3 value of U is in V, yet a join that reaches X3 through the
+/// triangles pairs each of them with all of U: n^2 work, where
+/// semijoining V into U answers in O(n).
+inline QueryInput TrianglePendantNegative(int64_t n) {
+  std::vector<Relation> rels = {Relation(VarSet{0, 1}), Relation(VarSet{1, 2}),
+                                Relation(VarSet{0, 2}), Relation(VarSet{2, 3}),
+                                Relation(VarSet{3, 4})};
+  for (Value i = 0; i < n; ++i) {
+    rels[0].Add({i, i});
+    rels[1].Add({i, 0});
+    rels[2].Add({i, 0});
+    rels[3].Add({0, 2 * i});
+    rels[4].Add({2 * i + 1, 0});
+  }
+  QueryInput db;
+  for (Relation& r : rels) {
+    r.SortAndDedupe();
+    db.relations.push_back(std::move(r));
+  }
+  return db;
+}
+
 inline std::vector<QueryShape> QueryShapeTable() {
   return {
       {"path3", PathQuery(3), true},
@@ -57,6 +90,8 @@ inline std::vector<QueryShape> QueryShapeTable() {
       {"pyramid3", Hypergraph::Pyramid(3), false},
       {"double_triangle", Hypergraph::DoubleTriangle(), false},
       {"lemma_c15", Hypergraph::LemmaC15(), false},
+      {"triangle_pendant", TrianglePendantQuery(), false},
+      {"two_components", FromEdges(4, {{0, 1}, {2, 3}}), true},
   };
 }
 

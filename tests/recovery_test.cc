@@ -863,6 +863,19 @@ TEST(FaultPlanTest, EnvFaultPlanSoak) {
     EXPECT_EQ(result, !clean_bool) << "failed recovery leaked a result";
   }
   EXPECT_EQ(ec.stats().mem_current_bytes.load(), 0);
+  // A triangle with a pendant path: the plan also reaches the ear pass.
+  const Hypergraph pendant = TrianglePendantQuery();
+  const QueryInput pendant_db = TrianglePendantNegative(117);
+  bool pendant_result = true;
+  const ExecResult rp =
+      EvaluateBooleanWithRecovery(pendant, pendant_db, &pendant_result, &ec);
+  if (rp.ok()) {
+    EXPECT_FALSE(pendant_result);
+  } else {
+    EXPECT_EQ(rp.status, ExecStatus::kRetryExhausted) << rp.message;
+    EXPECT_TRUE(pendant_result) << "failed recovery leaked a result";
+  }
+  EXPECT_EQ(ec.stats().mem_current_bytes.load(), 0);
   // Planner ladder under the same plan: full LP solve with a closed-form
   // fallback rung.
   const Rational omega(5, 2);
@@ -1045,19 +1058,35 @@ QueryInput AdversarialPath3(int n) {
 }
 
 // The public path on every table shape: the answer equals the join of
-// all relations, an acyclic query wins on "best-td" and any other on
-// "wcoj", and no row needs a second attempt.
+// all relations, a query whose cyclic core is the triangle wins on the
+// triangle ladder's first rung and any other on "wcoj" (ear reduction
+// answers acyclic queries inside that rung), and no row needs a second
+// attempt.
 TEST(BooleanLadderTest, ShapeTablePicksRungByAcyclicity) {
   struct Row {
     std::string label;
     Hypergraph h;
-    bool acyclic;
+    std::string rung;
     QueryInput db;
   };
+  const std::string triangle_rung = TriangleBooleanLadder().front().name;
   std::vector<Row> rows;
-  rows.push_back({"path3 adversarial", PathQuery(3), true,
+  rows.push_back({"path3 adversarial", PathQuery(3), "wcoj",
                   AdversarialPath3(500)});
+  rows.push_back({"triangle_pendant interleaved", TrianglePendantQuery(),
+                  triangle_rung, TrianglePendantNegative(500)});
+  {
+    WorkloadOptions opts;
+    opts.tuples_per_relation = 2000;
+    opts.domain = 1000;
+    opts.seed = 3;
+    opts.plant_witness = true;
+    rows.push_back({"path8 uniform planted", PathQuery(8), "wcoj",
+                    MakeWorkload(PathQuery(8), opts)});
+  }
   for (const QueryShape& s : QueryShapeTable()) {
+    const std::string rung =
+        s.name == "triangle_pendant" ? triangle_rung : "wcoj";
     for (WorkloadKind kind : {WorkloadKind::kUniform, WorkloadKind::kZipf}) {
       for (bool plant : {false, true}) {
         WorkloadOptions opts;
@@ -1078,7 +1107,7 @@ TEST(BooleanLadderTest, ShapeTablePicksRungByAcyclicity) {
         rows.push_back({s.name + (kind == WorkloadKind::kZipf ? " zipf"
                                                               : " uniform") +
                             (plant ? " planted" : ""),
-                        s.h, s.acyclic, MakeWorkload(s.h, opts)});
+                        s.h, rung, MakeWorkload(s.h, opts)});
       }
     }
   }
@@ -1092,11 +1121,70 @@ TEST(BooleanLadderTest, ShapeTablePicksRungByAcyclicity) {
           row.h, row.db, &answer, &ec, {}, {}, &report);
       ASSERT_TRUE(r.ok()) << row.label << ": " << r.message;
       EXPECT_EQ(answer, expect) << row.label << " threads=" << threads;
-      EXPECT_EQ(report.winning_rung, row.acyclic ? "best-td" : "wcoj")
-          << row.label;
+      EXPECT_EQ(report.winning_rung, row.rung) << row.label;
       EXPECT_EQ(report.attempts, 1) << row.label;
     }
   }
+}
+
+// Negatives that a join pays for quadratically are answered by ear
+// reduction alone: no WCOJ run, and at most one semijoin per ear.
+TEST(BooleanLadderTest, EarReductionAnswersNegativesWithoutJoining) {
+  struct Row {
+    std::string label;
+    Hypergraph h;
+    QueryInput db;
+  };
+  const Row rows[] = {
+      {"path3 adversarial", PathQuery(3), AdversarialPath3(4000)},
+      {"triangle_pendant interleaved", TrianglePendantQuery(),
+       TrianglePendantNegative(4000)}};
+  for (const Row& row : rows) {
+    ExecContext ec(1);
+    const int64_t wcoj_runs = ec.stats().wcoj_runs.load();
+    const int64_t semijoins = ec.stats().semijoin_calls.load();
+    bool answer = true;
+    const ExecResult r = EvaluateBooleanWithRecovery(row.h, row.db, &answer,
+                                                     &ec);
+    ASSERT_TRUE(r.ok()) << row.label << ": " << r.message;
+    EXPECT_FALSE(answer) << row.label;
+    EXPECT_EQ(ec.stats().wcoj_runs.load(), wcoj_runs) << row.label;
+    EXPECT_LE(ec.stats().semijoin_calls.load() - semijoins,
+              static_cast<int64_t>(row.h.EarOrder().size()))
+        << row.label;
+  }
+}
+
+// An ops fault at every poll ordinal the ear pass reaches: each run
+// either recovers the clean answer or exhausts its ladder, and never
+// leaks an answer or tracked memory.
+TEST(BooleanLadderTest, EarReductionUnderOpsFaults) {
+  const Hypergraph h = TrianglePendantQuery();
+  const QueryInput db = TrianglePendantNegative(500);
+  const int ears = static_cast<int>(h.EarOrder().size());
+  ASSERT_GE(ears, 1);
+  int exhausted = 0;
+  for (int threads : {1, 4}) {
+    for (int k = 1; k <= ears; ++k) {
+      ExecContext ec(threads);
+      ec.guard().SetFaultPlan(MustParse("ops:" + std::to_string(k)));
+      bool answer = true;
+      const ExecResult r = EvaluateBooleanWithRecovery(h, db, &answer, &ec);
+      const std::string where =
+          "threads=" + std::to_string(threads) + " ops:" + std::to_string(k);
+      if (r.ok()) {
+        EXPECT_FALSE(answer) << where;
+      } else {
+        EXPECT_EQ(r.status, ExecStatus::kRetryExhausted) << where;
+        EXPECT_TRUE(answer) << "failed recovery leaked a result, " << where;
+        ++exhausted;
+      }
+      EXPECT_EQ(ec.stats().mem_current_bytes.load(), 0) << where;
+      ec.guard().SetFaultPlan(FaultPlan{});
+    }
+  }
+  // ops:1 fires at the first ear's poll on every rung.
+  EXPECT_GT(exhausted, 0);
 }
 
 // ------------------------------------------------- strategy metadata --
