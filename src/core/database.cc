@@ -81,12 +81,6 @@ RelationPtr Snapshot::Share(const std::string& name) const {
   return v == nullptr ? nullptr : v->rel;
 }
 
-uint64_t Snapshot::VersionDigest(const std::string& name) const {
-  if (state_ == nullptr) return 0;
-  const RelationVersion* v = state_->Find(name);
-  return v == nullptr ? 0 : v->digest;
-}
-
 ExecResult Snapshot::Bind(const std::vector<std::string>& atoms,
                           QueryInput* out) const {
   QueryInput bound;
@@ -102,17 +96,6 @@ ExecResult Snapshot::Bind(const std::vector<std::string>& atoms,
   }
   *out = std::move(bound);
   return {};
-}
-
-uint64_t Snapshot::BindingDigest(const std::vector<std::string>& atoms) const {
-  // Order-sensitive fold (position i is hyperedge i): golden-ratio
-  // rotate-and-xor so swapped bindings key differently.
-  uint64_t h = 0x243f6a8885a308d3ull ^ static_cast<uint64_t>(atoms.size());
-  for (const std::string& name : atoms) {
-    h = (h << 7) | (h >> 57);
-    h ^= VersionDigest(name) + 0x9e3779b97f4a7c15ull;
-  }
-  return h;
 }
 
 // ---------------------------------------------------------------------------
@@ -199,19 +182,16 @@ const Relation* Database::Transaction::View(const std::string& name) const {
   return v == nullptr ? nullptr : v->rel.get();
 }
 
-void Database::Transaction::Stage(const std::string& name, RelationPtr rel,
-                                  uint64_t digest) {
+void Database::Transaction::Stage(const std::string& name, RelationPtr rel) {
   for (RelationVersion& v : staged_) {
     if (v.name == name) {
       v.rel = std::move(rel);
-      v.digest = digest;
       return;
     }
   }
   RelationVersion v;
   v.name = name;
   v.rel = std::move(rel);
-  v.digest = digest;
   staged_.push_back(std::move(v));
 }
 
@@ -223,8 +203,7 @@ void Database::Transaction::Replace(const std::string& name, Relation rows) {
   rows.SortAndDedupe(ec_);
   ec_->guard().Poll(FaultSite::kOps);
   charge_->Add(RelationBytes(rows));
-  const uint64_t digest = RelationStatsDigest(rows);
-  Stage(name, std::make_shared<const Relation>(std::move(rows)), digest);
+  Stage(name, std::make_shared<const Relation>(std::move(rows)));
 }
 
 void Database::Transaction::Append(const std::string& name,
@@ -268,7 +247,7 @@ void Database::Transaction::Drop(const std::string& name) {
     throw QueryAbort(ExecStatus::kInvalidArgument,
                      "Drop('" + name + "'): no such relation");
   }
-  Stage(name, nullptr, 0);
+  Stage(name, nullptr);
 }
 
 void Database::Transaction::Commit() {
@@ -340,25 +319,14 @@ ExecResult Database::QueryJoin(const Snapshot& snap, const Hypergraph& h,
 ExecResult Database::PlanWidths(const Snapshot& snap, const Hypergraph& h,
                                 const std::vector<std::string>& atoms,
                                 const Rational& omega, WidthReport* out,
-                                OmegaSubwOptions opts, ExecContext* ctx) const {
-  ExecContext& ec = ExecContext::Resolve(ctx);
-  if (atoms.size() != h.edges().size()) {
-    return {ExecStatus::kInvalidArgument,
-            "PlanWidths: " + std::to_string(atoms.size()) +
-                " atom names for " + std::to_string(h.edges().size()) +
-                " hyperedges"};
-  }
-  for (const std::string& name : atoms) {
-    if (snap.Find(name) == nullptr) {
-      return {ExecStatus::kInvalidArgument,
-              "snapshot (epoch " + std::to_string(snap.epoch()) +
-                  ") has no relation named '" + name + "'"};
-    }
-  }
-  // Version-keyed planning: the digest rides into the WidthCache key,
-  // so a commit to any bound relation misses the cache by construction.
-  opts.stats_digest = snap.BindingDigest(atoms);
-  *out = ComputeWidths(h, omega, opts, &ec);
+                                const OmegaSubwOptions& opts,
+                                ExecContext* ctx) const {
+  QueryInput db;
+  ExecResult bound = snap.Bind(atoms, &db);
+  if (!bound.ok()) return bound;
+  ExecResult valid = ValidateQuery(h, db);
+  if (!valid.ok()) return valid;
+  *out = ComputeWidths(h, omega, opts, &ExecContext::Resolve(ctx));
   return {};
 }
 

@@ -8,8 +8,7 @@
 ///
 /// A Database owns named relations as immutable versions
 /// (`shared_ptr<const Relation>`), each stamped with the monotone epoch
-/// of the commit that installed it and a content digest
-/// (RelationStatsDigest). The whole catalog is one immutable
+/// of the commit that installed it. The whole catalog is one immutable
 /// CatalogState published behind an annotated Mutex; readers pin a
 /// Snapshot — a refcounted copy of the state pointer, O(1), no row
 /// copies — and every query they run against it sees exactly that
@@ -36,11 +35,12 @@
 ///
 /// Query{Boolean,Count,Join} / PlanWidths are the service entry points:
 /// they bind a snapshot's pinned versions to a hypergraph's atoms
-/// (zero-copy), pass through admission control, and evaluate through
-/// the recovery ladder (core/api.h Evaluate*WithRecovery). PlanWidths
-/// keys the process WidthCache with the snapshot's binding digest, so a
-/// commit that changes any bound relation can never serve a stale cached
-/// plan.
+/// (zero-copy) and validate the binding against the hypergraph. The
+/// Query* calls then pass through admission control and evaluate
+/// through the recovery ladder (core/api.h Evaluate*WithRecovery).
+/// PlanWidths plans from the query's shape alone (the process WidthCache
+/// is keyed by shape), so every snapshot, epoch and catalog that binds
+/// the same shape shares one cached plan.
 ///
 /// Stats: commits / rollbacks / snapshots_pinned / versions_retired on
 /// the driving context (stats-coverage contract, core/exec_context.h).
@@ -68,8 +68,7 @@ namespace fmmsw {
 struct RelationVersion {
   std::string name;
   RelationPtr rel;
-  int64_t epoch = 0;    ///< epoch of the commit that installed this version
-  uint64_t digest = 0;  ///< RelationStatsDigest(*rel), computed at staging
+  int64_t epoch = 0;  ///< epoch of the commit that installed this version
 };
 
 /// One immutable catalog version: the full name -> version map at one
@@ -104,8 +103,6 @@ class Snapshot {
   /// Shared handle to the pinned version (nullptr if absent) — share a
   /// version beyond the snapshot's lifetime without copying rows.
   RelationPtr Share(const std::string& name) const;
-  /// Version digest of `name` (0 if absent).
-  uint64_t VersionDigest(const std::string& name) const;
 
   /// Binds `atoms[i]` to hyperedge i: the binding shares the pinned
   /// versions by pointer (no row copies). kInvalidArgument if any name
@@ -113,11 +110,6 @@ class Snapshot {
   /// hypergraph via ValidateQuery (the Query* entry points do both).
   ExecResult Bind(const std::vector<std::string>& atoms,
                   QueryInput* out) const;
-
-  /// Combined version digest of the named relations, order-sensitive —
-  /// the WidthCache key component that makes cached plans
-  /// version-aware. kInvalidArgument names are folded as absent (0).
-  uint64_t BindingDigest(const std::vector<std::string>& atoms) const;
 
  private:
   friend class Database;
@@ -200,7 +192,7 @@ class Database {
     /// (a staged drop is "absent").
     const Relation* View(const std::string& name) const;
     /// Installs (name -> version) in the staged set, last write wins.
-    void Stage(const std::string& name, RelationPtr rel, uint64_t digest);
+    void Stage(const std::string& name, RelationPtr rel);
 
     Database* db_ = nullptr;
     std::shared_ptr<const CatalogState> base_;
@@ -245,13 +237,15 @@ class Database {
                        RecoveryReport* report = nullptr) const;
   /// @}
 
-  /// Width planning against a snapshot: ComputeWidths with the
-  /// WidthCache keyed by the snapshot's binding digest, so a commit to
-  /// any bound relation invalidates the cached entry for new queries.
+  /// Width planning against a snapshot: binds and validates `atoms` as
+  /// the Query* calls do (kInvalidArgument on an unknown name, a wrong
+  /// atom count or a schema that differs from its hyperedge), then runs
+  /// ComputeWidths. The widths depend on `h` and `omega` only, so the
+  /// WidthCache entry is shared across commits and catalogs.
   ExecResult PlanWidths(const Snapshot& snap, const Hypergraph& h,
                         const std::vector<std::string>& atoms,
                         const Rational& omega, WidthReport* out,
-                        OmegaSubwOptions opts = {},
+                        const OmegaSubwOptions& opts = {},
                         ExecContext* ctx = nullptr) const;
 
   /// The admission gate fronting the Query* entry points (test probe).

@@ -18,34 +18,6 @@ void Relation::SortAndDedupe(ExecContext* ctx) {
                       ExecContext::Resolve(ctx));
 }
 
-namespace {
-
-// SplitMix64 finalizer: the same avalanche used by the width-cache shape
-// hash. Order-dependent folding is fine here because versions are stored
-// canonically sorted (SortAndDedupe) before they are digested.
-uint64_t DigestMix(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
-}  // namespace
-
-uint64_t RelationStatsDigest(const Relation& r) {
-  uint64_t h = DigestMix(r.schema().mask());
-  h = DigestMix(h ^ static_cast<uint64_t>(r.arity()));
-  h = DigestMix(h ^ static_cast<uint64_t>(r.size()));
-  const size_t a = static_cast<size_t>(r.arity());
-  for (size_t row = 0; row < r.size(); ++row) {
-    const Value* v = a == 0 ? nullptr : r.Row(row);
-    for (size_t c = 0; c < a; ++c) {
-      h = DigestMix(h ^ static_cast<uint64_t>(static_cast<uint32_t>(v[c])));
-    }
-  }
-  return h;
-}
-
 bool Relation::Contains(const std::vector<Value>& values) const {
   FMMSW_DCHECK(static_cast<int>(values.size()) == arity());
   if (vars_.empty()) return !empty_nullary_;

@@ -138,12 +138,6 @@ class Relation {
 /// (copy-on-write: updates build a fresh Relation and swap the pointer).
 using RelationPtr = std::shared_ptr<const Relation>;
 
-/// Content digest of a relation version: folds the schema, the row count
-/// and every row value. Two versions with equal digests are treated as
-/// interchangeable by version-keyed caches (width/width_cache.h), so the
-/// digest must change whenever any result-affecting content changes.
-uint64_t RelationStatsDigest(const Relation& r);
-
 /// An ordered list of shared, immutable relation versions — the storage
 /// behind QueryInput. Element access yields `const Relation&`, so engine
 /// code reads bindings exactly as it would a plain vector of relations,

@@ -60,16 +60,10 @@ struct OmegaSubwOptions {
   /// Off, every LP cold-starts; values and witnesses are identical either
   /// way (the simplex canonicalizes its optima) — tests prove it.
   bool warm_start = true;
-  /// Consult/populate the process-wide WidthCache (width_cache.h). A hit
-  /// returns the stored result with from_cache = true.
+  /// Consult/populate the process-wide WidthCache (width_cache.h), keyed
+  /// by the hypergraph shape, omega and these options. A hit returns the
+  /// stored result with from_cache = true.
   bool use_width_cache = true;
-  /// Relation-version digest mixed into the WidthCache key. Width values
-  /// depend only on the hypergraph shape, so 0 (shape-only keying) is
-  /// always sound for correctness of the widths themselves; the catalog
-  /// service layer (core/database.h PlanWidths) sets the snapshot's
-  /// binding digest so cached plans are version-aware — a commit to any
-  /// bound relation misses the cache by construction.
-  uint64_t stats_digest = 0;
   /// Per-LP pivot budget; exceeding it raises QueryAbort(kCapacityExceeded).
   int max_pivots = 200000;
   /// Recovery-plane degradation (core/recovery.h): when the pivot budget

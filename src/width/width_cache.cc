@@ -1,7 +1,6 @@
 #include "width/width_cache.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <vector>
 
 namespace fmmsw {
@@ -13,17 +12,6 @@ uint64_t SplitMix(uint64_t x) {
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
   x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
   return x ^ (x >> 31);
-}
-
-size_t GlobalCapacityFromEnv() {
-  const char* env = std::getenv("FMMSW_WIDTH_CACHE_CAP");
-  if (env == nullptr || *env == '\0') return WidthCache::kDefaultCapacity;
-  char* end = nullptr;
-  const long long cap = std::strtoll(env, &end, 10);
-  if (end == env || *end != '\0' || cap < 0) {
-    return WidthCache::kDefaultCapacity;
-  }
-  return static_cast<size_t>(cap);
 }
 
 }  // namespace
@@ -51,10 +39,6 @@ std::string WidthCacheKey(const Hypergraph& h, const Rational& omega,
   key += "|cap" + std::to_string(opts.gveo_cap);
   key += "|mie" + std::to_string(opts.emm.max_incident_edges);
   key += "|mp" + std::to_string(opts.max_pivots);
-  // Relation-version digest (catalog snapshots): identical shapes over
-  // different committed data key separately, so a commit can never
-  // serve a stale cached plan. 0 = shape-only (direct ComputeWidths).
-  key += "|d" + std::to_string(opts.stats_digest);
   for (const SetFn<Rational>& w : opts.witnesses) {
     key += "|W" + std::to_string(w.universe().mask()) + ":";
     for (VarSet s : Subsets(w.universe())) {
@@ -67,7 +51,7 @@ std::string WidthCacheKey(const Hypergraph& h, const Rational& omega,
 WidthCache::WidthCache(size_t capacity) : capacity_(capacity) {}
 
 WidthCache& WidthCache::Global() {
-  static WidthCache cache(GlobalCapacityFromEnv());
+  static WidthCache cache;
   return cache;
 }
 

@@ -2,28 +2,25 @@
 #define FMMSW_WIDTH_WIDTH_CACHE_H_
 
 /// \file
-/// A process-wide cache of w-subw results keyed by a canonical hypergraph
-/// digest. Width computations depend only on the hypergraph's edge
-/// *multiset* (as vertex masks), omega, and the solver options, so repeated
-/// plans over the same query shape — the common case for a planner serving
-/// a workload — skip the whole LP tower.
+/// A process-wide cache of w-subw results keyed by the query's shape.
+/// Width computations depend only on the hypergraph's edge *multiset*
+/// (as vertex masks), omega, and the solver options, never on the bound
+/// relations, so repeated plans over the same query shape — across
+/// catalog commits and across databases — skip the whole LP tower.
 ///
 /// The key is a canonical string: the sorted edge masks and every
 /// result-affecting option are spelled out in full (plus a 128-bit
 /// multiset hash as a cheap prefix), so two distinct inputs can never
-/// collide. When the planner runs against a catalog snapshot
-/// (core/database.h), the snapshot's relation-version digest
-/// (OmegaSubwOptions::stats_digest) is part of the key, so a commit can
-/// never serve a stale cached plan to a new query.
+/// collide. A future planner input that depends on the data (say, degree
+/// constraints) must enter the key as the statistic values it reads.
 ///
 /// The cache is bounded: entries evict least-recently-used once `size()`
-/// would pass `capacity()` (default kDefaultCapacity, overridable via
-/// FMMSW_WIDTH_CACHE_CAP for the process-wide instance or SetCapacity
-/// in tests), so a service-layer stream of millions of distinct query
-/// shapes cannot grow it without limit. Evictions are reported by
-/// Insert's return value and land in the `width_cache_evictions`
-/// ExecStats counter at the planner call site. Lookup/Insert are
-/// mutex-protected; the stored results are returned by value.
+/// would pass `capacity()` (kDefaultCapacity; SetCapacity in tests), so
+/// a stream of ever-new query shapes cannot grow it without limit.
+/// Evictions are reported by Insert's return value and land in the
+/// `width_cache_evictions` ExecStats counter at the planner call site.
+/// Lookup/Insert are mutex-protected; the stored results are returned by
+/// value.
 
 #include <cstdint>
 #include <list>
@@ -37,8 +34,7 @@ namespace fmmsw {
 
 /// The canonical cache key for OmegaSubw(h, omega, opts). Includes every
 /// option that affects the result's value *or* its reported counters
-/// (full_enumeration changes lps_solved; warm_start changes lp_pivots),
-/// plus the relation-version digest when planning against a snapshot.
+/// (full_enumeration changes lps_solved; warm_start changes lp_pivots).
 std::string WidthCacheKey(const Hypergraph& h, const Rational& omega,
                           const OmegaSubwOptions& opts);
 
@@ -54,8 +50,7 @@ class WidthCache {
 
   explicit WidthCache(size_t capacity = kDefaultCapacity);
 
-  /// Process-wide instance; capacity from FMMSW_WIDTH_CACHE_CAP (read
-  /// once at first use; invalid or missing -> kDefaultCapacity).
+  /// Process-wide instance, kDefaultCapacity entries.
   static WidthCache& Global();
 
   /// Returns true and copies the stored result on a hit (bumping hits()

@@ -1,7 +1,7 @@
 // Tests for the versioned catalog / snapshot plane (PR 10): epoch-stamped
 // immutable relation versions, snapshot isolation (readers pin an epoch
 // while commits stream past), copy-on-write staging with atomic
-// commit/rollback under fault injection, the version-digest-keyed and
+// commit/rollback under fault injection, the shape-keyed and
 // LRU-bounded WidthCache, fuzz coverage for the FMMSW_FAULT_PLAN parser
 // and ValidateQuery, and the headline reader/writer torture harness:
 // concurrent readers at 1/4/8 threads during a stream of commits must
@@ -70,6 +70,18 @@ Relation EpochDelta(VarSet schema, int e) {
   return d;
 }
 
+/// Field-by-field equality of two width reports' widths (not their
+/// timing or cache flags).
+void ExpectSameWidths(const WidthReport& a, const WidthReport& b) {
+  EXPECT_EQ(a.rho_star, b.rho_star);
+  EXPECT_EQ(a.fhtw, b.fhtw);
+  EXPECT_EQ(a.subw, b.subw);
+  EXPECT_EQ(a.omega_subw_lower, b.omega_subw_lower);
+  EXPECT_EQ(a.omega_subw_upper, b.omega_subw_upper);
+  EXPECT_EQ(a.omega_subw_exact, b.omega_subw_exact);
+  EXPECT_EQ(a.num_mm_terms, b.num_mm_terms);
+}
+
 // ---------------------------------------------------------------------
 // Catalog basics
 
@@ -103,7 +115,6 @@ TEST(CatalogTest, EmptyCatalogAndFirstCommit) {
   EXPECT_EQ(s1.epoch(), 1);
   ASSERT_NE(s1.Find("R"), nullptr);
   EXPECT_EQ(s1.Find("R")->size(), 2u);
-  EXPECT_NE(s1.VersionDigest("R"), 0u);
   // The pre-commit snapshot still sees the empty catalog.
   EXPECT_EQ(s0.Find("R"), nullptr);
   EXPECT_EQ(s0.epoch(), 0);
@@ -133,7 +144,6 @@ TEST(CatalogTest, SnapshotPinsEpochAcrossCommits) {
   EXPECT_EQ(fresh.epoch(), 2);
   EXPECT_EQ(fresh.Find("R")->size(), 2u);
   EXPECT_NE(fresh.Share("R").get(), v1.get());
-  EXPECT_NE(fresh.VersionDigest("R"), pinned.VersionDigest("R"));
 }
 
 TEST(CatalogTest, UntouchedVersionsAreSharedByPointer) {
@@ -394,6 +404,34 @@ TEST(ServiceTest, QueryEntryPointsMatchDirectEvaluate) {
   EXPECT_EQ(c, -1);
 }
 
+TEST(ServiceTest, PlanWidthsValidatesLikeQueries) {
+  ExecContext ec(1);
+  Database db;
+  SeedTriangleCatalog(&db, &ec, 200, 30);
+  {
+    Database::Transaction txn = db.Begin(&ec);
+    txn.Replace("R02", TriangleSide(VarSet{0, 2}, 44, 200, 30));
+    txn.Commit();
+  }
+  Snapshot snap = db.snapshot(&ec);
+  const Hypergraph h = Hypergraph::Triangle();
+  const std::vector<std::vector<std::string>> bad_bindings = {
+      {"R02", "S", "T"},     // schema {0,2} bound to the edge {0,1}
+      {"R", "S"},            // two atoms for three hyperedges
+      {"R", "S", "missing"}, // unknown name
+  };
+  for (const std::vector<std::string>& atoms : bad_bindings) {
+    WidthReport rep;
+    EXPECT_EQ(db.PlanWidths(snap, h, atoms, Rational(3), &rep, {}, &ec).status,
+              ExecStatus::kInvalidArgument)
+        << atoms[0] << " x " << atoms.size();
+    bool b = false;
+    EXPECT_EQ(db.QueryBoolean(snap, h, atoms, &b, {}, &ec).status,
+              ExecStatus::kInvalidArgument)
+        << atoms[0] << " x " << atoms.size();
+  }
+}
+
 TEST(ServiceTest, AdmissionShedsWhenSaturated) {
   ExecContext ec(1);
   AdmissionConfig cfg;
@@ -415,9 +453,9 @@ TEST(ServiceTest, AdmissionShedsWhenSaturated) {
 }
 
 // ---------------------------------------------------------------------
-// WidthCache: version-digest keying + LRU bounding (satellites).
+// WidthCache: shape keying + LRU bounding (satellites).
 
-TEST(WidthCachePlaneTest, SnapshotDigestKeysPlansAcrossCommits) {
+TEST(WidthCachePlaneTest, PlansAreSharedAcrossCommitsAndCatalogs) {
   ExecContext ec(1);
   WidthCache::Global().Clear();
   Database db;
@@ -425,29 +463,45 @@ TEST(WidthCachePlaneTest, SnapshotDigestKeysPlansAcrossCommits) {
   const Hypergraph h = Hypergraph::Triangle();
   const Rational omega(3, 1);
 
-  Snapshot snap1 = db.snapshot(&ec);
   WidthReport rep;
-  ASSERT_TRUE(
-      db.PlanWidths(snap1, h, kTriangleAtoms, omega, &rep, {}, &ec).ok());
+  ASSERT_TRUE(db.PlanWidths(db.snapshot(&ec), h, kTriangleAtoms, omega, &rep,
+                            {}, &ec)
+                  .ok());
   EXPECT_FALSE(rep.from_cache);
-  ASSERT_TRUE(
-      db.PlanWidths(snap1, h, kTriangleAtoms, omega, &rep, {}, &ec).ok());
-  EXPECT_TRUE(rep.from_cache) << "same snapshot -> cache hit";
 
   {
     Database::Transaction txn = db.Begin(&ec);
     txn.Append("R", EpochDelta(VarSet{0, 1}, 5));
     txn.Commit();
   }
-  Snapshot snap2 = db.snapshot(&ec);
-  ASSERT_TRUE(
-      db.PlanWidths(snap2, h, kTriangleAtoms, omega, &rep, {}, &ec).ok());
-  EXPECT_FALSE(rep.from_cache)
-      << "a commit to a bound relation must miss the cache";
-  // The pinned old snapshot still hits its own keyed entry.
-  ASSERT_TRUE(
-      db.PlanWidths(snap1, h, kTriangleAtoms, omega, &rep, {}, &ec).ok());
+  // Widths depend on the shape only: the new epoch plans from the cache.
+  ASSERT_TRUE(db.PlanWidths(db.snapshot(&ec), h, kTriangleAtoms, omega, &rep,
+                            {}, &ec)
+                  .ok());
+  EXPECT_TRUE(rep.from_cache) << "a commit must not cost a re-plan";
+  OmegaSubwOptions uncached;
+  uncached.use_width_cache = false;
+  const WidthReport reference = ComputeWidths(h, omega, uncached, &ec);
+  EXPECT_FALSE(reference.from_cache);
+  ExpectSameWidths(rep, reference);
+
+  // Another catalog binding the same shape under other names shares the
+  // one entry.
+  Database other;
+  {
+    Database::Transaction txn = other.Begin(&ec);
+    txn.Replace("A", TriangleSide(VarSet{0, 1}, 5, 50, 10));
+    txn.Replace("B", TriangleSide(VarSet{1, 2}, 6, 50, 10));
+    txn.Replace("C", TriangleSide(VarSet{0, 2}, 7, 50, 10));
+    txn.Commit();
+  }
+  ASSERT_TRUE(other.PlanWidths(other.snapshot(&ec), h, {"A", "B", "C"}, omega,
+                               &rep, {}, &ec)
+                  .ok());
   EXPECT_TRUE(rep.from_cache);
+  ExpectSameWidths(rep, reference);
+  EXPECT_EQ(WidthCache::Global().size(), 1u);
+  WidthCache::Global().Clear();
 }
 
 TEST(WidthCachePlaneTest, LruEvictionBoundsTheCache) {
@@ -648,8 +702,10 @@ EpochOracle BuildOracle(int base_tuples, int domain, int last_epoch) {
   return oracle;
 }
 
-/// Readers loop {pin snapshot, query, check against the oracle at the
-/// pinned epoch} while the writer commits epochs 2..last. `fault_plan`
+/// Readers loop {pin snapshot, plan, query, check both against the
+/// oracle at the pinned epoch} while the writer commits epochs 2..last.
+/// Every plan reads the shared WidthCache entry and must equal one
+/// uncached reference, whatever epoch it pinned. `fault_plan`
 /// additionally injects a sticky ops-site fault into every first commit
 /// attempt, proving aborted transactions stay invisible to readers.
 void RunTorture(int reader_threads, int last_epoch, bool fault_plan) {
@@ -662,13 +718,18 @@ void RunTorture(int reader_threads, int last_epoch, bool fault_plan) {
   SeedTriangleCatalog(&db, &writer_ec, kBaseTuples, kDomain);
   ASSERT_EQ(db.epoch(), 1);
   const Hypergraph h = Hypergraph::Triangle();
+  const Rational omega(3, 1);
+  OmegaSubwOptions uncached;
+  uncached.use_width_cache = false;
+  const WidthReport plan_ref = ComputeWidths(h, omega, uncached, &writer_ec);
 
   std::atomic<bool> done{false};
   std::atomic<int64_t> reads{0};
   std::vector<std::thread> readers;
   readers.reserve(static_cast<size_t>(reader_threads));
   for (int i = 0; i < reader_threads; ++i) {
-    readers.emplace_back([&db, &h, &oracle, &done, &reads, i]() {
+    readers.emplace_back([&db, &h, &omega, &plan_ref, &oracle, &done, &reads,
+                          i]() {
       ExecContext ec(1);
       uint64_t iter = 0;
       while (!done.load(std::memory_order_acquire)) {
@@ -676,6 +737,16 @@ void RunTorture(int reader_threads, int last_epoch, bool fault_plan) {
         const int64_t epoch = snap.epoch();
         ASSERT_GE(epoch, 1);
         ASSERT_LT(epoch, static_cast<int64_t>(oracle.count.size()));
+        WidthReport plan;
+        ASSERT_TRUE(
+            db.PlanWidths(snap, h, kTriangleAtoms, omega, &plan, {}, &ec).ok());
+        ASSERT_EQ(plan.rho_star, plan_ref.rho_star) << "reader " << i;
+        ASSERT_EQ(plan.fhtw, plan_ref.fhtw) << "reader " << i;
+        ASSERT_EQ(plan.subw, plan_ref.subw) << "reader " << i;
+        ASSERT_EQ(plan.omega_subw_lower, plan_ref.omega_subw_lower)
+            << "reader " << i;
+        ASSERT_EQ(plan.omega_subw_upper, plan_ref.omega_subw_upper)
+            << "reader " << i;
         if ((iter + static_cast<uint64_t>(i)) % 4 == 0) {
           // Full-join read: bit-identical rows for the pinned epoch.
           Relation j;

@@ -2,11 +2,13 @@
 // and w-subw (Definition 4.7) against the closed forms of Appendix C /
 // Table 2 — all exact over rationals.
 
+#include "core/api.h"
 #include "core/exec_context.h"
 #include "core/exec_status.h"
 #include "entropy/witnesses.h"
 #include "gtest/gtest.h"
 #include "hypergraph/hypergraph.h"
+#include "query_shapes.h"
 #include "util/parallel.h"
 #include "util/rational.h"
 #include "width/closed_forms.h"
@@ -453,6 +455,31 @@ TEST(WidthCacheTest, SecondSolveIsServedFromCache) {
   EXPECT_FALSE(tri.from_cache);
   WidthCache::Global().Clear();
   EXPECT_EQ(WidthCache::Global().size(), 0u);
+}
+
+TEST(WidthCacheTest, CachedEqualsUncachedOverShapeTable) {
+  // The cache is keyed by shape alone, so a hit must be indistinguishable
+  // from a fresh solve on every query shape the ladder is tested on.
+  const Rational omega(2807355, 1000000);  // log2 7
+  OmegaSubwOptions uncached;
+  uncached.use_width_cache = false;
+  for (const QueryShape& shape : QueryShapeTable()) {
+    SCOPED_TRACE(shape.name);
+    WidthCache::Global().Clear();
+    ExecContext ec(1);
+    const WidthReport cold = ComputeWidths(shape.h, omega, {}, &ec);
+    EXPECT_FALSE(cold.from_cache);
+    const OmegaSubwResult hit = OmegaSubw(shape.h, omega, {}, &ec);
+    EXPECT_TRUE(hit.from_cache);
+    const OmegaSubwResult fresh = OmegaSubw(shape.h, omega, uncached, &ec);
+    EXPECT_FALSE(fresh.from_cache);
+    ExpectSameResult(hit, fresh, /*compare_counters=*/true);
+    EXPECT_EQ(cold.omega_subw_lower, fresh.lower);
+    EXPECT_EQ(cold.omega_subw_upper, fresh.upper);
+    EXPECT_EQ(cold.omega_subw_exact, fresh.exact);
+    EXPECT_EQ(cold.num_mm_terms, fresh.num_mm_terms);
+  }
+  WidthCache::Global().Clear();
 }
 
 TEST(WidthCacheTest, ConcurrentLookupInsertAtEightThreads) {

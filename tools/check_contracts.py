@@ -82,6 +82,14 @@ comments and PR descriptions. This linter turns them into build failures
                       brings back a hand-rolled product that skips all
                       three.
 
+  env-knob            Every std::getenv("FMMSW_...") in src/ must name
+                      one of the sanctioned knobs: FMMSW_THREADS (pool
+                      size), FMMSW_SIMD (kernel dispatch) or
+                      FMMSW_FAULT_PLAN (fault injection). A new env var
+                      is a new untested configuration axis; adding one
+                      means extending ENV_KNOBS in the same change, in
+                      plain sight of review. No allow marker applies.
+
 Allow marker: a site that legitimately violates a rule carries, on the
 same line or the line directly above,
 
@@ -399,6 +407,28 @@ def check_one_mm_operator(text, path):
 
 
 # --------------------------------------------------------------------------
+# Rule: env-knob
+
+
+ENV_KNOBS = ("FMMSW_THREADS", "FMMSW_SIMD", "FMMSW_FAULT_PLAN")
+GETENV_RE = re.compile(r'getenv\s*\(\s*"(FMMSW_\w*)"')
+
+
+def check_env_knob(text, path):
+    """A getenv of an FMMSW_ variable must name a sanctioned knob."""
+    violations = []
+    lines = strip_block_comments(text).split("\n")
+    for i, raw in enumerate(lines, start=1):
+        for name in GETENV_RE.findall(strip_line_comment(raw)):
+            if name not in ENV_KNOBS:
+                violations.append(Violation(
+                    "env-knob", path, i,
+                    f"env var {name!r} is not one of {', '.join(ENV_KNOBS)}"
+                    " (a new knob extends ENV_KNOBS in the same change)"))
+    return violations
+
+
+# --------------------------------------------------------------------------
 # Rule: queryabort-status
 
 
@@ -554,6 +584,7 @@ def lint_repo(repo):
             violations += check_tsa_escape(text, rel)
             violations += check_nondeterminism(text, rel)
             violations += check_queryabort_status(text, rel)
+            violations += check_env_knob(text, rel)
             if rel.replace(os.sep, "/") != "src/core/database.cc":
                 violations += check_catalog_mutation(text, rel)
             if rel.replace(os.sep, "/") not in (
@@ -756,6 +787,19 @@ ParallelFor(ec, FaultSite::kSort, n, chunk);
     expect("site-clean", v, "fault-site-coverage", 0)
     v = check_fault_site_coverage("// no table", uses, "cc")
     expect("site-notable", v, "fault-site-coverage", 1)
+
+    # env-knob: an unsanctioned FMMSW_ getenv fires; the three knobs, a
+    # non-FMMSW_ variable and a comment mention don't.
+    src = """
+const char* a = std::getenv("FMMSW_THREADS");
+const char* b = std::getenv("FMMSW_SIMD");
+const char* c = std::getenv( "FMMSW_FAULT_PLAN" );
+const char* d = std::getenv("FMMSW_NEW_KNOB");
+const char* e = getenv("HOME");
+// std::getenv("FMMSW_IN_A_COMMENT") does not fire
+"""
+    v = check_env_knob(src, "src")
+    expect("env-knob", v, "env-knob", 1)
 
     if failures:
         for f in failures:
