@@ -179,6 +179,19 @@ Plan Wcoj(const Hypergraph& h, const Rational& predicted,
           Rational(3), predicted, max_total};
 }
 
+/// The public path, EvaluateBooleanWithRecovery with default limits; a
+/// failed evaluation reads as a wrong answer.
+Plan Public(const Hypergraph& h, const Rational& omega,
+            const Rational& predicted) {
+  return {"public",
+          [h](const QueryInput& db, ExecContext* ec, TriangleStats*) {
+            bool answer = true;
+            return !EvaluateBooleanWithRecovery(h, db, &answer, ec).ok() ||
+                   answer;
+          },
+          omega, predicted};
+}
+
 /// The Figure-1 triangle split under `kernel`; `engine_omega` sets the
 /// split's worst-case threshold and prices its product.
 Plan Figure1(const std::string& name, MmKernel kernel, double engine_omega) {
@@ -201,12 +214,17 @@ Plan CliqueMmPlan(int k, const std::string& name, MmKernel kernel) {
 
 std::vector<Family> Table() {
   const Rational w3(3);  // every kernel but Strassen; every plan without MM
+  // The public path on a triangle core runs its first rung's kernel.
+  const Rational public_omega =
+      RealizedOmega(TriangleBooleanLadder().front().kernel);
   std::vector<Family> t;
   t.push_back(
       {"triangle",
        {4000, 8000, 16000, 32000, 64000, 128000},
        bench::TriangleInstance,
-       {Wcoj(Hypergraph::Triangle(), cf::SubwTriangle()),
+       {Public(Hypergraph::Triangle(), public_omega,
+               cf::OmegaSubwTriangle(public_omega)),
+        Wcoj(Hypergraph::Triangle(), cf::SubwTriangle()),
         Figure1("mm_boolean", MmKernel::kBoolean, 2.371552),
         Figure1("mm_strassen", MmKernel::kStrassen, 2.8073549),
         Figure1("gemm_blocked", MmKernel::kNaive, 3.0),
@@ -223,7 +241,9 @@ std::vector<Family> Table() {
        // The TD plan materializes R join S; its cap keeps the sweep within
        // laptop memory (its slope is fitted on the prefix). fhtw = 2 has
        // no closed form of its own.
-       {{"td",
+       {Public(Hypergraph::Cycle(4), w3, cf::SubwCycle(4)),
+        Wcoj(Hypergraph::Cycle(4), cf::SubwCycle(4)),
+        {"td",
          [](const QueryInput& db, ExecContext* ec, TriangleStats*) {
            return FourCycleTd(db, ec);
          },
@@ -242,7 +262,8 @@ std::vector<Family> Table() {
       {"pyramid",
        {1000, 2000, 4000, 8000, 16000},
        PyramidInstance,
-       {Wcoj(Hypergraph::Pyramid(3), cf::SubwPyramid(3)),
+       {Public(Hypergraph::Pyramid(3), w3, cf::SubwPyramid(3)),
+        Wcoj(Hypergraph::Pyramid(3), cf::SubwPyramid(3)),
         {"mm",
          [](const QueryInput& db, ExecContext* ec, TriangleStats*) {
            return Pyramid3Mm(db, 2.371552, MmKernel::kBoolean, nullptr, ec);
@@ -253,28 +274,19 @@ std::vector<Family> Table() {
   // omega, while WCOJ alone pays rho* = 5/2 (quadratic on this instance;
   // capped to keep the sweep short).
   const Hypergraph pendant = TrianglePendantQuery();
-  const Rational public_omega =
-      RealizedOmega(TriangleBooleanLadder().front().kernel);
-  t.push_back(
-      {"triangle_pendant",
-       {500, 1000, 2000, 4000, 8000, 16000, 32000},
-       TrianglePendantNegative,
-       {{"public",
-         [pendant](const QueryInput& db, ExecContext* ec, TriangleStats*) {
-           // A failed evaluation reads as a wrong answer.
-           bool answer = true;
-           return !EvaluateBooleanWithRecovery(pendant, db, &answer, ec)
-                       .ok() ||
-                  answer;
-         },
-         public_omega, cf::OmegaSubwTriangle(public_omega)},
-        Wcoj(pendant, Rational(5, 2), 20000)}});
+  t.push_back({"triangle_pendant",
+               {500, 1000, 2000, 4000, 8000, 16000, 32000},
+               TrianglePendantNegative,
+               {Public(pendant, public_omega,
+                       cf::OmegaSubwTriangle(public_omega)),
+                Wcoj(pendant, Rational(5, 2), 20000)}});
   for (int k : {3, 4, 5, 6}) {
     t.push_back({"clique_k" + std::to_string(k),
                  k <= 4 ? std::vector<int64_t>{24, 36, 54, 80, 120}
                         : std::vector<int64_t>{12, 18, 27, 40},
                  [k](int64_t domain) { return CliqueInstance(k, domain); },
-                 {Wcoj(Hypergraph::Clique(k), cf::SubwClique(k)),
+                 {Public(Hypergraph::Clique(k), w3, cf::SubwClique(k)),
+                  Wcoj(Hypergraph::Clique(k), cf::SubwClique(k)),
                   CliqueMmPlan(k, "mm_boolean", MmKernel::kBoolean),
                   CliqueMmPlan(k, "mm_strassen", MmKernel::kStrassen)}});
   }

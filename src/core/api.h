@@ -64,9 +64,9 @@ ExecResult ValidateQuery(const Hypergraph& h, const QueryInput& db);
 /// The one status-returning evaluation path: ValidateQuery (on failure
 /// nothing runs), then RunWithRecovery (core/recovery.h) over the
 /// query's degradation ladder from the engine/strategy.h cards — for the
-/// canonical triangle, Strassen hybrid -> blocked GEMM -> bit-sliced ->
-/// WCOJ (count) or Strassen hybrid -> Boolean-product hybrid -> WCOJ
-/// (Boolean). Each Boolean rung first removes the query's ears
+/// canonical triangle, one MM rung then WCOJ: the bit-sliced counting
+/// product (count) or the Figure-1 split over the bit-packed Boolean
+/// product (Boolean). Each Boolean rung first removes the query's ears
 /// (ReduceEars, a linear semijoin pass that answers an alpha-acyclic
 /// query outright), and the ladder follows the shape of the cyclic core
 /// left (BooleanLadderFor): the triangle ladder above for a triangle

@@ -267,7 +267,6 @@ void ExecStats::Reset() {
   antijoin_calls = 0;
   project_calls = 0;
   union_calls = 0;
-  select_calls = 0;
   partition_calls = 0;
   sort_calls = 0;
   sort_rows = 0;
@@ -330,7 +329,6 @@ std::string ExecStats::ToString() const {
   row("antijoin_calls      ", antijoin_calls);
   row("project_calls       ", project_calls);
   row("union_calls         ", union_calls);
-  row("select_calls        ", select_calls);
   row("partition_calls     ", partition_calls);
   row("sort_calls          ", sort_calls);
   row("sort_rows           ", sort_rows);

@@ -126,7 +126,6 @@ struct ExecStats {
   std::atomic<int64_t> antijoin_calls{0};       ///< Antijoin operator invocations
   std::atomic<int64_t> project_calls{0};        ///< Project operator invocations
   std::atomic<int64_t> union_calls{0};          ///< Union operator invocations
-  std::atomic<int64_t> select_calls{0};         ///< SelectEq operator invocations
   std::atomic<int64_t> partition_calls{0};      ///< PartitionByDegree invocations
   std::atomic<int64_t> sort_calls{0};           ///< wide-key row sorts executed
   std::atomic<int64_t> sort_rows{0};            ///< rows through the sort layer

@@ -6,34 +6,19 @@
 
 namespace fmmsw {
 
-namespace {
-
-// log2(7), the Strassen exponent: the degree split's MM price and the
-// kernel must agree (see TriangleMm's omega parameter).
-double StrassenOmega() { return std::log2(7.0); }
-
-}  // namespace
-
 const std::vector<StrategyCard>& TriangleCountLadder() {
-  static const std::vector<StrategyCard> ladder = [] {
-    std::vector<StrategyCard> l;
-    l.push_back({"mm-strassen", true, MmKernel::kStrassen, StrassenOmega(), 3});
-    l.push_back({"gemm-blocked", true, MmKernel::kNaive, 3.0, 2});
-    l.push_back({"mm-bitsliced", true, MmKernel::kBitSliced, 3.0, 1});
-    l.push_back({"wcoj", false, MmKernel::kBoolean, 3.0, 0});
-    return l;
-  }();
+  static const std::vector<StrategyCard> ladder = {
+      {"mm-bitsliced", true, MmKernel::kBitSliced, 3.0, 1},
+      {"wcoj", false, MmKernel::kBoolean, 3.0, 0}};
   return ladder;
 }
 
 const std::vector<StrategyCard>& TriangleBooleanLadder() {
-  static const std::vector<StrategyCard> ladder = [] {
-    std::vector<StrategyCard> l;
-    l.push_back({"mm-strassen", true, MmKernel::kStrassen, StrassenOmega(), 2});
-    l.push_back({"mm-boolean", true, MmKernel::kBoolean, 3.0, 1});
-    l.push_back({"wcoj", false, MmKernel::kBoolean, 3.0, 0});
-    return l;
-  }();
+  // Priced at log2 7 although the bit-packed kernel realizes 3 (see
+  // StrategyCard::omega).
+  static const std::vector<StrategyCard> ladder = {
+      {"mm-boolean", true, MmKernel::kBoolean, std::log2(7.0), 1},
+      {"wcoj", false, MmKernel::kBoolean, 3.0, 0}};
   return ladder;
 }
 

@@ -13,8 +13,11 @@
 /// beyond its input indexes. Higher memory appetite does not imply
 /// higher speed, so the first rung is chosen per query shape rather
 /// than by appetite (BooleanLadderFor): every Boolean rung removes ears
-/// first (ReduceEars), the triangle's MM hybrids lead when the cyclic
+/// first (ReduceEars), the triangle's MM hybrid leads when the cyclic
 /// core left is the triangle, and every other core runs WCOJ alone.
+/// Each triangle ladder holds one MM rung: a rung that wins no measured
+/// row is deleted, and the int64 counting products all charge the same
+/// operands, so a budget that aborts one aborts them all.
 ///
 /// Everything here is pure metadata — no ExecContext flows through, and
 /// these functions never touch a database — so the ctx-threading lint
@@ -37,22 +40,25 @@ struct StrategyCard {
   bool uses_mm = false;
   /// Counting/boolean kernel the rung dispatches (meaningful iff uses_mm).
   MmKernel kernel = MmKernel::kBoolean;
-  /// The kernel's exponent, for the degree-split hybrids (meaningful iff
+  /// The threshold exponent of the degree-split hybrids (meaningful iff
   /// uses_mm): TriangleMm prices its heavy core's product with it and
   /// takes Delta0 = N^{(omega-1)/(omega+1)} as the worst-case candidate
-  /// among the thresholds it chooses from.
+  /// among the thresholds it chooses from. It need not be the exponent
+  /// the kernel realizes: the Boolean rung prices at log2 7 while its
+  /// bit-packed kernel realizes 3, because priced at 3 its split picks a
+  /// Delta > 0 that runs 1.6-2.3x slower than the Delta = 0 that log2 7
+  /// picks (bench::TriangleInstance, N = 3.8k to 121k).
   double omega = 3.0;
   int memory_rank = 0;
 };
 
-/// Degradation ladder for triangle *counting*:
-/// Strassen counting product -> blocked cubic GEMM -> bit-sliced 0/1
-/// product -> plain WCOJ count. Ordered by descending memory appetite.
+/// Degradation ladder for triangle *counting*: the bit-sliced 0/1
+/// counting product (TriangleCountMm) -> plain WCOJ count.
 const std::vector<StrategyCard>& TriangleCountLadder();
 
-/// Degradation ladder for the *Boolean* triangle query:
-/// Strassen-thresholded hybrid -> bit-packed Boolean product hybrid ->
-/// plain WCOJ.
+/// Degradation ladder for the *Boolean* triangle query: the Figure-1
+/// split over the bit-packed Boolean product, thresholded at log2 7
+/// (TriangleMm) -> plain WCOJ.
 const std::vector<StrategyCard>& TriangleBooleanLadder();
 
 /// The Boolean query's ladder, picked from the shape of its cyclic core

@@ -18,13 +18,6 @@ namespace fmmsw {
 /// special case of all-singleton blocks.
 struct Gveo {
   std::vector<VarSet> blocks;
-
-  bool IsPlainVeo() const {
-    for (const VarSet& b : blocks) {
-      if (b.size() != 1) return false;
-    }
-    return true;
-  }
 };
 
 /// One step of the generalized elimination hypergraph sequence: the

@@ -300,17 +300,6 @@ Relation Project(const Relation& a, VarSet keep, ExecContext* ctx) {
   return out;
 }
 
-Relation SelectEq(const Relation& a, int var, Value value, ExecContext* ctx) {
-  Bump(ExecContext::Resolve(ctx).stats().select_calls);
-  Relation out(a.schema());
-  const int col = a.ColumnOf(var);
-  for (size_t r = 0; r < a.size(); ++r) {
-    const Value* row = a.Row(r);
-    if (row[col] == value) out.AddRow(row);
-  }
-  return out;
-}
-
 Relation Intersect(const Relation& a, const Relation& b, ExecContext* ctx) {
   FMMSW_CHECK(a.schema() == b.schema());
   return Semijoin(a, b, ctx);

@@ -40,10 +40,6 @@
 ///                that creates duplicates from duplicate-free input).
 ///   - Intersect: filter on `a` (via Semijoin); duplicate-free iff `a` is.
 ///   - Union    : output is always deduplicated (set union).
-///   - SelectEq : filter on `a` — preserves matching tuples verbatim,
-///                including duplicates (contrast with Union/Project: a
-///                selection cannot create duplicates, so deduping here
-///                would only mask duplicate inputs).
 /// Nullary relations are Boolean: {()} ("true") is the join identity, the
 /// empty nullary relation ("false") annihilates; Project onto the empty
 /// set is an existence test.
@@ -128,11 +124,6 @@ Relation Union(const Relation& a, const Relation& b,
 
 /// Tuples of `a` NOT joining any tuple of `b` (anti-join).
 Relation Antijoin(const Relation& a, const Relation& b,
-                  ExecContext* ctx = nullptr);
-
-/// Tuples of `a` whose variable `var` equals `value` (no dedup; see
-/// contract above).
-Relation SelectEq(const Relation& a, int var, Value value,
                   ExecContext* ctx = nullptr);
 
 }  // namespace fmmsw

@@ -1,6 +1,5 @@
 #include "width/omega_subw.h"
 
-#include <algorithm>
 #include <chrono>
 #include <mutex>
 #include <set>
@@ -10,7 +9,6 @@
 #include "core/exec_context.h"
 #include "util/check.h"
 #include "util/parallel.h"
-#include "width/closed_forms.h"
 #include "width/maxmin_solver.h"
 #include "width/width_cache.h"
 
@@ -394,50 +392,6 @@ OmegaSubwResult OmegaSubwClustered(const Hypergraph& h, const Rational& omega,
   return out;
 }
 
-namespace {
-
-/// Shape equality up to edge order (factories are canonical up to the
-/// order AddEdge was called in).
-bool SameShape(const Hypergraph& a, const Hypergraph& b) {
-  if (a.vertices() != b.vertices()) return false;
-  std::vector<VarSet> ea = a.edges();
-  std::vector<VarSet> eb = b.edges();
-  if (ea.size() != eb.size()) return false;
-  std::sort(ea.begin(), ea.end());
-  std::sort(eb.begin(), eb.end());
-  return ea == eb;
-}
-
-/// The proven Appendix-C closed form for `h`, if it is one of the
-/// canonical shapes (see OmegaSubwOptions::recover_pivot_limit). The
-/// returned result is exact in value but witness-free.
-bool ClosedFormWidth(const Hypergraph& h, const Rational& omega,
-                     OmegaSubwResult* out) {
-  const int n = h.vertices().size();
-  Rational value;
-  if (SameShape(h, Hypergraph::Triangle())) {
-    value = closed_forms::OmegaSubwTriangle(omega);
-  } else if (n >= 4 && SameShape(h, Hypergraph::Clique(n))) {
-    value = n == 4   ? closed_forms::OmegaSubwClique4(omega)
-            : n == 5 ? closed_forms::OmegaSubwClique5(omega)
-                     : closed_forms::OmegaSubwClique(n, omega);
-  } else if (n == 4 && SameShape(h, Hypergraph::Cycle(4))) {
-    value = closed_forms::OmegaSubwCycle4(omega);
-  } else if (SameShape(h, Hypergraph::Pyramid(3))) {
-    value = closed_forms::OmegaSubwPyramid3(omega);
-  } else {
-    return false;
-  }
-  OmegaSubwResult r;
-  r.lower = r.upper = r.value = value;
-  r.exact = true;
-  r.degraded_closed_form = true;
-  *out = r;
-  return true;
-}
-
-}  // namespace
-
 OmegaSubwResult OmegaSubw(const Hypergraph& h, const Rational& omega,
                           const OmegaSubwOptions& opts, ExecContext* ctx) {
   ExecContext& ec = ExecContext::Resolve(ctx);
@@ -453,31 +407,13 @@ OmegaSubwResult OmegaSubw(const Hypergraph& h, const Rational& omega,
   }
 
   OmegaSubwResult out;
-  const int64_t t0 = NowNs();
-  try {
-    if (h.IsClustered()) {
-      out = OmegaSubwClustered(h, omega, opts, &ec);
-    } else {
-      out = OmegaSubwGeneral(h, omega, opts, ec);
-      out.plan_ns = NowNs() - t0;
-      Bump(ec.stats().plan_ns, out.plan_ns);
-    }
-  } catch (const QueryAbort& e) {
-    // Pivot-limit recovery to closed-form bounds: only *capacity* caps
-    // are recoverable here (a fault-plan or budget abort is retryable at
-    // the recovery-ladder layer, not by swapping in a closed form), and
-    // the degraded result is never inserted into the WidthCache — a later
-    // clean solve must miss and compute the full certified result.
-    OmegaSubwResult degraded;
-    if (!opts.recover_pivot_limit ||
-        e.status() != ExecStatus::kCapacityExceeded ||
-        !ClosedFormWidth(h, omega, &degraded)) {
-      throw;
-    }
-    degraded.plan_ns = NowNs() - t0;
-    Bump(ec.stats().plan_ns, degraded.plan_ns);
-    Bump(ec.stats().degraded_runs);
-    return degraded;
+  if (h.IsClustered()) {
+    out = OmegaSubwClustered(h, omega, opts, &ec);
+  } else {
+    const int64_t t0 = NowNs();
+    out = OmegaSubwGeneral(h, omega, opts, ec);
+    out.plan_ns = NowNs() - t0;
+    Bump(ec.stats().plan_ns, out.plan_ns);
   }
   if (opts.use_width_cache) {
     const size_t evicted = WidthCache::Global().Insert(key, out);

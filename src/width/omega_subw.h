@@ -66,15 +66,6 @@ struct OmegaSubwOptions {
   bool use_width_cache = true;
   /// Per-LP pivot budget; exceeding it raises QueryAbort(kCapacityExceeded).
   int max_pivots = 200000;
-  /// Recovery-plane degradation (core/recovery.h): when the pivot budget
-  /// (or another capacity cap) aborts the LP machinery and the query is
-  /// one of the canonical shapes with a proven Appendix-C closed form
-  /// (triangle, k-clique, 4-cycle, 3-pyramid), return that closed-form
-  /// value — flagged degraded_closed_form, never inserted into the
-  /// WidthCache, and without a witness polymatroid — instead of
-  /// rethrowing. Off by default: unrecovered pivot exhaustion stays a
-  /// catchable QueryAbort(kCapacityExceeded).
-  bool recover_pivot_limit = false;
 };
 
 struct OmegaSubwResult {
@@ -97,10 +88,6 @@ struct OmegaSubwResult {
   /// True when served from the WidthCache; the counters above then report
   /// the original (cached) computation.
   bool from_cache = false;
-  /// True when the LP solve aborted on a capacity cap and the value came
-  /// from the closed-form fallback (opts.recover_pivot_limit). The result
-  /// carries no worst_case witness and is never cached.
-  bool degraded_closed_form = false;
 };
 
 /// The inner cost of Definition 4.7 for one GVEO on a concrete polymatroid:

@@ -178,15 +178,15 @@ TEST(RecoveryTest, LadderFallsBackUnderMmPressureAtEveryThreadCount) {
     // Bit-identical to a clean run of the fallback strategy.
     EXPECT_EQ(count, clean_count) << "threads=" << threads;
     EXPECT_EQ(report.winning_rung, "wcoj");
-    // Every MM rung (strassen, blocked, bit-sliced) failed retryably.
-    EXPECT_EQ(report.attempts, 4);
-    EXPECT_EQ(report.degraded_runs, 3);
-    ASSERT_EQ(report.failures.size(), 3u);
+    // The MM rung failed retryably.
+    EXPECT_EQ(report.attempts, 2);
+    EXPECT_EQ(report.degraded_runs, 1);
+    ASSERT_EQ(report.failures.size(), 1u);
     for (const ExecResult& f : report.failures) {
       EXPECT_EQ(f.status, ExecStatus::kMemoryLimitExceeded);
     }
-    EXPECT_EQ(ec.stats().retries.load(), 3);
-    EXPECT_EQ(ec.stats().degraded_runs.load(), 3);
+    EXPECT_EQ(ec.stats().retries.load(), 1);
+    EXPECT_EQ(ec.stats().degraded_runs.load(), 1);
     EXPECT_EQ(ec.stats().mem_current_bytes.load(), 0);
     // The plan is sticky until cleared: a clean rerun works afterwards.
     ec.guard().SetFaultPlan(FaultPlan{});
@@ -208,7 +208,7 @@ TEST(RecoveryTest, BooleanLadderRecoversAndMatches) {
     // early exit under an irrelevant plan is covered by the per-site
     // soak). The degree-split phase, however, always runs through the
     // relational-ops plane — which the WCOJ rung never polls — so an
-    // "ops" fault deterministically fails both hybrid rungs.
+    // "ops" fault deterministically fails the hybrid rung.
     ec.guard().SetFaultPlan(MustParse("ops:1"));
     bool result = !clean;
     RecoveryReport report;
@@ -217,8 +217,8 @@ TEST(RecoveryTest, BooleanLadderRecoversAndMatches) {
     ASSERT_TRUE(r.ok()) << r.message;
     EXPECT_EQ(result, clean);
     EXPECT_EQ(report.winning_rung, "wcoj");
-    EXPECT_EQ(report.attempts, 3);
-    EXPECT_EQ(report.degraded_runs, 2);
+    EXPECT_EQ(report.attempts, 2);
+    EXPECT_EQ(report.degraded_runs, 1);
     ec.guard().SetFaultPlan(FaultPlan{});
   }
 }
@@ -233,7 +233,9 @@ TEST(RecoveryTest, TerminalStatusIsNotRetried) {
   const ExecResult r =
       EvaluateCountWithRecovery(h, db, &count, &ec, {}, {}, &report);
   EXPECT_EQ(r.status, ExecStatus::kCancelled);
-  EXPECT_NE(r.message.find("rung 'mm-strassen'"), std::string::npos);
+  EXPECT_NE(
+      r.message.find("rung '" + TriangleCountLadder().front().name + "'"),
+      std::string::npos);
   EXPECT_EQ(report.attempts, 1) << "terminal failures must not retry";
   EXPECT_EQ(count, -1);
   EXPECT_EQ(ec.stats().retries.load(), 0);
@@ -268,14 +270,14 @@ TEST(RecoveryTest, MaxAttemptsCapsTheLadder) {
   ExecContext ec(2);
   ec.guard().SetFaultPlan(MustParse("mm:1"));
   RetryPolicy policy;
-  policy.max_attempts = 2;  // strassen + blocked only; never reaches wcoj
+  policy.max_attempts = 1;  // the MM rung only; never reaches wcoj
   int64_t count = -1;
   RecoveryReport report;
   const ExecResult r =
       EvaluateCountWithRecovery(h, db, &count, &ec, {}, policy, &report);
   EXPECT_EQ(r.status, ExecStatus::kRetryExhausted);
   EXPECT_NE(r.message.find("retry budget exhausted"), std::string::npos);
-  EXPECT_EQ(report.attempts, 2);
+  EXPECT_EQ(report.attempts, 1);
   EXPECT_EQ(count, -1);
   ec.guard().SetFaultPlan(FaultPlan{});
 }
@@ -1185,6 +1187,58 @@ TEST(BooleanLadderTest, EarReductionUnderOpsFaults) {
   }
   // ops:1 fires at the first ear's poll on every rung.
   EXPECT_GT(exhausted, 0);
+}
+
+// A triangle-free square on [0, d), d a multiple of 4: R and S keep the
+// pairs whose sum is 0 mod 4, T those whose sum is 1 mod 4 (x + y and
+// y + z both 0 mod 4 force x + z to be even). Every degree is d / 4, so
+// every split with a heavy value runs the full Figure-1 core.
+QueryInput ModFourSquareTriangle(int d) {
+  Relation r(VarSet{0, 1}), s(VarSet{1, 2}), t(VarSet{0, 2});
+  for (Value a = 0; a < d; ++a) {
+    for (Value b = 0; b < d; ++b) {
+      if ((a + b) % 4 == 0) {
+        r.Add({a, b});
+        s.Add({a, b});
+      } else if ((a + b) % 4 == 1) {
+        t.Add({a, b});
+      }
+    }
+  }
+  return Sorted({std::move(r), std::move(s), std::move(t)});
+}
+
+// The Boolean ladder's first rung runs the full split on bit-packed
+// operands, so a budget that the int64 operands of a counting kernel
+// overrun still answers on that rung, in one attempt.
+TEST(BooleanLadderTest, FirstRungAnswersWithinBitPackedBudget) {
+  const Hypergraph h = Hypergraph::Triangle();
+  const QueryInput db = ModFourSquareTriangle(64);
+  const StrategyCard& first = TriangleBooleanLadder().front();
+  ASSERT_TRUE(first.uses_mm);
+  for (int threads : {1, 4}) {
+    TriangleStats st;
+    ExecContext probe(threads);
+    ASSERT_FALSE(TriangleMm(db, first.omega, MmKernel::kBoolean, &st, &probe));
+    ASSERT_EQ(st.solo_corner, -1);
+    const int64_t packed_peak = probe.stats().mem_peak_bytes.load();
+    const int64_t int64_operands =
+        IndicatorBytes(st.mm_dim_x, st.mm_dim_y, MmKernel::kNaive) +
+        IndicatorBytes(st.mm_dim_y, st.mm_dim_z, MmKernel::kNaive);
+    ASSERT_LT(packed_peak, int64_operands) << "threads=" << threads;
+    const QueryLimits limits = {
+        .memory_budget_bytes = (packed_peak + int64_operands) / 2};
+    ExecContext ec(threads);
+    bool answer = true;
+    RecoveryReport report;
+    const ExecResult r =
+        EvaluateBooleanWithRecovery(h, db, &answer, &ec, limits, {}, &report);
+    ASSERT_TRUE(r.ok()) << r.message;
+    EXPECT_FALSE(answer);
+    EXPECT_EQ(report.winning_rung, first.name) << "threads=" << threads;
+    EXPECT_EQ(report.attempts, 1) << "threads=" << threads;
+    EXPECT_EQ(ec.stats().mem_current_bytes.load(), 0);
+  }
 }
 
 // ------------------------------------------------- strategy metadata --

@@ -339,23 +339,6 @@ TEST(OpsEdgeTest, IntersectEmpty) {
   EXPECT_TRUE(Intersect(e, a).empty());
 }
 
-TEST(OpsEdgeTest, SelectEqEmptyInputAndNoMatch) {
-  Relation e(VarSet{0, 1});
-  EXPECT_TRUE(SelectEq(e, 0, 5).empty());
-  Relation r = MakeRel(VarSet{0, 1}, {{1, 10}});
-  EXPECT_TRUE(SelectEq(r, 0, 2).empty());
-  EXPECT_EQ(SelectEq(r, 0, 1).size(), 1u);
-}
-
-// Contract: SelectEq is a pure filter — it preserves duplicate input
-// tuples instead of deduplicating like the set-producing ops (see ops.h).
-TEST(OpsEdgeTest, SelectEqPreservesMultiplicity) {
-  Relation r = MakeRel(VarSet{0, 1}, {{1, 10}, {1, 10}, {2, 20}});
-  EXPECT_EQ(SelectEq(r, 0, 1).size(), 2u);
-  // Union over the same input dedupes (set semantics).
-  EXPECT_EQ(Union(r, r).size(), 2u);
-}
-
 TEST(OpsEdgeTest, JoinSetSemanticsOption) {
   // Duplicate-carrying inputs: default Join keeps the duplicate pairs,
   // set_semantics collapses them.

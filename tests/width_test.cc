@@ -560,28 +560,6 @@ TEST(PlannerGuardrailTest, FaultMidSolveNeverCachesPartialResults) {
   WidthCache::Global().Clear();
 }
 
-TEST(PlannerGuardrailTest, PivotLimitRecoversToClosedForm) {
-  // With recover_pivot_limit set, the same starved pivot budget degrades
-  // to the Table 2 closed form instead of aborting — exact, witness-free
-  // and (deliberately) never cached.
-  WidthCache::Global().Clear();
-  ExecContext ec(1);
-  OmegaSubwOptions opts;
-  opts.use_width_cache = true;  // on, to prove the degraded result skips it
-  opts.max_pivots = 1;
-  opts.recover_pivot_limit = true;
-  const auto r = OmegaSubw(Hypergraph::Clique(4), Rational(5, 2), opts, &ec);
-  EXPECT_TRUE(r.degraded_closed_form);
-  EXPECT_TRUE(r.exact);
-  EXPECT_EQ(r.value, cf::OmegaSubwClique4(Rational(5, 2)));
-  EXPECT_EQ(r.lower, r.value);
-  EXPECT_EQ(r.upper, r.value);
-  EXPECT_FALSE(r.from_cache);
-  EXPECT_EQ(WidthCache::Global().size(), 0u)
-      << "degraded result must not be cached";
-  EXPECT_GE(ec.stats().degraded_runs.load(), 1);
-}
-
 TEST(PlannerStatsTest, CountersFlowIntoExecContext) {
   const Rational omega(2371552, 1000000);
   ExecContext ec(1);
