@@ -10,8 +10,10 @@
 // Every (plan, N) is timed under bench::Sample's protocol. Every instance
 // is negative by construction, so every call must answer false; every
 // Figure-1 row must run the full split (TriangleStats::solo_corner == -1),
-// not one light corner. The binary exits non-zero if either check fails.
-// --max-n caps the instances' total tuple count N.
+// not one light corner; the triangle and 4-clique `wcoj` rows must give
+// some relation a direct-addressed top level (ExecStats::wcoj_top_index).
+// The binary exits non-zero if any check fails. --max-n caps the
+// instances' total tuple count N.
 
 #include <cmath>
 #include <cstdio>
@@ -55,6 +57,8 @@ struct Plan {
   int64_t max_total = 0;
   /// A TriangleMm run: its split must not degenerate to one solo corner.
   bool figure1 = false;
+  /// A generic-join run that must give some relation a direct top level.
+  bool top_index = false;
 };
 
 /// A query family: the instance builder its sweep steps through, and the
@@ -171,12 +175,12 @@ QueryInput CliqueInstance(int k, int64_t domain) {
 }
 
 Plan Wcoj(const Hypergraph& h, const Rational& predicted,
-          int64_t max_total = 0) {
+          int64_t max_total = 0, bool top_index = false) {
   return {"wcoj",
           [h](const QueryInput& db, ExecContext* ec, TriangleStats*) {
             return WcojBoolean(h, db, ec);
           },
-          Rational(3), predicted, max_total};
+          Rational(3), predicted, max_total, false, top_index};
 }
 
 /// The public path, EvaluateBooleanWithRecovery with default limits; a
@@ -224,7 +228,7 @@ std::vector<Family> Table() {
        bench::TriangleInstance,
        {Public(Hypergraph::Triangle(), public_omega,
                cf::OmegaSubwTriangle(public_omega)),
-        Wcoj(Hypergraph::Triangle(), cf::SubwTriangle()),
+        Wcoj(Hypergraph::Triangle(), cf::SubwTriangle(), 0, true),
         Figure1("mm_boolean", MmKernel::kBoolean, 2.371552),
         Figure1("mm_strassen", MmKernel::kStrassen, 2.8073549),
         Figure1("gemm_blocked", MmKernel::kNaive, 3.0),
@@ -286,15 +290,16 @@ std::vector<Family> Table() {
                         : std::vector<int64_t>{12, 18, 27, 40},
                  [k](int64_t domain) { return CliqueInstance(k, domain); },
                  {Public(Hypergraph::Clique(k), w3, cf::SubwClique(k)),
-                  Wcoj(Hypergraph::Clique(k), cf::SubwClique(k)),
+                  Wcoj(Hypergraph::Clique(k), cf::SubwClique(k), 0, k == 4),
                   CliqueMmPlan(k, "mm_boolean", MmKernel::kBoolean),
                   CliqueMmPlan(k, "mm_strassen", MmKernel::kStrassen)}});
   }
   return t;
 }
 
-/// Sweeps one family; returns false if any call answered true or any
-/// Figure-1 row ran a solo corner.
+/// Sweeps one family; returns false if any call answered true, any
+/// Figure-1 row ran a solo corner or a `top_index` row took no direct top
+/// level.
 bool Run(const Family& family, ExecContext& ec) {
   bench::Header(family.name + ": fitted exponent per plan (negative "
                 "instances)");
@@ -314,6 +319,7 @@ bool Run(const Family& family, ExecContext& ec) {
         answered_true |= plan.run(db, &ec, &st);
         solo |= plan.figure1 && st.solo_corner != -1;
       });
+      const bool no_top = plan.top_index && t.wcoj_top_index == 0;
       ns[p].push_back(static_cast<double>(total));
       ts[p].push_back(t.median_ms);
       std::string extra;
@@ -323,11 +329,12 @@ bool Run(const Family& family, ExecContext& ec) {
                 ",\"delta_worst_case\":" + std::to_string(st.delta_worst_case);
       }
       bench::Json(family.name, total, plan.name, t, extra);
-      std::printf("  N=%-8lld %-14s median %10.3f ms  iqr %8.3f ms%s%s\n",
+      std::printf("  N=%-8lld %-14s median %10.3f ms  iqr %8.3f ms%s%s%s\n",
                   total, plan.name.c_str(), t.median_ms, t.q3_ms - t.q1_ms,
                   answered_true ? "  ANSWERED TRUE" : "",
-                  solo ? "  SOLO CORNER" : "");
-      ok &= !answered_true && !solo;
+                  solo ? "  SOLO CORNER" : "",
+                  no_top ? "  NO TOP INDEX" : "");
+      ok &= !answered_true && !solo && !no_top;
     }
   }
   const std::string simd = SimdLevelName(ActiveSimdLevel());
@@ -370,7 +377,8 @@ int main(int argc, char** argv) {
   }
   if (!ok) {
     std::fprintf(stderr, "bench_exponents: a negative instance answered "
-                         "true or a Figure-1 row ran a solo corner\n");
+                         "true, a Figure-1 row ran a solo corner or a "
+                         "wcoj row took no direct top level\n");
   }
   return ok ? 0 : 1;
 }

@@ -85,12 +85,15 @@ inline void Json(const std::string& name, long long n,
 }
 
 /// One sampled measurement: the median and quartiles of the timed calls'
-/// wall milliseconds, and the median per-call aggregate phase milliseconds
+/// wall milliseconds, the median per-call aggregate phase milliseconds
 /// (the context's index_build_ns / sort_ns deltas; see Json above for the
-/// summed-across-workers caveat).
+/// summed-across-workers caveat), and the median per-call count of
+/// relations the generic join gave a direct top level (the
+/// ExecStats::wcoj_top_index delta).
 struct Timing {
   double median_ms = 0, q1_ms = 0, q3_ms = 0;
   double index_build_ms = 0, sort_ms = 0;
+  int64_t wcoj_top_index = 0;
 };
 
 /// The one timing protocol: kWarmups untimed calls (arena growth, index
@@ -110,10 +113,11 @@ inline double Quantile(std::vector<double>& v, double p) {
 /// Runs f under the protocol above against `ec`.
 inline Timing Sample(ExecContext& ec, const std::function<void()>& f) {
   for (int i = 0; i < kWarmups; ++i) f();
-  std::vector<double> wall, index_build, sort;
+  std::vector<double> wall, index_build, sort, top_index;
   for (int i = 0; i < kSamples; ++i) {
     const int64_t ib0 = ec.stats().index_build_ns.load();
     const int64_t sort0 = ec.stats().sort_ns.load();
+    const int64_t top0 = ec.stats().wcoj_top_index.load();
     Stopwatch sw;
     f();
     wall.push_back(sw.Millis());
@@ -121,6 +125,8 @@ inline Timing Sample(ExecContext& ec, const std::function<void()>& f) {
         static_cast<double>(ec.stats().index_build_ns.load() - ib0) * 1e-6);
     sort.push_back(static_cast<double>(ec.stats().sort_ns.load() - sort0) *
                    1e-6);
+    top_index.push_back(
+        static_cast<double>(ec.stats().wcoj_top_index.load() - top0));
   }
   Timing t;
   t.q1_ms = Quantile(wall, 0.25);
@@ -128,18 +134,23 @@ inline Timing Sample(ExecContext& ec, const std::function<void()>& f) {
   t.q3_ms = Quantile(wall, 0.75);
   t.index_build_ms = Quantile(index_build, 0.5);
   t.sort_ms = Quantile(sort, 0.5);
+  t.wcoj_top_index = static_cast<int64_t>(Quantile(top_index, 0.5));
   return t;
 }
 
-/// A measurement line for a sampled Timing: wall_ms is the median, and
-/// iqr_ms = q3 - q1 its spread.
+/// A measurement line for a sampled Timing: wall_ms is the median,
+/// iqr_ms = q3 - q1 its spread, and wcoj_top_index the per-call count of
+/// relations that took the direct top level.
 inline void Json(const std::string& name, long long n,
                  const std::string& kernel, const Timing& t,
                  const std::string& extra = "") {
-  char iqr[48];
-  std::snprintf(iqr, sizeof(iqr), "\"iqr_ms\":%.6f", t.q3_ms - t.q1_ms);
+  char sampled[96];
+  std::snprintf(sampled, sizeof(sampled),
+                "\"iqr_ms\":%.6f,\"wcoj_top_index\":%lld", t.q3_ms - t.q1_ms,
+                static_cast<long long>(t.wcoj_top_index));
   Json(name, n, kernel, t.median_ms, t.index_build_ms, t.sort_ms,
-       extra.empty() ? std::string(iqr) : std::string(iqr) + "," + extra);
+       extra.empty() ? std::string(sampled)
+                     : std::string(sampled) + "," + extra);
 }
 
 inline void Header(const std::string& title) {

@@ -282,6 +282,7 @@ void ExecStats::Reset() {
   wcoj_coop_tasks = 0;
   wcoj_steal_claims = 0;
   wcoj_leaf_bitmaps = 0;
+  wcoj_top_index = 0;
   mm_products = 0;
   mm_base_calls = 0;
   mm_simd_calls = 0;
@@ -344,6 +345,7 @@ std::string ExecStats::ToString() const {
   row("wcoj_coop_tasks     ", wcoj_coop_tasks);
   row("wcoj_steal_claims   ", wcoj_steal_claims);
   row("wcoj_leaf_bitmaps   ", wcoj_leaf_bitmaps);
+  row("wcoj_top_index      ", wcoj_top_index);
   row("mm_products         ", mm_products);
   row("mm_base_calls       ", mm_base_calls);
   row("mm_simd_calls       ", mm_simd_calls);

@@ -98,6 +98,12 @@ namespace fmmsw {
 ///                             variable dense enough for one bitmap per
 ///                             prefix run); the others intersect the last
 ///                             variable with galloping seeks.
+///   - wcoj_top_index        : relations, summed over generic-WCOJ
+///                             executions, that took a direct-addressed
+///                             top level (first variable not the first of
+///                             the order, first-column window <= rows);
+///                             their top-level probes read an offset
+///                             array instead of galloping.
 /// MM micro-kernel counters (mm/kernel.h; mm_products above counts
 /// engine-level product launches, these count the kernel layer under it):
 ///   - mm_base_calls         : packed-panel base-case products (GemmAdd
@@ -141,6 +147,7 @@ struct ExecStats {
   std::atomic<int64_t> wcoj_coop_tasks{0};      ///< tasks run via shared depth-1 cursor
   std::atomic<int64_t> wcoj_steal_claims{0};    ///< depth-1 blocks claimed by dry workers
   std::atomic<int64_t> wcoj_leaf_bitmaps{0};    ///< ...that ANDed leaf bitmaps
+  std::atomic<int64_t> wcoj_top_index{0};       ///< relations given a direct top level
   std::atomic<int64_t> mm_products{0};          ///< matrix-kernel launches
   std::atomic<int64_t> mm_base_calls{0};        ///< packed micro-kernel products
   std::atomic<int64_t> mm_simd_calls{0};        ///< ...with a vector inner kernel

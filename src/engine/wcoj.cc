@@ -35,6 +35,12 @@ struct IndexedRelation {
   std::vector<uint64_t> leaf_bits;
   std::vector<uint32_t> leaf_run;
 
+  /// Direct-addressed top level (see GenericJoin::BuildTopIndex), empty
+  /// unless the relation took it: the rows whose first column holds
+  /// value v are [top_off[v - top_lo], top_off[v - top_lo + 1]).
+  std::vector<uint32_t> top_off;
+  int64_t top_lo = 0;
+
   Value At(uint32_t pos, size_t level) const {
     return data[static_cast<size_t>(pos) * arity + level];
   }
@@ -101,6 +107,7 @@ class GenericJoin {
       rels_.push_back(std::move(ir));
     }
     BuildLeafBitmaps(ec);
+    BuildTopIndex(ec);
   }
 
   size_t total_rows() const { return total_rows_; }
@@ -322,8 +329,9 @@ class GenericJoin {
   /// The one run-enumeration kernel shared by Recurse and RunBlock: walks
   /// the value runs of `pivot` whose start position lies in [lo, hi)
   /// (each run extends to its true end within prange, possibly past hi),
-  /// Seek-probes the other `actives` with forward-only cursors, pushes
-  /// the matched subranges, recurses at `next_depth` and unwinds; at the
+  /// probes the other `actives` (one array read on a direct top index,
+  /// otherwise a Seek from a forward-only cursor), pushes the matched
+  /// subranges, recurses at `next_depth` and unwinds; at the
   /// leaf of a join with leaf bitmaps it hands the same runs' values to
   /// EmitLeaf instead. The bit-identical-across-thread-counts guarantee
   /// rests on serial and cooperative execution sharing this single
@@ -346,10 +354,29 @@ class GenericJoin {
                       pr.At(hi - 1, plevel), emit);
     }
     const int v = order_[next_depth - 1];
-    // Forward-only probe cursors, one per active relation.
-    uint32_t cursor[64];
+    // How each probed relation is read, decided once per call: the ones
+    // on their top level with a direct index come first and read their
+    // run from the offset array; the rest gallop from a forward-only
+    // cursor.
+    struct Probe {
+      uint32_t rel, level, cursor, end;
+    };
+    Probe probes[64];
+    size_t n_direct = 0, n_probes = 0;
     for (size_t a = 0; a < n_active; ++a) {
-      cursor[a] = st->ranges[actives[a]].back().begin;
+      const size_t i = actives[a];
+      if (i == pivot) continue;
+      const std::vector<Range>& stack = st->ranges[i];
+      const Probe p{static_cast<uint32_t>(i),
+                    static_cast<uint32_t>(stack.size() - 1),
+                    stack.back().begin, stack.back().end};
+      if (p.level == 0 && !rels_[i].top_off.empty()) {
+        if (n_probes > n_direct) probes[n_probes] = probes[n_direct];
+        probes[n_direct++] = p;
+        ++n_probes;
+      } else {
+        probes[n_probes++] = p;
+      }
     }
     uint32_t pos = lo;
     while (pos < hi) {
@@ -364,29 +391,33 @@ class GenericJoin {
       while (run_end < prange.end && pr.At(run_end, plevel) == value) {
         ++run_end;
       }
-      bool ok = true;
-      size_t pushed = 0;
-      for (size_t a = 0; a < n_active; ++a) {
-        const size_t i = actives[a];
-        if (i == pivot) continue;
-        const Range sub = Seek(rels_[i], st->ranges[i].size() - 1, cursor[a],
-                               st->ranges[i].back().end, value);
-        cursor[a] = sub.end;
-        if (sub.size() == 0) {
-          ok = false;
+      size_t m = 0;  // probes matched (and pushed) so far
+      for (; m < n_direct; ++m) {
+        const IndexedRelation& ir = rels_[probes[m].rel];
+        // 64-bit offset: value - lo spans more than int32 at the extremes;
+        // a value below lo wraps past the window.
+        const uint64_t k =
+            static_cast<uint64_t>(static_cast<int64_t>(value) - ir.top_lo);
+        if (k >= ir.top_off.size() - 1 ||
+            ir.top_off[k] == ir.top_off[k + 1]) {
           break;
         }
-        st->ranges[i].push_back(sub);
-        ++pushed;
+        st->ranges[probes[m].rel].push_back(
+            {ir.top_off[k], ir.top_off[k + 1]});
       }
-      if (!ok) {
-        // Unwind the subranges pushed before the miss.
-        for (size_t a = 0; a < n_active && pushed > 0; ++a) {
-          const size_t i = actives[a];
-          if (i == pivot) continue;
-          st->ranges[i].pop_back();
-          --pushed;
+      if (m == n_direct) {
+        for (; m < n_probes; ++m) {
+          Probe& p = probes[m];
+          const Range sub =
+              Seek(rels_[p.rel], p.level, p.cursor, p.end, value);
+          p.cursor = sub.end;
+          if (sub.size() == 0) break;
+          st->ranges[p.rel].push_back(sub);
         }
+      }
+      if (m < n_probes) {
+        // Unwind the subranges pushed before the miss.
+        for (size_t k = 0; k < m; ++k) st->ranges[probes[k].rel].pop_back();
         pos = run_end;
         continue;
       }
@@ -597,9 +628,56 @@ class GenericJoin {
     return true;
   }
 
+  // ---- Direct-addressed top level -------------------------------------
+  // A relation whose first trie variable is not the first of the order is
+  // probed at its top level once per binding of the earlier variables,
+  // each probe a gallop from row 0 of the whole relation. When its
+  // first-column values are dense, an offset array per value replaces
+  // that gallop with one read. Relations holding order_[0] are walked
+  // once per value by a forward cursor (CollectTopTasks, depth 0), which
+  // is already linear, so they keep their sorted top level.
+
+  /// Builds the offset array of every relation whose first variable is
+  /// not order_[0] and whose first-column window [lo, hi] has
+  /// hi - lo + 1 <= rows, so the array takes at most 4 bytes per row
+  /// plus 4. One pass over the sorted trie buffer; the bytes are charged
+  /// with the tries before anything is allocated.
+  void BuildTopIndex(ExecContext& ec) {
+    if (order_.empty()) return;
+    std::vector<std::pair<size_t, int64_t>> take;  // (relation, window)
+    int64_t bytes = 0;
+    for (size_t i = 0; i < rels_.size(); ++i) {
+      const IndexedRelation& ir = rels_[i];
+      if (ir.vars.empty() || ir.vars[0] == order_[0] || ir.rows() == 0) {
+        continue;
+      }
+      const int64_t window =
+          static_cast<int64_t>(ir.At(ir.rows() - 1, 0)) - ir.At(0, 0) + 1;
+      if (window > ir.rows()) continue;
+      take.push_back({i, window});
+      bytes += (window + 1) * static_cast<int64_t>(sizeof(uint32_t));
+    }
+    if (take.empty()) return;
+    trie_charge_.Add(bytes);
+    for (const auto& [i, window] : take) {
+      IndexedRelation& ir = rels_[i];
+      const uint32_t n = ir.rows();
+      ir.top_lo = ir.At(0, 0);
+      ir.top_off.resize(window + 1);
+      // top_off[k] = first row whose value is >= top_lo + k.
+      int64_t k = 0;
+      for (uint32_t p = 0; p < n; ++p) {
+        const int64_t key = ir.At(p, 0) - ir.top_lo;
+        while (k <= key) ir.top_off[k++] = p;
+      }
+      while (k <= window) ir.top_off[k++] = n;
+    }
+    Bump(ec.stats().wcoj_top_index, static_cast<int64_t>(take.size()));
+  }
+
   std::vector<int> order_;
   QueryGuard* guard_;
-  MemCharge trie_charge_;  ///< tries and leaf bitmaps (join lifetime)
+  MemCharge trie_charge_;  ///< tries, leaf bitmaps, top levels (join life)
   std::vector<IndexedRelation> rels_;
   size_t total_rows_ = 0;
   std::vector<size_t> active_;     // relations constrained at depth 0
@@ -787,16 +865,16 @@ bool WcojBoolean(const Hypergraph& h, const QueryInput& db, ExecContext* ctx) {
 Relation WcojJoin(const Hypergraph& h, const QueryInput& db, VarSet output_vars,
                   const std::vector<int>* order, ExecContext* ctx) {
   ExecContext& ec = ExecContext::Resolve(ctx);
-  Bump(ec.stats().wcoj_runs);
-  const std::vector<int> ord = order ? *order : DefaultOrder(h);
-  GenericJoin gj(h, db, ord, ec);
   Relation out(output_vars & h.vertices());
   const std::vector<int> out_vars = out.vars();
   if (out_vars.empty()) {
-    // Nullary output: an existence test.
-    if (WcojBoolean(h, db, ctx)) out.Add({});
+    // Nullary output: an existence test, on WcojBoolean's own tries.
+    if (WcojBoolean(h, db, &ec)) out.Add({});
     return out;
   }
+  Bump(ec.stats().wcoj_runs);
+  const std::vector<int> ord = order ? *order : DefaultOrder(h);
+  GenericJoin gj(h, db, ord, ec);
   QueryGuard& guard = ec.guard();
   const int64_t row_bytes =
       static_cast<int64_t>(out_vars.size()) * sizeof(Value);

@@ -20,6 +20,14 @@
 /// is intersected by ANDing per-prefix-run bitmaps (charged to the
 /// query's memory budget with the tries) and its values are emitted in
 /// ascending order, exactly as the sorted-range leaf emits them.
+///
+/// Dense top level: a relation whose first variable is not the first of
+/// the order, and whose first-column window [lo, hi] has
+/// hi - lo + 1 <= rows, gets an offset array (at most 4 bytes per row
+/// plus 4, charged with the tries before allocation), so each top-level
+/// probe is one array read instead of a gallop from row 0. Relations
+/// holding the first variable are walked once per value by a forward
+/// cursor, which is already linear, and keep their sorted top level.
 
 #include "hypergraph/hypergraph.h"
 #include "relation/relation.h"

@@ -12,6 +12,7 @@
 #include <functional>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
@@ -528,11 +529,37 @@ std::vector<std::vector<Value>> NestedLoopJoin(const Hypergraph& h,
   return {out.begin(), out.end()};
 }
 
+/// The relations of `db` that should take the direct top level under the
+/// default order (ascending variable ids): those whose first variable is
+/// not h's first, with a first-column window of at most their row count.
+int64_t TopIndexRelations(const Hypergraph& h, const QueryInput& db) {
+  const int first = h.vertices().Members().front();
+  int64_t n = 0;
+  for (const Relation& r : db.relations) {
+    const std::vector<int> vars = r.vars();
+    if (vars.empty() || r.size() == 0) continue;
+    const int v = *std::min_element(vars.begin(), vars.end());
+    if (v == first) continue;
+    const int col = r.ColumnOf(v);
+    int64_t lo = INT64_MAX, hi = INT64_MIN;
+    for (size_t i = 0; i < r.size(); ++i) {
+      lo = std::min<int64_t>(lo, r.Row(i)[col]);
+      hi = std::max<int64_t>(hi, r.Row(i)[col]);
+    }
+    if (hi - lo + 1 <= static_cast<int64_t>(r.size())) ++n;
+  }
+  return n;
+}
+
 /// WcojJoin, WcojCount and WcojBoolean against the nested-loop oracle at
-/// threads {1, 2, 4} and on the process pool (sized by FMMSW_THREADS);
-/// every run must take the bitmap leaf iff `bitmaps`.
-void ExpectLeafMatchesOracle(const Hypergraph& h, const QueryInput& db,
-                             bool bitmaps, const std::string& where) {
+/// threads {1, 2, 4} and on the process pool (sized by FMMSW_THREADS).
+/// Every run must give TopIndexRelations(h, db) relations a direct top
+/// level and, unless `bitmaps` is empty, take the bitmap leaf iff
+/// `*bitmaps`. Returns TopIndexRelations(h, db).
+int64_t ExpectMatchesOracle(const Hypergraph& h, const QueryInput& db,
+                            std::optional<bool> bitmaps,
+                            const std::string& where) {
+  const int64_t top = TopIndexRelations(h, db);
   const std::vector<std::vector<Value>> expect = NestedLoopJoin(h, db);
   for (int threads : {1, 2, 4, 0}) {
     const std::string at = where + " threads=" + std::to_string(threads);
@@ -543,10 +570,15 @@ void ExpectLeafMatchesOracle(const Hypergraph& h, const QueryInput& db,
     EXPECT_EQ(WcojCount(h, db, ec.get()), static_cast<int64_t>(expect.size()))
         << at;
     EXPECT_EQ(WcojBoolean(h, db, ec.get()), !expect.empty()) << at;
-    EXPECT_EQ(ec->stats().wcoj_leaf_bitmaps.load(),
-              bitmaps ? ec->stats().wcoj_runs.load() : 0)
-        << at;
+    const int64_t runs = ec->stats().wcoj_runs.load();
+    EXPECT_EQ(runs, 3) << at;
+    EXPECT_EQ(ec->stats().wcoj_top_index.load(), top * runs) << at;
+    if (bitmaps.has_value()) {
+      EXPECT_EQ(ec->stats().wcoj_leaf_bitmaps.load(), *bitmaps ? runs : 0)
+          << at;
+    }
   }
+  return top;
 }
 
 QueryInput Generated(const Hypergraph& h, WorkloadKind kind, int64_t tuples,
@@ -591,11 +623,11 @@ TEST(WcojLeafBitmapTest, GeneratedFamiliesMatchOracle) {
     for (uint64_t seed : {1u, 2u}) {
       const std::string where = name + " seed=" + std::to_string(seed);
       // Dense: a small domain, so every leaf run is a few words wide.
-      ExpectLeafMatchesOracle(
+      ExpectMatchesOracle(
           h, Generated(h, WorkloadKind::kDense, 0, 14, seed), true,
           where + " dense");
       // Sparse: a domain far wider than each relation's degrees.
-      ExpectLeafMatchesOracle(
+      ExpectMatchesOracle(
           h, Generated(h, WorkloadKind::kUniform, 300, 2000, seed), false,
           where + " sparse");
     }
@@ -606,8 +638,8 @@ TEST(WcojLeafBitmapTest, NegativeLeafValues) {
   const Hypergraph h = Hypergraph::Triangle();
   const QueryInput db = Generated(h, WorkloadKind::kDense, 0, 24, 5);
   // Z straddling zero, and Z at the bottom of the value range.
-  ExpectLeafMatchesOracle(h, Shifted(db, 2, -12), true, "z - 12");
-  ExpectLeafMatchesOracle(
+  ExpectMatchesOracle(h, Shifted(db, 2, -12), true, "z - 12");
+  ExpectMatchesOracle(
       h, Shifted(db, 2, std::numeric_limits<Value>::min()), true,
       "z + INT32_MIN");
 }
@@ -625,7 +657,7 @@ TEST(WcojLeafBitmapTest, UnaryRelationEndsAtTheLeaf) {
   QueryInput db;
   for (const Relation& r : tri.relations) db.relations.push_back(r);
   db.relations.push_back(std::move(u));
-  ExpectLeafMatchesOracle(h, db, true, "triangle + U(Z)");
+  ExpectMatchesOracle(h, db, true, "triangle + U(Z)");
 }
 
 TEST(WcojLeafBitmapTest, OneSparseLeafRelationDeclinesForAll) {
@@ -641,7 +673,7 @@ TEST(WcojLeafBitmapTest, OneSparseLeafRelationDeclinesForAll) {
   for (Value y = 0; y < 200; ++y) s.Add({y, (y * 37) % 400});
   QueryInput db;
   db.relations = {r, s, t};
-  ExpectLeafMatchesOracle(h, db, false, "dense T + sparse S");
+  ExpectMatchesOracle(h, db, false, "dense T + sparse S");
 }
 
 TEST(WcojLeafBitmapTest, CooperativeClaimsReachTheLeaf) {
@@ -665,7 +697,7 @@ TEST(WcojLeafBitmapTest, CooperativeClaimsReachTheLeaf) {
   u.SortAndDedupe();
   QueryInput db;
   db.relations = {r, u};
-  ExpectLeafMatchesOracle(h, db, true, "R(X, Y) + U(Y)");
+  ExpectMatchesOracle(h, db, true, "R(X, Y) + U(Y)");
   for (int threads : {2, 4}) {
     ExecContext ec(threads);
     WcojCount(h, db, &ec);
@@ -688,6 +720,174 @@ TEST(WcojLeafBitmapTest, CounterMarksDensePyramidNotSparseZipf) {
               &zipf_ec);
   EXPECT_EQ(zipf_ec.stats().wcoj_runs.load(), 1);
   EXPECT_EQ(zipf_ec.stats().wcoj_leaf_bitmaps.load(), 0);
+}
+
+// -------------------------------------------- direct-addressed top level --
+
+TEST(WcojTopIndexTest, GeneratedFamiliesMatchOracle) {
+  const std::vector<std::pair<std::string, Hypergraph>> shapes = {
+      {"triangle", Hypergraph::Triangle()},
+      {"cycle4", Hypergraph::Cycle(4)},
+      {"cycle5", Hypergraph::Cycle(5)},
+      {"clique4", Hypergraph::Clique(4)},
+      {"pyramid3", Hypergraph::Pyramid(3)},
+  };
+  for (const auto& [name, h] : shapes) {
+    for (uint64_t seed : {1u, 2u}) {
+      const std::string where = name + " seed=" + std::to_string(seed);
+      EXPECT_GT(ExpectMatchesOracle(
+                    h, Generated(h, WorkloadKind::kDense, 0, 14, seed),
+                    std::nullopt, where + " dense"),
+                0);
+      EXPECT_EQ(ExpectMatchesOracle(
+                    h, Generated(h, WorkloadKind::kUniform, 300, 2000, seed),
+                    std::nullopt, where + " sparse"),
+                0);
+      ExpectMatchesOracle(h, Generated(h, WorkloadKind::kZipf, 200, 150, seed),
+                          std::nullopt, where + " zipf");
+    }
+  }
+}
+
+/// Triangle whose S(Y, Z) holds one row (s_ys[i], i % 9) per entry of
+/// `s_ys`, probed by R(X, Y) with Y in [y_lo, y_hi].
+QueryInput TopWindowTriangle(const std::vector<Value>& s_ys, Value y_lo,
+                             Value y_hi) {
+  Rng rng(71);
+  Relation r(VarSet{0, 1}), s(VarSet{1, 2}), t(VarSet{0, 2});
+  for (Value x = 0; x < 12; ++x) {
+    for (int j = 0; j < 20; ++j) {
+      r.Add({x, static_cast<Value>(rng.Uniform(y_lo, y_hi))});
+    }
+    for (Value z = 0; z < 9; z += 1 + (x % 3)) t.Add({x, z});
+  }
+  for (size_t i = 0; i < s_ys.size(); ++i) {
+    s.Add({s_ys[i], static_cast<Value>(i % 9)});
+  }
+  r.SortAndDedupe();
+  s.SortAndDedupe();
+  t.SortAndDedupe();
+  QueryInput db;
+  db.relations = {r, s, t};
+  return db;
+}
+
+TEST(WcojTopIndexTest, WindowOfRowsEngagesOneMoreDeclines) {
+  // Y = 0, 1, ..., 39: 40 rows over a window of exactly 40.
+  std::vector<Value> ys;
+  for (Value y = 0; y < 40; ++y) ys.push_back(y);
+  QueryInput exact = TopWindowTriangle(ys, 0, 40);
+  ASSERT_EQ(exact.relations[1].size(), 40u);
+  EXPECT_EQ(ExpectMatchesOracle(Hypergraph::Triangle(), exact, std::nullopt,
+                                "window = rows"),
+            1);
+  // Move the last value one up: 40 rows over a window of 41.
+  ys.back() = 40;
+  QueryInput wide = TopWindowTriangle(ys, 0, 40);
+  ASSERT_EQ(wide.relations[1].size(), 40u);
+  EXPECT_EQ(ExpectMatchesOracle(Hypergraph::Triangle(), wide, std::nullopt,
+                                "window = rows + 1"),
+            0);
+}
+
+TEST(WcojTopIndexTest, ProbesOutsideTheWindowAndExtremeValues) {
+  // S holds Y in [10, 40) only; R probes it with Y in [0, 50], so some
+  // probes fall below lo and some above hi.
+  std::vector<Value> ys;
+  for (Value y = 10; y < 40; ++y) ys.push_back(y);
+  const QueryInput db = TopWindowTriangle(ys, 0, 50);
+  const Hypergraph h = Hypergraph::Triangle();
+  EXPECT_EQ(ExpectMatchesOracle(h, db, std::nullopt, "probes outside"), 1);
+  // The same with Y straddling zero, and at the bottom of the value range.
+  EXPECT_EQ(
+      ExpectMatchesOracle(h, Shifted(db, 1, -25), std::nullopt, "y - 25"), 1);
+  EXPECT_EQ(ExpectMatchesOracle(
+                h, Shifted(db, 1, std::numeric_limits<Value>::min()),
+                std::nullopt, "y + INT32_MIN"),
+            1);
+  // S's window at INT32_MIN, probed from both ends of the value range:
+  // value - lo reaches 2^32 - 1, which only a 64-bit offset represents.
+  const Value min = std::numeric_limits<Value>::min();
+  const Value max = std::numeric_limits<Value>::max();
+  Relation r(VarSet{0, 1});
+  for (Value x = 0; x < 12; ++x) {
+    r.Add({x, min});
+    r.Add({x, max});
+  }
+  QueryInput low = TopWindowTriangle({min, min + 1, min + 2}, 0, 0);
+  low.relations.Set(0, r);
+  EXPECT_EQ(ExpectMatchesOracle(h, low, std::nullopt, "INT32_MIN window"), 1);
+  // Two rows at INT32_MIN and INT32_MAX: a window of 2^32 values, which
+  // must decline (in 32 bits it would wrap to 0).
+  QueryInput ends = TopWindowTriangle({min, max}, 0, 0);
+  ends.relations.Set(0, r);
+  EXPECT_EQ(
+      ExpectMatchesOracle(h, ends, std::nullopt, "INT32_MIN..MAX window"), 0);
+}
+
+TEST(WcojTopIndexTest, HeavyHitterDepthOneProbesTheIndex) {
+  // X = 0 meets 3000 Y values in R, so its task runs cooperatively and its
+  // depth-1 claims probe S(Y, Z), 6000 rows over a Y window of 3000,
+  // through the direct index.
+  const Hypergraph h = Hypergraph::Triangle();
+  Rng rng(83);
+  Relation r(VarSet{0, 1}), s(VarSet{1, 2}), t(VarSet{0, 2});
+  for (Value y = 0; y < 3000; ++y) r.Add({0, y});
+  for (Value x = 1; x <= 40; ++x) {
+    for (int j = 0; j < 5; ++j) {
+      r.Add({x, static_cast<Value>(rng.Uniform(0, 2999))});
+    }
+  }
+  for (Value y = 0; y < 3000; ++y) {
+    s.Add({y, static_cast<Value>((y * 7) % 50)});
+    s.Add({y, static_cast<Value>((y * 13 + 1) % 50)});
+  }
+  for (Value x = 0; x <= 40; ++x) {
+    for (int j = 0; j < 10; ++j) {
+      t.Add({x, static_cast<Value>(rng.Uniform(0, 49))});
+    }
+  }
+  r.SortAndDedupe();
+  s.SortAndDedupe();
+  t.SortAndDedupe();
+  QueryInput db;
+  db.relations = {r, s, t};
+  EXPECT_EQ(ExpectMatchesOracle(h, db, std::nullopt, "heavy X = 0"), 1);
+  ExecContext ref_ec(1);
+  const Relation ref = WcojJoin(h, db, h.vertices(), nullptr, &ref_ec);
+  ASSERT_FALSE(ref.empty());
+  for (int threads : {2, 4}) {
+    ExecContext ec(threads);
+    const Relation got = WcojJoin(h, db, h.vertices(), nullptr, &ec);
+    EXPECT_EQ(Rows(got), Rows(ref)) << threads;
+    EXPECT_GT(ec.stats().wcoj_coop_tasks.load(), 0) << threads;
+    EXPECT_EQ(ec.stats().wcoj_top_index.load(), 1) << threads;
+  }
+}
+
+TEST(WcojTopIndexTest, RelationsHoldingTheFirstVariableNeverTakeIt) {
+  // A star around X: every relation holds order[0] = X and is dense, so
+  // none takes the index.
+  Hypergraph star(3);
+  star.AddEdge({0, 1});
+  star.AddEdge({0, 2});
+  star.AddEdge({0});
+  Relation a(VarSet{0, 1}), b(VarSet{0, 2}), u(VarSet{0});
+  for (Value x = 0; x < 30; ++x) {
+    for (Value y = 0; y < 30; y += 2) a.Add({x, y});
+    for (Value z = 0; z < 30; z += 3) b.Add({x, z});
+    u.Add({x});
+  }
+  QueryInput star_db;
+  star_db.relations = {a, b, u};
+  EXPECT_EQ(ExpectMatchesOracle(star, star_db, std::nullopt, "star"), 0);
+  // In a dense triangle, R(X, Y) and T(X, Z) hold X; only S(Y, Z) does
+  // not, so exactly one relation takes it.
+  const Hypergraph tri = Hypergraph::Triangle();
+  EXPECT_EQ(ExpectMatchesOracle(
+                tri, Generated(tri, WorkloadKind::kDense, 0, 20, 4),
+                std::nullopt, "dense triangle"),
+            1);
 }
 
 // ------------------------------------------------------- radix sorting ---
@@ -1018,6 +1218,29 @@ TEST(GuardrailTest, MemoryBudgetExceededAndBalancedAfter) {
   ASSERT_TRUE(ok.ok()) << ok.message;
   EXPECT_FALSE(out.empty());
   EXPECT_EQ(ec.stats().mem_current_bytes.load(), 0);
+}
+
+TEST(GuardrailTest, NullaryJoinBuildsOneTrieSet) {
+  // A join with no output variables is an existence test. It must build
+  // and charge one set of tries and count one WCOJ run, so the tracked
+  // peak of one WcojBoolean run is budget enough.
+  const Hypergraph h = Hypergraph::Triangle();
+  const QueryInput db = GuardWorkload(77);
+  for (int threads : {1, 4}) {
+    ExecContext ref_ec(threads);
+    const bool expect = WcojBoolean(h, db, &ref_ec);
+    const int64_t one_set = ref_ec.stats().mem_peak_bytes.load();
+    ASSERT_GT(one_set, 0);
+    ExecContext ec(threads);
+    Relation out;
+    const ExecResult r =
+        RunGuarded(ec, {.memory_budget_bytes = one_set},
+                   [&] { out = WcojJoin(h, db, VarSet{}, nullptr, &ec); });
+    ASSERT_TRUE(r.ok()) << r.message << " threads=" << threads;
+    EXPECT_EQ(out.size(), expect ? 1u : 0u) << threads;
+    EXPECT_EQ(ec.stats().wcoj_runs.load(), 1) << threads;
+    EXPECT_EQ(ec.stats().mem_current_bytes.load(), 0) << threads;
+  }
 }
 
 TEST(GuardrailTest, RowLimitExceeded) {

@@ -393,13 +393,20 @@ QueryInput Sorted(std::vector<Relation> rels) {
   return db;
 }
 
-// The generic join charges its dense leaf bitmaps and run indexes with
-// the tries, before allocating them. Triangle over X in [0, 20), Y in
-// [0, 50), Z in [0, 640): every Y and every X meets 12 Z values, so the
-// Z-leaf relations S(Y, Z) and T(X, Z) have 50 and 20 runs over a
-// 10-word window, within their 600 and 240 rows.
-TEST(RecoveryTest, LeafBitmapsChargedBeforeAllocation) {
-  const Hypergraph h = Hypergraph::Triangle();
+// The generic join charges its dense leaf bitmaps and run indexes, and
+// its direct top levels, with the tries, before allocating them. Triangle
+// over X in [0, 20), Y in [0, 50), Z in [0, 640): every Y and every X
+// meets 12 Z values, so the Z-leaf relations S(Y, Z) and T(X, Z) have 50
+// and 20 runs over a 10-word window, within their 600 and 240 rows.
+// S(Y, Z) is the one relation whose first variable is not X; its Y window
+// of 50 is within its 601 rows, so it takes a direct top level of 51
+// offsets.
+struct DenseTriangle {
+  QueryInput db;
+  int64_t trie_bytes = 0, bitmap_bytes = 0, top_index_bytes = 0;
+};
+
+DenseTriangle MakeDenseTriangle() {
   Rng rng(131);
   Relation r(VarSet{0, 1}), s(VarSet{1, 2}), t(VarSet{0, 2});
   for (int i = 0; i < 300; ++i) {
@@ -414,23 +421,32 @@ TEST(RecoveryTest, LeafBitmapsChargedBeforeAllocation) {
   for (Value y = 0; y < 50; ++y) twelve_z(y, &s);
   for (Value x = 0; x < 20; ++x) twelve_z(x, &t);
   s.Add({0, 639});  // pin the window to [0, 639]
-  const QueryInput db = Sorted({std::move(r), std::move(s), std::move(t)});
-  int64_t trie_bytes = 0;
-  for (const Relation& rel : db.relations) {
-    trie_bytes +=
+  DenseTriangle out;
+  out.db = Sorted({std::move(r), std::move(s), std::move(t)});
+  for (const Relation& rel : out.db.relations) {
+    out.trie_bytes +=
         static_cast<int64_t>(rel.size() * rel.arity() * sizeof(Value));
   }
   constexpr int64_t kWords = 10;  // (639 - 0) / 64 + 1
-  int64_t bitmap_bytes = 0;
   for (size_t e : {size_t{1}, size_t{2}}) {
-    const Relation& rel = db.relations[e];
+    const Relation& rel = out.db.relations[e];
     std::set<Value> runs;
     for (size_t i = 0; i < rel.size(); ++i) runs.insert(rel.Row(i)[0]);
-    ASSERT_LE(static_cast<int64_t>(runs.size()) * kWords,
+    EXPECT_LE(static_cast<int64_t>(runs.size()) * kWords,
               static_cast<int64_t>(rel.size()));
-    bitmap_bytes += static_cast<int64_t>(runs.size()) * kWords * 8 +
-                    static_cast<int64_t>(rel.size()) * 4;
+    out.bitmap_bytes += static_cast<int64_t>(runs.size()) * kWords * 8 +
+                        static_cast<int64_t>(rel.size()) * 4;
   }
+  out.top_index_bytes = (50 + 1) * 4;  // S's Y in [0, 49]
+  return out;
+}
+
+TEST(RecoveryTest, LeafBitmapsChargedBeforeAllocation) {
+  const Hypergraph h = Hypergraph::Triangle();
+  const DenseTriangle in = MakeDenseTriangle();
+  const QueryInput& db = in.db;
+  const int64_t all_bytes =
+      in.trie_bytes + in.bitmap_bytes + in.top_index_bytes;
   ExecContext ref_ec(1);
   const int64_t clean_count = WcojCount(h, db, &ref_ec);
   ASSERT_EQ(ref_ec.stats().wcoj_leaf_bitmaps.load(), 1);
@@ -441,20 +457,55 @@ TEST(RecoveryTest, LeafBitmapsChargedBeforeAllocation) {
     // The tries fit, the bitmaps do not: the abort comes before any
     // bitmap byte is allocated and leaves nothing charged.
     const ExecResult aborted = RunGuarded(
-        ec, {.memory_budget_bytes = trie_bytes + bitmap_bytes - 1}, run_count);
+        ec, {.memory_budget_bytes = in.trie_bytes + in.bitmap_bytes - 1},
+        run_count);
     ASSERT_EQ(aborted.status, ExecStatus::kMemoryLimitExceeded)
         << "threads=" << threads;
     EXPECT_EQ(count, -1);
     EXPECT_EQ(ec.stats().mem_current_bytes.load(), 0);
-    // The same context runs the query once tries and bitmaps both fit,
-    // and its tracked peak covers them.
+    // The same context runs the query once tries, bitmaps and the top
+    // index all fit, and its tracked peak covers them.
     ec.stats().Reset();
-    const ExecResult ok = RunGuarded(
-        ec, {.memory_budget_bytes = trie_bytes + bitmap_bytes}, run_count);
+    const ExecResult ok =
+        RunGuarded(ec, {.memory_budget_bytes = all_bytes}, run_count);
     ASSERT_TRUE(ok.ok()) << ok.message;
     EXPECT_EQ(count, clean_count);
     EXPECT_EQ(ec.stats().wcoj_leaf_bitmaps.load(), 1);
-    EXPECT_GE(ec.stats().mem_peak_bytes.load(), trie_bytes + bitmap_bytes);
+    EXPECT_GE(ec.stats().mem_peak_bytes.load(),
+              in.trie_bytes + in.bitmap_bytes);
+    EXPECT_EQ(ec.stats().mem_current_bytes.load(), 0);
+  }
+}
+
+TEST(RecoveryTest, TopIndexChargedBeforeAllocation) {
+  const Hypergraph h = Hypergraph::Triangle();
+  const DenseTriangle in = MakeDenseTriangle();
+  const QueryInput& db = in.db;
+  const int64_t all_bytes =
+      in.trie_bytes + in.bitmap_bytes + in.top_index_bytes;
+  ExecContext ref_ec(1);
+  const int64_t clean_count = WcojCount(h, db, &ref_ec);
+  ASSERT_EQ(ref_ec.stats().wcoj_top_index.load(), 1);
+  for (int threads : {1, 4}) {
+    ExecContext ec(threads);
+    int64_t count = -1;
+    const auto run_count = [&] { count = WcojCount(h, db, &ec); };
+    // Tries and bitmaps fit, the top index does not: the abort comes
+    // before its offsets are allocated and leaves nothing charged.
+    const ExecResult aborted = RunGuarded(
+        ec, {.memory_budget_bytes = all_bytes - 1}, run_count);
+    ASSERT_EQ(aborted.status, ExecStatus::kMemoryLimitExceeded)
+        << "threads=" << threads;
+    EXPECT_EQ(count, -1);
+    EXPECT_EQ(ec.stats().mem_current_bytes.load(), 0);
+    EXPECT_EQ(ec.stats().wcoj_top_index.load(), 0);
+    ec.stats().Reset();
+    const ExecResult ok =
+        RunGuarded(ec, {.memory_budget_bytes = all_bytes}, run_count);
+    ASSERT_TRUE(ok.ok()) << ok.message;
+    EXPECT_EQ(count, clean_count);
+    EXPECT_EQ(ec.stats().wcoj_top_index.load(), 1);
+    EXPECT_GE(ec.stats().mem_peak_bytes.load(), all_bytes);
     EXPECT_EQ(ec.stats().mem_current_bytes.load(), 0);
   }
 }
