@@ -11,7 +11,9 @@
 // is negative by construction, so every call must answer false; every
 // Figure-1 row must run the full split (TriangleStats::solo_corner == -1),
 // not one light corner; the triangle and 4-clique `wcoj` rows must give
-// some relation a direct-addressed top level (ExecStats::wcoj_top_index).
+// some relation a direct-addressed top level (ExecStats::wcoj_top_index),
+// and the 4-clique and pyramid `wcoj` rows some relation last-level
+// bitmaps (ExecStats::wcoj_bitmap_relations).
 // The binary exits non-zero if any check fails. --max-n caps the
 // instances' total tuple count N.
 
@@ -59,6 +61,8 @@ struct Plan {
   bool figure1 = false;
   /// A generic-join run that must give some relation a direct top level.
   bool top_index = false;
+  /// A generic-join run that must give some relation last-level bitmaps.
+  bool bitmaps = false;
 };
 
 /// A query family: the instance builder its sweep steps through, and the
@@ -175,12 +179,13 @@ QueryInput CliqueInstance(int k, int64_t domain) {
 }
 
 Plan Wcoj(const Hypergraph& h, const Rational& predicted,
-          int64_t max_total = 0, bool top_index = false) {
+          int64_t max_total = 0, bool top_index = false,
+          bool bitmaps = false) {
   return {"wcoj",
           [h](const QueryInput& db, ExecContext* ec, TriangleStats*) {
             return WcojBoolean(h, db, ec);
           },
-          Rational(3), predicted, max_total, false, top_index};
+          Rational(3), predicted, max_total, false, top_index, bitmaps};
 }
 
 /// The public path, EvaluateBooleanWithRecovery with default limits; a
@@ -267,7 +272,7 @@ std::vector<Family> Table() {
        {1000, 2000, 4000, 8000, 16000},
        PyramidInstance,
        {Public(Hypergraph::Pyramid(3), w3, cf::SubwPyramid(3)),
-        Wcoj(Hypergraph::Pyramid(3), cf::SubwPyramid(3)),
+        Wcoj(Hypergraph::Pyramid(3), cf::SubwPyramid(3), 0, false, true),
         {"mm",
          [](const QueryInput& db, ExecContext* ec, TriangleStats*) {
            return Pyramid3Mm(db, 2.371552, MmKernel::kBoolean, nullptr, ec);
@@ -290,7 +295,8 @@ std::vector<Family> Table() {
                         : std::vector<int64_t>{12, 18, 27, 40},
                  [k](int64_t domain) { return CliqueInstance(k, domain); },
                  {Public(Hypergraph::Clique(k), w3, cf::SubwClique(k)),
-                  Wcoj(Hypergraph::Clique(k), cf::SubwClique(k), 0, k == 4),
+                  Wcoj(Hypergraph::Clique(k), cf::SubwClique(k), 0, k == 4,
+                       k == 4),
                   CliqueMmPlan(k, "mm_boolean", MmKernel::kBoolean),
                   CliqueMmPlan(k, "mm_strassen", MmKernel::kStrassen)}});
   }
@@ -298,8 +304,8 @@ std::vector<Family> Table() {
 }
 
 /// Sweeps one family; returns false if any call answered true, any
-/// Figure-1 row ran a solo corner or a `top_index` row took no direct top
-/// level.
+/// Figure-1 row ran a solo corner, a `top_index` row took no direct top
+/// level or a `bitmaps` row gave no relation bitmaps.
 bool Run(const Family& family, ExecContext& ec) {
   bench::Header(family.name + ": fitted exponent per plan (negative "
                 "instances)");
@@ -320,6 +326,7 @@ bool Run(const Family& family, ExecContext& ec) {
         solo |= plan.figure1 && st.solo_corner != -1;
       });
       const bool no_top = plan.top_index && t.wcoj_top_index == 0;
+      const bool no_bitmaps = plan.bitmaps && t.wcoj_bitmap_relations == 0;
       ns[p].push_back(static_cast<double>(total));
       ts[p].push_back(t.median_ms);
       std::string extra;
@@ -329,12 +336,13 @@ bool Run(const Family& family, ExecContext& ec) {
                 ",\"delta_worst_case\":" + std::to_string(st.delta_worst_case);
       }
       bench::Json(family.name, total, plan.name, t, extra);
-      std::printf("  N=%-8lld %-14s median %10.3f ms  iqr %8.3f ms%s%s%s\n",
+      std::printf("  N=%-8lld %-14s median %10.3f ms  iqr %8.3f ms%s%s%s%s\n",
                   total, plan.name.c_str(), t.median_ms, t.q3_ms - t.q1_ms,
                   answered_true ? "  ANSWERED TRUE" : "",
                   solo ? "  SOLO CORNER" : "",
-                  no_top ? "  NO TOP INDEX" : "");
-      ok &= !answered_true && !solo && !no_top;
+                  no_top ? "  NO TOP INDEX" : "",
+                  no_bitmaps ? "  NO BITMAPS" : "");
+      ok &= !answered_true && !solo && !no_top && !no_bitmaps;
     }
   }
   const std::string simd = SimdLevelName(ActiveSimdLevel());
@@ -378,7 +386,8 @@ int main(int argc, char** argv) {
   if (!ok) {
     std::fprintf(stderr, "bench_exponents: a negative instance answered "
                          "true, a Figure-1 row ran a solo corner or a "
-                         "wcoj row took no direct top level\n");
+                         "wcoj row took no direct top level or no "
+                         "bitmaps\n");
   }
   return ok ? 0 : 1;
 }

@@ -87,13 +87,14 @@ inline void Json(const std::string& name, long long n,
 /// One sampled measurement: the median and quartiles of the timed calls'
 /// wall milliseconds, the median per-call aggregate phase milliseconds
 /// (the context's index_build_ns / sort_ns deltas; see Json above for the
-/// summed-across-workers caveat), and the median per-call count of
-/// relations the generic join gave a direct top level (the
-/// ExecStats::wcoj_top_index delta).
+/// summed-across-workers caveat), and the median per-call counts of
+/// relations the generic join gave a direct top level and last-level
+/// bitmaps (the ExecStats::wcoj_top_index / wcoj_bitmap_relations deltas).
 struct Timing {
   double median_ms = 0, q1_ms = 0, q3_ms = 0;
   double index_build_ms = 0, sort_ms = 0;
   int64_t wcoj_top_index = 0;
+  int64_t wcoj_bitmap_relations = 0;
 };
 
 /// The one timing protocol: kWarmups untimed calls (arena growth, index
@@ -113,11 +114,12 @@ inline double Quantile(std::vector<double>& v, double p) {
 /// Runs f under the protocol above against `ec`.
 inline Timing Sample(ExecContext& ec, const std::function<void()>& f) {
   for (int i = 0; i < kWarmups; ++i) f();
-  std::vector<double> wall, index_build, sort, top_index;
+  std::vector<double> wall, index_build, sort, top_index, bitmaps;
   for (int i = 0; i < kSamples; ++i) {
     const int64_t ib0 = ec.stats().index_build_ns.load();
     const int64_t sort0 = ec.stats().sort_ns.load();
     const int64_t top0 = ec.stats().wcoj_top_index.load();
+    const int64_t bitmaps0 = ec.stats().wcoj_bitmap_relations.load();
     Stopwatch sw;
     f();
     wall.push_back(sw.Millis());
@@ -127,6 +129,8 @@ inline Timing Sample(ExecContext& ec, const std::function<void()>& f) {
                    1e-6);
     top_index.push_back(
         static_cast<double>(ec.stats().wcoj_top_index.load() - top0));
+    bitmaps.push_back(static_cast<double>(
+        ec.stats().wcoj_bitmap_relations.load() - bitmaps0));
   }
   Timing t;
   t.q1_ms = Quantile(wall, 0.25);
@@ -135,19 +139,23 @@ inline Timing Sample(ExecContext& ec, const std::function<void()>& f) {
   t.index_build_ms = Quantile(index_build, 0.5);
   t.sort_ms = Quantile(sort, 0.5);
   t.wcoj_top_index = static_cast<int64_t>(Quantile(top_index, 0.5));
+  t.wcoj_bitmap_relations = static_cast<int64_t>(Quantile(bitmaps, 0.5));
   return t;
 }
 
 /// A measurement line for a sampled Timing: wall_ms is the median,
-/// iqr_ms = q3 - q1 its spread, and wcoj_top_index the per-call count of
-/// relations that took the direct top level.
+/// iqr_ms = q3 - q1 its spread, and wcoj_top_index / wcoj_bitmap_relations
+/// the per-call counts of relations that took the direct top level and
+/// last-level bitmaps.
 inline void Json(const std::string& name, long long n,
                  const std::string& kernel, const Timing& t,
                  const std::string& extra = "") {
-  char sampled[96];
+  char sampled[128];
   std::snprintf(sampled, sizeof(sampled),
-                "\"iqr_ms\":%.6f,\"wcoj_top_index\":%lld", t.q3_ms - t.q1_ms,
-                static_cast<long long>(t.wcoj_top_index));
+                "\"iqr_ms\":%.6f,\"wcoj_top_index\":%lld,"
+                "\"wcoj_bitmap_relations\":%lld",
+                t.q3_ms - t.q1_ms, static_cast<long long>(t.wcoj_top_index),
+                static_cast<long long>(t.wcoj_bitmap_relations));
   Json(name, n, kernel, t.median_ms, t.index_build_ms, t.sort_ms,
        extra.empty() ? std::string(sampled)
                      : std::string(sampled) + "," + extra);

@@ -281,7 +281,9 @@ void ExecStats::Reset() {
   wcoj_tasks = 0;
   wcoj_coop_tasks = 0;
   wcoj_steal_claims = 0;
-  wcoj_leaf_bitmaps = 0;
+  wcoj_bitmap_relations = 0;
+  wcoj_pruned_bindings = 0;
+  wcoj_popcount_leaves = 0;
   wcoj_top_index = 0;
   mm_products = 0;
   mm_base_calls = 0;
@@ -344,7 +346,9 @@ std::string ExecStats::ToString() const {
   row("wcoj_tasks          ", wcoj_tasks);
   row("wcoj_coop_tasks     ", wcoj_coop_tasks);
   row("wcoj_steal_claims   ", wcoj_steal_claims);
-  row("wcoj_leaf_bitmaps   ", wcoj_leaf_bitmaps);
+  row("wcoj_bitmap_relations", wcoj_bitmap_relations);
+  row("wcoj_pruned_bindings ", wcoj_pruned_bindings);
+  row("wcoj_popcount_leaves ", wcoj_popcount_leaves);
   row("wcoj_top_index      ", wcoj_top_index);
   row("mm_products         ", mm_products);
   row("mm_base_calls       ", mm_base_calls);

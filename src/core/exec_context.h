@@ -92,12 +92,22 @@ namespace fmmsw {
 ///                             blocks from a shared atomic cursor).
 ///   - wcoj_steal_claims     : depth-1 blocks claimed by a worker that had
 ///                             run out of whole tasks (the stealing path).
-/// WCOJ dense-leaf counter (engine/wcoj.cc):
-///   - wcoj_leaf_bitmaps     : generic-WCOJ executions that took the
-///                             bitmap leaf (every relation holding the last
-///                             variable dense enough for one bitmap per
-///                             prefix run); the others intersect the last
-///                             variable with galloping seeks.
+/// WCOJ dense-level counters (engine/wcoj.cc):
+///   - wcoj_bitmap_relations : relations, summed over generic-WCOJ
+///                             executions, that took last-level bitmaps
+///                             (prefix runs x words <= rows over their
+///                             last variable's value window); their last
+///                             level is intersected by ANDing run bitmaps
+///                             into candidate masks instead of galloping.
+///   - wcoj_pruned_bindings  : bindings whose fold emptied a candidate
+///                             mask, so nothing below them was visited
+///                             (summed over workers; a cooperative task
+///                             pruned at depth 0 counts once per worker
+///                             that joins it).
+///   - wcoj_popcount_leaves  : WcojCount leaf calls that added the
+///                             popcount of the last variable's mask at
+///                             once (no relation left to probe there)
+///                             instead of visiting its set bits.
 ///   - wcoj_top_index        : relations, summed over generic-WCOJ
 ///                             executions, that took a direct-addressed
 ///                             top level (first variable not the first of
@@ -146,7 +156,9 @@ struct ExecStats {
   std::atomic<int64_t> wcoj_tasks{0};           ///< top-level candidate runs fanned out
   std::atomic<int64_t> wcoj_coop_tasks{0};      ///< tasks run via shared depth-1 cursor
   std::atomic<int64_t> wcoj_steal_claims{0};    ///< depth-1 blocks claimed by dry workers
-  std::atomic<int64_t> wcoj_leaf_bitmaps{0};    ///< ...that ANDed leaf bitmaps
+  std::atomic<int64_t> wcoj_bitmap_relations{0};///< relations given last-level bitmaps
+  std::atomic<int64_t> wcoj_pruned_bindings{0}; ///< bindings cut by an empty mask
+  std::atomic<int64_t> wcoj_popcount_leaves{0}; ///< count leaves added by popcount
   std::atomic<int64_t> wcoj_top_index{0};       ///< relations given a direct top level
   std::atomic<int64_t> mm_products{0};          ///< matrix-kernel launches
   std::atomic<int64_t> mm_base_calls{0};        ///< packed micro-kernel products

@@ -28,12 +28,15 @@ struct IndexedRelation {
   int arity = 0;
   std::vector<Value> data;  // sorted rows, columns in `vars` order
 
-  /// Dense leaf (see GenericJoin::BuildLeafBitmaps), empty unless the
-  /// join took it: one bitmap of leaf_words_ words per prefix run (rows
-  /// agreeing on every column but the last) over the shared value window,
-  /// and each row's prefix-run index.
-  std::vector<uint64_t> leaf_bits;
-  std::vector<uint32_t> leaf_run;
+  /// Last-level bitmaps (see GenericJoin::BuildBitmaps), empty unless the
+  /// relation took them: one bitmap of `words` words per prefix run (rows
+  /// agreeing on every column but the last) over its last variable's
+  /// value window, whose bit 0 is value `bits_lo`, and, when there is a
+  /// prefix, each row's run index.
+  std::vector<uint64_t> bits;
+  std::vector<uint32_t> run_of;
+  uint32_t words = 0;
+  int64_t bits_lo = 0;
 
   /// Direct-addressed top level (see GenericJoin::BuildTopIndex), empty
   /// unless the relation took it: the rows whose first column holds
@@ -54,6 +57,11 @@ struct IndexedRelation {
     return static_cast<uint32_t>(data.size() /
                                  std::max<size_t>(arity, 1));
   }
+  /// True if the relation's bitmaps stand in for trie level `level`: it
+  /// took them and `level` is its last, so that variable has a mask.
+  bool Masked(size_t level) const {
+    return words != 0 && level + 1 == vars.size();
+  }
 };
 
 struct Range {
@@ -61,12 +69,21 @@ struct Range {
   uint32_t size() const { return end - begin; }
 };
 
-/// Mutable enumeration state: one range stack per relation plus the
-/// current partial assignment. The trie data itself is shared read-only,
-/// so parallel workers each own an EnumState and recurse independently.
+/// Mutable enumeration state: one range stack per relation, the mask
+/// frames and the current partial assignment. The trie data itself is
+/// shared read-only, so parallel workers each own an EnumState and
+/// recurse independently.
 struct EnumState {
   std::vector<std::vector<Range>> ranges;
   std::vector<Value> assignment;
+  /// Candidate masks (see GenericJoin::BuildMaskPlan): each variable's
+  /// base mask, then per depth the masks its bindings fold into.
+  std::vector<uint64_t> masks;
+  /// Bindings pruned by an empty mask (ExecStats::wcoj_pruned_bindings).
+  int64_t pruned = 0;
+  /// Counting leaves that added a mask's popcount
+  /// (ExecStats::wcoj_popcount_leaves).
+  int64_t popcount_leaves = 0;
   /// Per-worker run counter amortizing the guard polls of EnumerateRuns:
   /// persists across calls so short ranges still accumulate toward the
   /// next poll instead of resetting below the mask every time.
@@ -77,7 +94,8 @@ class GenericJoin {
  public:
   GenericJoin(const Hypergraph& h, const QueryInput& db,
               const std::vector<int>& order, ExecContext& ec)
-      : order_(order), guard_(&ec.guard()), trie_charge_(ec) {
+      : order_(order), guard_(&ec.guard()), stats_(&ec.stats()),
+        trie_charge_(ec) {
     FMMSW_CHECK(db.relations.size() == h.edges().size());
     // Position of each variable in the instantiation order.
     std::vector<int> pos(kMaxVars, -1);
@@ -106,11 +124,20 @@ class GenericJoin {
       SortProjectedRows(r, cols, ec, &ir.data);
       rels_.push_back(std::move(ir));
     }
-    BuildLeafBitmaps(ec);
+    BuildBitmaps(ec);
     BuildTopIndex(ec);
+    BuildMaskPlan();
   }
 
   size_t total_rows() const { return total_rows_; }
+
+  /// Charges the mask frames of `states` enumeration states with the
+  /// tries, before any of them is made.
+  void ChargeStates(int states) {
+    if (mask_words_ == 0) return;
+    trie_charge_.Add(static_cast<int64_t>(states) *
+                     static_cast<int64_t>(mask_words_ * sizeof(uint64_t)));
+  }
 
   EnumState MakeState() const {
     EnumState st;
@@ -120,15 +147,22 @@ class GenericJoin {
       st.ranges[i].push_back({0, rels_[i].rows()});
     }
     st.assignment.assign(kMaxVars, 0);
+    st.masks.reserve(mask_words_);
+    st.masks.assign(base_masks_.begin(), base_masks_.end());
+    st.masks.resize(mask_words_);
     return st;
   }
 
   /// Visits every satisfying assignment; `emit` returns false to stop the
   /// enumeration early (Boolean mode).
   template <typename Emit>
-  bool Run(const Emit& emit) const {
+  bool Run(const Emit& emit) {
+    ChargeStates(1);
     EnumState st = MakeState();
-    return Recurse(&st, 0, emit);
+    const bool keep_going = Recurse(&st, 0, emit);
+    Bump(stats_->wcoj_pruned_bindings, st.pruned);
+    Bump(stats_->wcoj_popcount_leaves, st.popcount_leaves);
+    return keep_going;
   }
 
   // ---- Top-level task fan-out ----------------------------------------
@@ -200,15 +234,9 @@ class GenericJoin {
   /// stopped the enumeration.
   template <typename Emit>
   bool RunTask(EnumState* st, size_t task, const Emit& emit) const {
-    const size_t na = active_.size();
-    for (size_t a = 0; a < na; ++a) {
-      std::vector<Range>& stack = st->ranges[active_[a]];
-      stack.resize(1);
-      stack.push_back(task_ranges_[task * na + a]);
-    }
-    st->assignment[order_[0]] = task_values_[task];
-    const bool keep_going = Recurse(st, 1, emit);
-    for (size_t a = 0; a < na; ++a) st->ranges[active_[a]].resize(1);
+    // A task whose depth-0 fold empties a mask has nothing below it.
+    const bool keep_going = !PushTask(st, task) || Recurse(st, 1, emit);
+    PopTask(st);
     return keep_going;
   }
 
@@ -277,14 +305,16 @@ class GenericJoin {
                    std::atomic<uint32_t>* cursor, uint32_t block,
                    const Stop& stop, const BeginBlock& begin_block,
                    const Emit& emit) const {
-    const size_t na = active_.size();
-    for (size_t a = 0; a < na; ++a) {
-      std::vector<Range>& stack = st->ranges[active_[a]];
-      stack.resize(1);
-      stack.push_back(task_ranges_[task * na + a]);
-    }
-    st->assignment[order_[0]] = task_values_[task];
     const uint32_t end = d1_range_[task].end;
+    if (!PushTask(st, task)) {
+      // The depth-0 fold emptied a mask: no block has anything to visit,
+      // so drain the cursor (every claimant folds the same way) and let
+      // dry workers stop picking the task.
+      // relaxed: poison latch, as below.
+      cursor->store(end, std::memory_order_relaxed);
+      PopTask(st);
+      return true;
+    }
     bool keep_going = true;
     while (keep_going && !stop()) {
       // relaxed: work-claim RMW — atomicity alone hands each depth-1
@@ -302,11 +332,29 @@ class GenericJoin {
     // claims; racing claimants that already passed the fetch_add just
     // finish their block, which the early-exit contract permits.
     if (!keep_going) cursor->store(end, std::memory_order_relaxed);
-    for (size_t a = 0; a < na; ++a) st->ranges[active_[a]].resize(1);
+    PopTask(st);
     return keep_going;
   }
 
  private:
+  /// Pins the first variable to task `task`'s value: pushes the task's
+  /// resolved subranges and folds depth 0 exactly as the serial path
+  /// does. Returns false if the fold emptied a mask.
+  bool PushTask(EnumState* st, size_t task) const {
+    const size_t na = active_.size();
+    for (size_t a = 0; a < na; ++a) {
+      std::vector<Range>& stack = st->ranges[active_[a]];
+      stack.resize(1);
+      stack.push_back(task_ranges_[task * na + a]);
+    }
+    st->assignment[order_[0]] = task_values_[task];
+    return Fold(st, 0);
+  }
+
+  void PopTask(EnumState* st) const {
+    for (size_t a : active_) st->ranges[a].resize(1);
+  }
+
   /// Enumerates the depth-1 runs *starting* in [lo, hi) of the task's
   /// pivot range (a straddling head run is skipped, a tail run is
   /// finished past hi) and recurses below them.
@@ -326,41 +374,42 @@ class GenericJoin {
                          prange, pos, hi, /*next_depth=*/2, emit);
   }
 
-  /// The one run-enumeration kernel shared by Recurse and RunBlock: walks
-  /// the value runs of `pivot` whose start position lies in [lo, hi)
-  /// (each run extends to its true end within prange, possibly past hi),
-  /// probes the other `actives` (one array read on a direct top index,
-  /// otherwise a Seek from a forward-only cursor), pushes the matched
-  /// subranges, recurses at `next_depth` and unwinds; at the
-  /// leaf of a join with leaf bitmaps it hands the same runs' values to
-  /// EmitLeaf instead. The bit-identical-across-thread-counts guarantee
+  /// A relation probed for the candidate values of one EnumerateRuns
+  /// call, read from a forward-only cursor in [cursor, end).
+  struct Probe {
+    uint32_t rel, level, cursor, end;
+  };
+
+  /// The one run-enumeration kernel shared by Recurse and RunBlock: binds
+  /// the variable at depth next_depth - 1 to each candidate of the
+  /// `pivot` runs whose start position lies in [lo, hi) (each run extends
+  /// to its true end within prange, possibly past hi), probes the other
+  /// `actives` that still need a subrange (one array read on a direct top
+  /// index, otherwise a Seek from a forward-only cursor), pushes the
+  /// matched subranges, folds the bitmaps whose prefix the binding
+  /// completes (Fold), recurses at `next_depth` and unwinds. When the
+  /// variable has a candidate mask, the relations it stands in for are
+  /// neither probed nor pushed: a masked pivot's candidates are the
+  /// mask's set bits among its own values, any other pivot's runs are
+  /// bit-tested against the mask. Either way the values arrive in
+  /// ascending order. The bit-identical-across-thread-counts guarantee
   /// rests on serial and cooperative execution sharing this single
   /// implementation.
   template <typename Emit>
   bool EnumerateRuns(EnumState* st, const size_t* actives, size_t n_active,
                      size_t pivot, const Range& prange, uint32_t lo,
                      uint32_t hi, size_t next_depth, const Emit& emit) const {
+    const size_t depth = next_depth - 1;
     const IndexedRelation& pr = rels_[pivot];
     const size_t plevel = st->ranges[pivot].size() - 1;
-    if (leaf_words_ != 0 && next_depth == order_.size()) {
-      if (next_depth <= 2 && (++st->poll_tick & 255) == 0) {
-        guard_->Poll(FaultSite::kWcoj);
-      }
-      // The pivot runs starting in [lo, hi) hold exactly the values
-      // [At(lo), At(hi - 1)]: lo is a run start, and the run holding
-      // hi - 1 starts at or after it.
-      if (lo >= hi) return true;
-      return EmitLeaf(st, actives, n_active, pr.At(lo, plevel),
-                      pr.At(hi - 1, plevel), emit);
-    }
-    const int v = order_[next_depth - 1];
+    const DepthMask& dm = depth_mask_[depth];
+    const uint64_t* mask =
+        dm.read < 0 ? nullptr : st->masks.data() + dm.read;
+    const bool folds = fold_begin_[depth] != fold_begin_[depth + 1];
     // How each probed relation is read, decided once per call: the ones
     // on their top level with a direct index come first and read their
     // run from the offset array; the rest gallop from a forward-only
     // cursor.
-    struct Probe {
-      uint32_t rel, level, cursor, end;
-    };
     Probe probes[64];
     size_t n_direct = 0, n_probes = 0;
     for (size_t a = 0; a < n_active; ++a) {
@@ -370,6 +419,7 @@ class GenericJoin {
       const Probe p{static_cast<uint32_t>(i),
                     static_cast<uint32_t>(stack.size() - 1),
                     stack.back().begin, stack.back().end};
+      if (rels_[i].Masked(p.level)) continue;
       if (p.level == 0 && !rels_[i].top_off.empty()) {
         if (n_probes > n_direct) probes[n_probes] = probes[n_direct];
         probes[n_direct++] = p;
@@ -377,6 +427,47 @@ class GenericJoin {
       } else {
         probes[n_probes++] = p;
       }
+    }
+    if (pr.Masked(plevel)) {
+      // The pivot runs starting in [lo, hi) hold exactly the values
+      // [At(lo), At(hi - 1)]: lo is a run start, and the run holding
+      // hi - 1 starts at or after it. The pivot's bitmap is in the mask,
+      // so the mask's set bits there are the candidates.
+      if (lo >= hi) return true;
+      const uint64_t b0 = static_cast<uint64_t>(pr.At(lo, plevel) - dm.lo);
+      const uint64_t b1 =
+          static_cast<uint64_t>(pr.At(hi - 1, plevel) - dm.lo);
+      const auto word = [&](uint64_t w) {
+        uint64_t m = mask[w];
+        if (w == b0 / 64) m &= ~uint64_t{0} << (b0 % 64);
+        if (w == b1 / 64) m &= ~uint64_t{0} >> (63 - b1 % 64);
+        return m;
+      };
+      if constexpr (requires { emit.AddCount(int64_t{0}); }) {
+        if (n_probes == 0 && next_depth == order_.size()) {
+          // Counting leaf: every set bit is one result.
+          ++st->popcount_leaves;
+          int64_t n = 0;
+          for (uint64_t w = b0 / 64; w <= b1 / 64; ++w) {
+            n += std::popcount(word(w));
+          }
+          return emit.AddCount(n);
+        }
+      }
+      for (uint64_t w = b0 / 64; w <= b1 / 64; ++w) {
+        for (uint64_t m = word(w); m != 0; m &= m - 1) {
+          if (next_depth <= 2 && (++st->poll_tick & 255) == 0) {
+            guard_->Poll(FaultSite::kWcoj);
+          }
+          const Value value = static_cast<Value>(
+              dm.lo + static_cast<int64_t>(w * 64) + std::countr_zero(m));
+          if (!Match(st, probes, n_direct, n_probes, value)) continue;
+          if (!Descend(st, probes, n_probes, depth, folds, value, emit)) {
+            return false;
+          }
+        }
+      }
+      return true;
     }
     uint32_t pos = lo;
     while (pos < hi) {
@@ -391,44 +482,72 @@ class GenericJoin {
       while (run_end < prange.end && pr.At(run_end, plevel) == value) {
         ++run_end;
       }
-      size_t m = 0;  // probes matched (and pushed) so far
-      for (; m < n_direct; ++m) {
-        const IndexedRelation& ir = rels_[probes[m].rel];
-        // 64-bit offset: value - lo spans more than int32 at the extremes;
-        // a value below lo wraps past the window.
-        const uint64_t k =
-            static_cast<uint64_t>(static_cast<int64_t>(value) - ir.top_lo);
-        if (k >= ir.top_off.size() - 1 ||
-            ir.top_off[k] == ir.top_off[k + 1]) {
-          break;
-        }
-        st->ranges[probes[m].rel].push_back(
-            {ir.top_off[k], ir.top_off[k + 1]});
-      }
-      if (m == n_direct) {
-        for (; m < n_probes; ++m) {
-          Probe& p = probes[m];
-          const Range sub =
-              Seek(rels_[p.rel], p.level, p.cursor, p.end, value);
-          p.cursor = sub.end;
-          if (sub.size() == 0) break;
-          st->ranges[p.rel].push_back(sub);
-        }
-      }
-      if (m < n_probes) {
-        // Unwind the subranges pushed before the miss.
-        for (size_t k = 0; k < m; ++k) st->ranges[probes[k].rel].pop_back();
-        pos = run_end;
-        continue;
-      }
-      st->ranges[pivot].push_back({pos, run_end});
-      st->assignment[v] = value;
-      const bool keep_going = Recurse(st, next_depth, emit);
-      for (size_t a = 0; a < n_active; ++a) st->ranges[actives[a]].pop_back();
-      if (!keep_going) return false;
+      const Range run{pos, run_end};
       pos = run_end;
+      if (mask != nullptr) {
+        const uint64_t k =
+            static_cast<uint64_t>(static_cast<int64_t>(value) - dm.lo);
+        if (k >= dm.bits || (mask[k / 64] >> (k % 64) & 1) == 0) continue;
+      }
+      if (!Match(st, probes, n_direct, n_probes, value)) continue;
+      st->ranges[pivot].push_back(run);
+      const bool keep_going =
+          Descend(st, probes, n_probes, depth, folds, value, emit);
+      st->ranges[pivot].pop_back();
+      if (!keep_going) return false;
     }
     return true;
+  }
+
+  /// Binds order_[depth] to `value`, whose matched subranges Match has
+  /// pushed, folds the binding (when the depth has folds), recurses
+  /// unless the fold pruned it, and pops the probes' subranges. Returns
+  /// false if `emit` stopped the enumeration.
+  template <typename Emit>
+  bool Descend(EnumState* st, const Probe* probes, size_t n_probes,
+               size_t depth, bool folds, Value value, const Emit& emit) const {
+    st->assignment[order_[depth]] = value;
+    const bool keep_going =
+        (folds && !Fold(st, depth)) || Recurse(st, depth + 1, emit);
+    for (size_t k = 0; k < n_probes; ++k) {
+      st->ranges[probes[k].rel].pop_back();
+    }
+    return keep_going;
+  }
+
+  /// Probes `value` in every relation of `probes` (the first n_direct
+  /// through their direct top index) and pushes the matched subranges.
+  /// On a miss unwinds what it pushed and returns false.
+  bool Match(EnumState* st, Probe* probes, size_t n_direct, size_t n_probes,
+             Value value) const {
+    size_t m = 0;  // probes matched (and pushed) so far
+    for (; m < n_direct; ++m) {
+      const IndexedRelation& ir = rels_[probes[m].rel];
+      // 64-bit offset: value - lo spans more than int32 at the extremes;
+      // a value below lo wraps past the window.
+      const uint64_t k =
+          static_cast<uint64_t>(static_cast<int64_t>(value) - ir.top_lo);
+      if (k >= ir.top_off.size() - 1 ||
+          ir.top_off[k] == ir.top_off[k + 1]) {
+        break;
+      }
+      st->ranges[probes[m].rel].push_back(
+          {ir.top_off[k], ir.top_off[k + 1]});
+    }
+    if (m == n_direct) {
+      for (; m < n_probes; ++m) {
+        Probe& p = probes[m];
+        const Range sub =
+            Seek(rels_[p.rel], p.level, p.cursor, p.end, value);
+        p.cursor = sub.end;
+        if (sub.size() == 0) break;
+        st->ranges[p.rel].push_back(sub);
+      }
+    }
+    if (m == n_probes) return true;
+    // Unwind the subranges pushed before the miss.
+    for (size_t k = 0; k < m; ++k) st->ranges[probes[k].rel].pop_back();
+    return false;
   }
 
   /// Depth-1 range of `rel` within task `t`: the task's resolved subrange
@@ -466,6 +585,29 @@ class GenericJoin {
       }
     }
     return lo;
+  }
+
+  /// End of the prefix run starting at row `p`: the first row after it
+  /// whose columns but the last differ from p's. Gallops, then binary
+  /// searches.
+  static uint32_t PrefixRunEnd(const IndexedRelation& ir, uint32_t p) {
+    const uint64_t n = ir.rows();
+    uint64_t lo = p + 1, hi = lo, step = 1;  // rows [p, lo) share p's prefix
+    while (hi < n && ir.SamePrefix(p, static_cast<uint32_t>(hi))) {
+      lo = hi + 1;
+      hi += step;
+      step <<= 1;
+    }
+    hi = std::min(hi, n);
+    while (lo < hi) {
+      const uint64_t mid = lo + (hi - lo) / 2;
+      if (ir.SamePrefix(p, static_cast<uint32_t>(mid))) {
+        lo = mid + 1;
+      } else {
+        hi = mid;
+      }
+    }
+    return static_cast<uint32_t>(lo);
   }
 
   /// Subrange of [from, end) holding value `v` in column `level`. The
@@ -525,104 +667,173 @@ class GenericJoin {
                          prange.end, depth + 1, emit);
   }
 
-  // ---- Dense leaf bitmaps ----------------------------------------------
-  // Every relation that holds the last variable of the order has it as
-  // its last trie level, and at the leaf each such relation's range is
-  // one prefix run. When the runs' last-column values are dense in one
-  // shared window, the leaf intersection is a word-wise AND of the runs'
-  // bitmaps instead of a galloping Seek per candidate value.
+  // ---- Last-level bitmaps and candidate masks --------------------------
+  // A relation's last trie variable u is probed once per binding of its
+  // prefix. When its prefix runs are dense over u's value window, each
+  // run becomes a bitmap, and the binding that completes the prefix ANDs
+  // that run's bitmap into u's candidate mask. At depth(u) the mask's set
+  // bits are u's candidates from every such relation at once, and a
+  // binding whose fold empties a mask is pruned there, however far above
+  // u it sits.
 
-  /// Builds the leaf bitmaps if, for every relation holding the last
-  /// variable, runs x words <= rows over the window spanning all of their
-  /// last-column values; otherwise leaves leaf_words_ = 0 and the join
-  /// keeps the sorted-range leaf. The bitmaps therefore never outgrow the
-  /// rows they index. The decision is one scan that stops as soon as the
-  /// test fails (runs and window only grow as it proceeds).
-  void BuildLeafBitmaps(ExecContext& ec) {
-    if (order_.empty()) return;
-    std::vector<size_t> leaf_rels;
+  /// Gives every relation with runs x words <= rows its bitmaps, where
+  /// runs counts its prefix runs and words spans its last variable's
+  /// window: the last-column values of every relation ending at that
+  /// variable that passes the same test over its own values. Each taker
+  /// gets one bitmap per prefix run and, past a prefix, a row -> run
+  /// index, so the bitmaps never outgrow the rows they index. Their bytes
+  /// are charged with the tries before anything is allocated.
+  void BuildBitmaps(ExecContext& ec) {
+    // Per relation: its runs and its own window. Both only grow as the
+    // scan proceeds, so it stops at the first failed test; run ends are
+    // galloped to, so a long run costs a logarithmic number of reads.
+    std::vector<int64_t> lo(kMaxVars, INT64_MAX), hi(kMaxVars, INT64_MIN);
+    std::vector<uint64_t> runs(rels_.size(), 0);  // 0: takes no bitmaps
     for (size_t i = 0; i < rels_.size(); ++i) {
-      if (!rels_[i].vars.empty() && rels_[i].vars.back() == order_.back()) {
-        leaf_rels.push_back(i);
-      }
-    }
-    if (leaf_rels.empty()) return;
-    int64_t lo = INT64_MAX, hi = INT64_MIN;
-    std::vector<uint64_t> runs(leaf_rels.size(), 0);
-    const auto words = [&] { return static_cast<uint64_t>(hi - lo) / 64 + 1; };
-    const auto dense = [&](size_t k) {
-      return runs[k] * words() <= rels_[leaf_rels[k]].rows();
-    };
-    for (size_t k = 0; k < leaf_rels.size(); ++k) {
-      const IndexedRelation& ir = rels_[leaf_rels[k]];
-      const size_t last = ir.arity - 1;
-      for (uint32_t p = 0; p < ir.rows(); ++p) {
-        lo = std::min<int64_t>(lo, ir.At(p, last));
-        hi = std::max<int64_t>(hi, ir.At(p, last));
-        if (p > 0 && ir.SamePrefix(p - 1, p)) continue;
-        ++runs[k];
-        if (!dense(k)) return;
-      }
-      if (runs[k] == 0) return;  // empty relation: nothing to index
-    }
-    for (size_t k = 0; k < leaf_rels.size(); ++k) {
-      if (!dense(k)) return;
-    }
-    const uint64_t w = words();
-    int64_t bytes = 0;
-    for (size_t k = 0; k < leaf_rels.size(); ++k) {
-      bytes += static_cast<int64_t>(runs[k] * w * sizeof(uint64_t) +
-                                    rels_[leaf_rels[k]].rows() *
-                                        sizeof(uint32_t));
-    }
-    trie_charge_.Add(bytes);
-    for (size_t k = 0; k < leaf_rels.size(); ++k) {
-      IndexedRelation& ir = rels_[leaf_rels[k]];
+      const IndexedRelation& ir = rels_[i];
+      if (ir.arity == 0) continue;
       const uint32_t n = ir.rows();
       const size_t last = ir.arity - 1;
-      ir.leaf_bits.assign(runs[k] * w, 0);
-      ir.leaf_run.resize(n);
+      int64_t own_lo = INT64_MAX, own_hi = INT64_MIN;
+      uint64_t r = 0;
+      uint32_t p = 0;
+      while (p < n) {
+        const uint32_t end = PrefixRunEnd(ir, p);
+        // A run is sorted on the last column: its first row holds its
+        // least value, its last row its greatest.
+        own_lo = std::min<int64_t>(own_lo, ir.At(p, last));
+        own_hi = std::max<int64_t>(own_hi, ir.At(end - 1, last));
+        if (++r * (static_cast<uint64_t>(own_hi - own_lo) / 64 + 1) > n) break;
+        p = end;
+      }
+      if (p < n || r == 0) continue;
+      runs[i] = r;
+      const int u = ir.vars.back();
+      lo[u] = std::min(lo[u], own_lo);
+      hi[u] = std::max(hi[u], own_hi);
+    }
+    std::vector<size_t> take;
+    int64_t bytes = 0;
+    for (size_t i = 0; i < rels_.size(); ++i) {
+      const IndexedRelation& ir = rels_[i];
+      if (runs[i] == 0) continue;
+      // Against the window every passing relation ending at u spans.
+      const int u = ir.vars.back();
+      const uint64_t words = static_cast<uint64_t>(hi[u] - lo[u]) / 64 + 1;
+      if (runs[i] * words > ir.rows()) continue;
+      take.push_back(i);
+      bytes += static_cast<int64_t>(runs[i] * words * sizeof(uint64_t));
+      if (ir.arity > 1) bytes += ir.rows() * sizeof(uint32_t);
+    }
+    if (take.empty()) return;
+    trie_charge_.Add(bytes);
+    for (size_t i : take) {
+      IndexedRelation& ir = rels_[i];
+      const int u = ir.vars.back();
+      const uint32_t n = ir.rows();
+      const size_t last = ir.arity - 1;
+      ir.words = static_cast<uint32_t>((hi[u] - lo[u]) / 64 + 1);
+      ir.bits_lo = lo[u];
+      ir.bits.assign(runs[i] * ir.words, 0);
+      if (ir.arity > 1) ir.run_of.resize(n);
       uint32_t run = 0;
       for (uint32_t p = 0; p < n; ++p) {
         if (p > 0 && !ir.SamePrefix(p - 1, p)) ++run;
-        ir.leaf_run[p] = run;
-        const uint64_t off = static_cast<uint64_t>(ir.At(p, last) - lo);
-        ir.leaf_bits[run * w + off / 64] |= uint64_t{1} << (off % 64);
+        if (ir.arity > 1) ir.run_of[p] = run;
+        const uint64_t off = static_cast<uint64_t>(ir.At(p, last) - lo[u]);
+        ir.bits[run * ir.words + off / 64] |= uint64_t{1} << (off % 64);
       }
     }
-    leaf_lo_ = lo;
-    leaf_words_ = w;
-    Bump(ec.stats().wcoj_leaf_bitmaps);
+    Bump(ec.stats().wcoj_bitmap_relations, static_cast<int64_t>(take.size()));
   }
 
-  /// Bitmap leaf: ANDs the prefix-run bitmaps of the `actives` (every
-  /// relation holding the last variable) over the window positions of
-  /// values [vmin, vmax] and emits the set bits in ascending order, the
-  /// order the sorted-range leaf visits its runs in.
-  template <typename Emit>
-  bool EmitLeaf(EnumState* st, const size_t* actives, size_t n_active,
-                Value vmin, Value vmax, const Emit& emit) const {
-    const uint64_t* row[64];
-    for (size_t a = 0; a < n_active; ++a) {
-      const IndexedRelation& ir = rels_[actives[a]];
-      row[a] = ir.leaf_bits.data() +
-               static_cast<size_t>(
-                   ir.leaf_run[st->ranges[actives[a]].back().begin]) *
-                   leaf_words_;
+  /// Lays out the mask frames of an EnumState. Each variable ending a
+  /// relation with bitmaps gets a base mask: all ones, ANDed with the
+  /// bitmaps of its unary relations. Then each depth d gets one fresh
+  /// mask per variable its bindings fold into: the variable's current
+  /// mask ANDed with the run bitmaps of the relations whose prefix ends
+  /// at order_[d]. Which mask is current for a variable at a depth is
+  /// fixed by the order, so the frames are offsets, never copied.
+  void BuildMaskPlan() {
+    const size_t n = order_.size();
+    depth_mask_.assign(n, {});
+    fold_begin_.assign(n + 1, 0);
+    std::vector<uint32_t> words(kMaxVars, 0);  // per variable: its window
+    std::vector<int64_t> lo(kMaxVars, 0);
+    for (const IndexedRelation& ir : rels_) {
+      if (ir.words == 0) continue;
+      words[ir.vars.back()] = ir.words;
+      lo[ir.vars.back()] = ir.bits_lo;
     }
-    const uint64_t b0 = static_cast<uint64_t>(vmin - leaf_lo_);
-    const uint64_t b1 = static_cast<uint64_t>(vmax - leaf_lo_);
-    const int v = order_.back();
-    for (uint64_t w = b0 / 64; w <= b1 / 64; ++w) {
-      uint64_t m = ~uint64_t{0};
-      for (size_t a = 0; a < n_active; ++a) m &= row[a][w];
-      if (w == b0 / 64) m &= ~uint64_t{0} << (b0 % 64);
-      if (w == b1 / 64) m &= ~uint64_t{0} >> (63 - b1 % 64);
-      while (m != 0) {
-        st->assignment[v] = static_cast<Value>(
-            leaf_lo_ + static_cast<int64_t>(w * 64) + std::countr_zero(m));
-        if (!emit(st->assignment)) return false;
-        m &= m - 1;
+    std::vector<int64_t> cur(kMaxVars, -1);  // current mask of each var
+    for (int u = 0; u < kMaxVars; ++u) {
+      if (words[u] == 0) continue;
+      cur[u] = static_cast<int64_t>(base_masks_.size());
+      base_masks_.resize(base_masks_.size() + words[u], ~uint64_t{0});
+    }
+    for (const IndexedRelation& ir : rels_) {
+      if (ir.words == 0 || ir.arity != 1) continue;
+      uint64_t* base = base_masks_.data() + cur[ir.vars[0]];
+      for (uint32_t w = 0; w < ir.words; ++w) base[w] &= ir.bits[w];
+    }
+    size_t offset = base_masks_.size();
+    for (size_t d = 0; d < n; ++d) {
+      const int v = order_[d];
+      if (cur[v] >= 0) {
+        depth_mask_[d] = {cur[v], lo[v], uint64_t{words[v]} * 64};
+      }
+      fold_begin_[d] = static_cast<uint32_t>(folds_.size());
+      for (int u = 0; u < kMaxVars; ++u) {
+        const size_t first = fold_rels_.size();
+        for (size_t i = 0; i < rels_.size(); ++i) {
+          const IndexedRelation& ir = rels_[i];
+          if (ir.words != 0 && ir.arity > 1 && ir.vars.back() == u &&
+              ir.vars[ir.arity - 2] == v) {
+            fold_rels_.push_back(static_cast<uint32_t>(i));
+          }
+        }
+        if (fold_rels_.size() == first) continue;
+        FMMSW_CHECK(fold_rels_.size() - first <= 64);
+        folds_.push_back({static_cast<size_t>(cur[u]), offset, words[u],
+                          static_cast<uint32_t>(first),
+                          static_cast<uint32_t>(fold_rels_.size())});
+        cur[u] = static_cast<int64_t>(offset);
+        offset += words[u];
+      }
+    }
+    fold_begin_[n] = static_cast<uint32_t>(folds_.size());
+    mask_words_ = offset;
+  }
+
+  /// Folds the binding just made at `depth` (its subranges pushed): ANDs
+  /// the bitmap of the run each relation whose prefix it completes now
+  /// stands on into a fresh copy of that relation's last variable's mask.
+  /// Returns false, counting the binding as pruned, if a mask emptied:
+  /// nothing extends the binding.
+  bool Fold(EnumState* st, size_t depth) const {
+    uint64_t* masks = st->masks.data();
+    for (uint32_t f = fold_begin_[depth]; f < fold_begin_[depth + 1]; ++f) {
+      const FoldStep& fs = folds_[f];
+      const uint64_t* row[64];
+      size_t n = 0;
+      for (uint32_t k = fs.rel_begin; k < fs.rel_end; ++k) {
+        const IndexedRelation& ir = rels_[fold_rels_[k]];
+        const uint32_t run =
+            ir.run_of[st->ranges[fold_rels_[k]].back().begin];
+        row[n++] = ir.bits.data() + static_cast<size_t>(run) * fs.words;
+      }
+      const uint64_t* src = masks + fs.src;
+      uint64_t* dst = masks + fs.dst;
+      uint64_t any = 0;
+      for (uint32_t w = 0; w < fs.words; ++w) {
+        uint64_t m = src[w];
+        for (size_t k = 0; k < n; ++k) m &= row[k][w];
+        dst[w] = m;
+        any |= m;
+      }
+      if (any == 0) {
+        ++st->pruned;
+        return false;
       }
     }
     return true;
@@ -677,7 +888,8 @@ class GenericJoin {
 
   std::vector<int> order_;
   QueryGuard* guard_;
-  MemCharge trie_charge_;  ///< tries, leaf bitmaps, top levels (join life)
+  ExecStats* stats_;
+  MemCharge trie_charge_;  ///< tries, bitmaps, top levels, mask frames
   std::vector<IndexedRelation> rels_;
   size_t total_rows_ = 0;
   std::vector<size_t> active_;     // relations constrained at depth 0
@@ -686,8 +898,27 @@ class GenericJoin {
   std::vector<size_t> d1_active_;  // relations constrained at depth 1
   std::vector<size_t> d1_pivot_;   // per task: depth-1 pivot relation
   std::vector<Range> d1_range_;    // per task: pivot's depth-1 range
-  int64_t leaf_lo_ = 0;      // value of bit 0 of every leaf bitmap
-  uint64_t leaf_words_ = 0;  // words per leaf bitmap; 0 = sorted-range leaf
+
+  /// Per depth: the offset of order_[depth]'s current mask in the frames
+  /// (-1: none), the value of its bit 0 and its bit count.
+  struct DepthMask {
+    int64_t read = -1;
+    int64_t lo = 0;
+    uint64_t bits = 0;
+  };
+  /// One mask a binding folds into: dst = src AND the current run bitmap
+  /// of each relation fold_rels_[rel_begin .. rel_end).
+  struct FoldStep {
+    size_t src, dst;
+    uint32_t words, rel_begin, rel_end;
+  };
+  std::vector<DepthMask> depth_mask_;
+  std::vector<FoldStep> folds_;
+  std::vector<uint32_t> fold_begin_;  // depth d: folds_[fold_begin_[d] ..
+                                      //   fold_begin_[d + 1])
+  std::vector<uint32_t> fold_rels_;
+  std::vector<uint64_t> base_masks_;  // the frames' leading base masks
+  size_t mask_words_ = 0;             // words of one EnumState's frames
 };
 
 std::vector<int> DefaultOrder(const Hypergraph& h) {
@@ -764,6 +995,19 @@ struct CoopPlan {
   }
 };
 
+/// The emit callback of a parallel worker: forwards each result to its
+/// hooks, and a counting leaf's whole popcount when the hooks count.
+template <typename Hooks>
+struct HookEmit {
+  Hooks* hooks;
+  bool operator()(const std::vector<Value>& a) const { return hooks->Emit(a); }
+  bool AddCount(int64_t n) const
+    requires requires(Hooks& h) { h.AddCount(n); }
+  {
+    return hooks->AddCount(n);
+  }
+};
+
 /// The one parallel WCOJ driver, shared by Boolean/Join/Count: claim
 /// whole tasks (cooperative ones through their shared depth-1 cursors),
 /// then let dry workers steal depth-1 blocks from the heaviest in-flight
@@ -773,6 +1017,7 @@ struct CoopPlan {
 ///                                its merge segments here; no-op for
 ///                                Boolean/Count)
 ///   - Stop() -> bool           : global early-exit poll
+///   - AddCount(n) -> bool      : optional; n results at once (Count)
 /// Per-worker cleanup (e.g. flushing a local count) goes in the hooks
 /// object's destructor, which runs on every exit path.
 template <typename MakeHooks>
@@ -782,11 +1027,20 @@ void DriveParallel(ExecContext& ec, GenericJoin& gj, size_t ntasks,
   ExecStats& stats = ec.stats();
   QueryGuard& guard = ec.guard();
   const int nthreads = ec.threads();
+  gj.ChargeStates(nthreads);
   std::atomic<int64_t> next(0);
   ec.pool().Run([&](int w) {
     EnumState st = gj.MakeState();
+    struct FlushCounts {
+      ExecStats& stats;
+      const EnumState& st;
+      ~FlushCounts() {
+        Bump(stats.wcoj_pruned_bindings, st.pruned);
+        Bump(stats.wcoj_popcount_leaves, st.popcount_leaves);
+      }
+    } flush{stats, st};
     auto hooks = make_hooks(w);
-    auto emit = [&](const std::vector<Value>& a) { return hooks.Emit(a); };
+    const HookEmit<decltype(hooks)> emit{&hooks};
     auto begin_block = [&](size_t t, uint32_t lo) { hooks.BeginBlock(t, lo); };
     auto steal_block = [&](size_t t, uint32_t lo) {
       Bump(stats.wcoj_steal_claims);
@@ -993,11 +1247,19 @@ int64_t WcojCount(const Hypergraph& h, const QueryInput& db, ExecContext* ctx) {
   GenericJoin gj(h, db, DefaultOrder(h), ec);
   const size_t ntasks = PrepareParallel(ec, &gj);
   if (ntasks == 0) {
+    struct Counter {
+      int64_t* count;
+      bool operator()(const std::vector<Value>&) const {
+        ++*count;
+        return true;
+      }
+      bool AddCount(int64_t n) const {
+        *count += n;
+        return true;
+      }
+    };
     int64_t count = 0;
-    gj.Run([&](const std::vector<Value>&) {
-      ++count;
-      return true;
-    });
+    gj.Run(Counter{&count});
     return count;
   }
   std::atomic<int64_t> total(0);
@@ -1011,6 +1273,10 @@ int64_t WcojCount(const Hypergraph& h, const QueryInput& db, ExecContext* ctx) {
       }
       bool Emit(const std::vector<Value>&) {
         ++local;
+        return true;
+      }
+      bool AddCount(int64_t n) {
+        local += n;
         return true;
       }
       void BeginBlock(size_t, uint32_t) {}

@@ -15,11 +15,15 @@
 /// order (and WcojJoin canonically sorts), so results are identical for
 /// every thread count.
 ///
-/// Dense leaf: when every relation holding the last variable has
-/// runs x words <= rows over one shared value window, the last variable
-/// is intersected by ANDing per-prefix-run bitmaps (charged to the
-/// query's memory budget with the tries) and its values are emitted in
-/// ascending order, exactly as the sorted-range leaf emits them.
+/// Candidate bitmaps: a relation whose prefix runs (rows agreeing on all
+/// but the last column) satisfy runs x words <= rows, over its last
+/// variable's value window, gets one bitmap per run (charged to the
+/// query's memory budget with the tries). Each binding that completes
+/// such a relation's prefix ANDs the run's bitmap into the last
+/// variable's candidate mask, one mask frame per depth, and is pruned at
+/// once if a mask empties; at the variable's own depth the mask's set
+/// bits are its candidates, in the ascending order the sorted levels
+/// give, so results and emission order are unchanged.
 ///
 /// Dense top level: a relation whose first variable is not the first of
 /// the order, and whose first-column window [lo, hi] has

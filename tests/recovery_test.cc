@@ -39,6 +39,7 @@
 #include "util/rational.h"
 #include "width/closed_forms.h"
 #include "width/omega_subw.h"
+#include "wcoj_rules.h"
 #include "width/width_cache.h"
 
 namespace fmmsw {
@@ -393,17 +394,27 @@ QueryInput Sorted(std::vector<Relation> rels) {
   return db;
 }
 
-// The generic join charges its dense leaf bitmaps and run indexes, and
-// its direct top levels, with the tries, before allocating them. Triangle
-// over X in [0, 20), Y in [0, 50), Z in [0, 640): every Y and every X
-// meets 12 Z values, so the Z-leaf relations S(Y, Z) and T(X, Z) have 50
-// and 20 runs over a 10-word window, within their 600 and 240 rows.
-// S(Y, Z) is the one relation whose first variable is not X; its Y window
-// of 50 is within its 601 rows, so it takes a direct top level of 51
-// offsets.
+// The generic join charges its last-level bitmaps and run indexes, its
+// direct top levels and each worker's mask frames with the tries, before
+// allocating them. Triangle over X in [0, 20), Y in [0, 50), Z in
+// [0, 640): every Y and every X meets 12 Z values, so the relations
+// ending at Z, S(Y, Z) and T(X, Z), have 50 and 20 runs over a 10-word
+// window, within their 601 and 240 rows; R(X, Y) has 20 runs over Y's
+// one-word window. S(Y, Z) is the one relation whose first variable is
+// not X; its Y window of 50 is within its 601 rows, so it takes a direct
+// top level of 51 offsets. The exact byte counts come from the
+// test-side copy of the rules (wcoj_rules.h).
 struct DenseTriangle {
   QueryInput db;
-  int64_t trie_bytes = 0, bitmap_bytes = 0, top_index_bytes = 0;
+  int64_t trie_bytes = 0;
+  WcojRules rules;
+  /// Every byte one WcojCount charges when `states` workers enumerate:
+  /// the triangle has enough rows and X values to fan out to every
+  /// thread of the context.
+  int64_t Total(int states) const {
+    return trie_bytes + rules.bitmap_bytes + rules.top_index_bytes +
+           states * rules.frame_bytes;
+  }
 };
 
 DenseTriangle MakeDenseTriangle() {
@@ -427,17 +438,13 @@ DenseTriangle MakeDenseTriangle() {
     out.trie_bytes +=
         static_cast<int64_t>(rel.size() * rel.arity() * sizeof(Value));
   }
-  constexpr int64_t kWords = 10;  // (639 - 0) / 64 + 1
-  for (size_t e : {size_t{1}, size_t{2}}) {
-    const Relation& rel = out.db.relations[e];
-    std::set<Value> runs;
-    for (size_t i = 0; i < rel.size(); ++i) runs.insert(rel.Row(i)[0]);
-    EXPECT_LE(static_cast<int64_t>(runs.size()) * kWords,
-              static_cast<int64_t>(rel.size()));
-    out.bitmap_bytes += static_cast<int64_t>(runs.size()) * kWords * 8 +
-                        static_cast<int64_t>(rel.size()) * 4;
-  }
-  out.top_index_bytes = (50 + 1) * 4;  // S's Y in [0, 49]
+  out.rules = ComputeWcojRules(Hypergraph::Triangle(), out.db);
+  EXPECT_EQ(out.rules.bitmap_relations, 3);
+  EXPECT_EQ(out.rules.top_index, 1);
+  EXPECT_EQ(out.rules.top_index_bytes, (50 + 1) * 4);  // S's Y in [0, 49]
+  // Base masks of Y (1 word) and Z (10 words), then X's bindings fold
+  // into fresh copies of both and Y's into one of Z.
+  EXPECT_EQ(out.rules.frame_bytes, (1 + 10 + 1 + 10 + 10) * 8);
   return out;
 }
 
@@ -445,11 +452,9 @@ TEST(RecoveryTest, LeafBitmapsChargedBeforeAllocation) {
   const Hypergraph h = Hypergraph::Triangle();
   const DenseTriangle in = MakeDenseTriangle();
   const QueryInput& db = in.db;
-  const int64_t all_bytes =
-      in.trie_bytes + in.bitmap_bytes + in.top_index_bytes;
   ExecContext ref_ec(1);
   const int64_t clean_count = WcojCount(h, db, &ref_ec);
-  ASSERT_EQ(ref_ec.stats().wcoj_leaf_bitmaps.load(), 1);
+  ASSERT_EQ(ref_ec.stats().wcoj_bitmap_relations.load(), 3);
   for (int threads : {1, 4}) {
     ExecContext ec(threads);
     int64_t count = -1;
@@ -457,22 +462,23 @@ TEST(RecoveryTest, LeafBitmapsChargedBeforeAllocation) {
     // The tries fit, the bitmaps do not: the abort comes before any
     // bitmap byte is allocated and leaves nothing charged.
     const ExecResult aborted = RunGuarded(
-        ec, {.memory_budget_bytes = in.trie_bytes + in.bitmap_bytes - 1},
+        ec, {.memory_budget_bytes = in.trie_bytes + in.rules.bitmap_bytes - 1},
         run_count);
     ASSERT_EQ(aborted.status, ExecStatus::kMemoryLimitExceeded)
         << "threads=" << threads;
     EXPECT_EQ(count, -1);
     EXPECT_EQ(ec.stats().mem_current_bytes.load(), 0);
-    // The same context runs the query once tries, bitmaps and the top
-    // index all fit, and its tracked peak covers them.
+    EXPECT_EQ(ec.stats().wcoj_bitmap_relations.load(), 0);
+    // The same context runs the query once everything fits, and its
+    // tracked peak covers the tries and bitmaps.
     ec.stats().Reset();
-    const ExecResult ok =
-        RunGuarded(ec, {.memory_budget_bytes = all_bytes}, run_count);
+    const ExecResult ok = RunGuarded(
+        ec, {.memory_budget_bytes = in.Total(threads)}, run_count);
     ASSERT_TRUE(ok.ok()) << ok.message;
     EXPECT_EQ(count, clean_count);
-    EXPECT_EQ(ec.stats().wcoj_leaf_bitmaps.load(), 1);
+    EXPECT_EQ(ec.stats().wcoj_bitmap_relations.load(), 3);
     EXPECT_GE(ec.stats().mem_peak_bytes.load(),
-              in.trie_bytes + in.bitmap_bytes);
+              in.trie_bytes + in.rules.bitmap_bytes);
     EXPECT_EQ(ec.stats().mem_current_bytes.load(), 0);
   }
 }
@@ -481,8 +487,8 @@ TEST(RecoveryTest, TopIndexChargedBeforeAllocation) {
   const Hypergraph h = Hypergraph::Triangle();
   const DenseTriangle in = MakeDenseTriangle();
   const QueryInput& db = in.db;
-  const int64_t all_bytes =
-      in.trie_bytes + in.bitmap_bytes + in.top_index_bytes;
+  const int64_t index_bytes =
+      in.trie_bytes + in.rules.bitmap_bytes + in.rules.top_index_bytes;
   ExecContext ref_ec(1);
   const int64_t clean_count = WcojCount(h, db, &ref_ec);
   ASSERT_EQ(ref_ec.stats().wcoj_top_index.load(), 1);
@@ -493,19 +499,50 @@ TEST(RecoveryTest, TopIndexChargedBeforeAllocation) {
     // Tries and bitmaps fit, the top index does not: the abort comes
     // before its offsets are allocated and leaves nothing charged.
     const ExecResult aborted = RunGuarded(
-        ec, {.memory_budget_bytes = all_bytes - 1}, run_count);
+        ec, {.memory_budget_bytes = index_bytes - 1}, run_count);
     ASSERT_EQ(aborted.status, ExecStatus::kMemoryLimitExceeded)
         << "threads=" << threads;
     EXPECT_EQ(count, -1);
     EXPECT_EQ(ec.stats().mem_current_bytes.load(), 0);
     EXPECT_EQ(ec.stats().wcoj_top_index.load(), 0);
     ec.stats().Reset();
-    const ExecResult ok =
-        RunGuarded(ec, {.memory_budget_bytes = all_bytes}, run_count);
+    const ExecResult ok = RunGuarded(
+        ec, {.memory_budget_bytes = in.Total(threads)}, run_count);
     ASSERT_TRUE(ok.ok()) << ok.message;
     EXPECT_EQ(count, clean_count);
     EXPECT_EQ(ec.stats().wcoj_top_index.load(), 1);
-    EXPECT_GE(ec.stats().mem_peak_bytes.load(), all_bytes);
+    EXPECT_GE(ec.stats().mem_peak_bytes.load(), index_bytes);
+    EXPECT_EQ(ec.stats().mem_current_bytes.load(), 0);
+  }
+}
+
+TEST(RecoveryTest, MaskFramesChargedBeforeAllocation) {
+  const Hypergraph h = Hypergraph::Triangle();
+  const DenseTriangle in = MakeDenseTriangle();
+  const QueryInput& db = in.db;
+  ExecContext ref_ec(1);
+  const int64_t clean_count = WcojCount(h, db, &ref_ec);
+  for (int threads : {1, 4}) {
+    ExecContext ec(threads);
+    int64_t count = -1;
+    const auto run_count = [&] { count = WcojCount(h, db, &ec); };
+    const int64_t total = in.Total(threads);
+    // Everything but one byte of the last worker's frames fits: the
+    // abort comes before any frame is allocated and leaves nothing
+    // charged.
+    const ExecResult aborted =
+        RunGuarded(ec, {.memory_budget_bytes = total - 1}, run_count);
+    ASSERT_EQ(aborted.status, ExecStatus::kMemoryLimitExceeded)
+        << "threads=" << threads;
+    EXPECT_EQ(count, -1);
+    EXPECT_EQ(ec.stats().mem_current_bytes.load(), 0);
+    ec.stats().Reset();
+    const ExecResult ok =
+        RunGuarded(ec, {.memory_budget_bytes = total}, run_count);
+    ASSERT_TRUE(ok.ok()) << ok.message;
+    EXPECT_EQ(count, clean_count);
+    EXPECT_EQ(ec.stats().wcoj_parallel_runs.load(), threads > 1 ? 1 : 0);
+    EXPECT_GE(ec.stats().mem_peak_bytes.load(), total);
     EXPECT_EQ(ec.stats().mem_current_bytes.load(), 0);
   }
 }
