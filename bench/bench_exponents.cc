@@ -1,11 +1,11 @@
 // E4-E7 — the runtime exponent table: for each query family, every plan's
 // fitted log-log slope over an N-sweep of negative instances, next to the
 // exponent the plan's closed form (width/closed_forms.h) predicts at the
-// omega its kernel actually realizes — log2 7 for Strassen, 3 for the
-// bit-packed Boolean and blocked cubic kernels and for plans without MM
-// (at omega = 3, omega-subw equals subw: Prop. 4.10). The engines'
-// omega arguments only tune their thresholds, so a plan may pass 2.3716
-// to its engine and still be predicted at 3.
+// omega its kernel actually realizes. Both kernels (bit-packed Boolean,
+// bit-sliced counting) are cubic, so that omega is 3 for every plan, and
+// at omega = 3 omega-subw equals subw (Prop. 4.10). The engines' omega
+// arguments only tune their thresholds, so a plan may pass 2.3716 to its
+// engine and still be predicted at 3.
 //
 // Every (plan, N) is timed under bench::Sample's protocol. Every instance
 // is negative by construction, so every call must answer false; every
@@ -43,18 +43,14 @@ namespace {
 
 namespace cf = closed_forms;
 
-/// The omega `kernel` realizes.
-Rational RealizedOmega(MmKernel kernel) {
-  return kernel == MmKernel::kStrassen ? Rational(28073549, 10000000)
-                                       : Rational(3);
-}
+/// The omega every plan realizes: both MM kernels are cubic.
+const Rational kCubicOmega(3);
 
 /// One row of the table: a plan of its family's query.
 struct Plan {
   std::string name;
   std::function<bool(const QueryInput&, ExecContext*, TriangleStats*)> run;
-  Rational omega;      ///< the omega the plan's kernel realizes
-  Rational predicted;  ///< the plan's closed form at `omega`
+  Rational predicted;  ///< the plan's closed form at kCubicOmega
   /// Instances above this total N are skipped (0: no cap).
   int64_t max_total = 0;
   /// A TriangleMm run: its split must not degenerate to one solo corner.
@@ -149,11 +145,13 @@ QueryInput PyramidInstance(int64_t n) {
 }
 
 /// A dense k-clique instance on `domain` values, clique-free via a parity
-/// obstruction that only fires at the *last* join level: every pair
-/// relation keeps even-sum pairs (all clique vertices would share one
-/// parity) except R_{0,k-1}, which keeps odd-sum pairs — contradiction, so
-/// no clique exists, yet every plan must do its full work before
-/// discovering it.
+/// obstruction: every pair relation keeps even-sum pairs (all clique
+/// vertices would share one parity) except R_{0,k-1}, which keeps odd-sum
+/// pairs — contradiction, so no clique exists. A plan that joins pairwise
+/// meets the obstruction only at the last join level, but the generic
+/// join's candidate masks catch it well before the last level
+/// (ExecStats::wcoj_pruned_bindings), so the `wcoj` rows stop far short
+/// of their full work.
 QueryInput CliqueInstance(int k, int64_t domain) {
   WorkloadOptions opts;
   opts.kind = WorkloadKind::kDense;
@@ -185,64 +183,55 @@ Plan Wcoj(const Hypergraph& h, const Rational& predicted,
           [h](const QueryInput& db, ExecContext* ec, TriangleStats*) {
             return WcojBoolean(h, db, ec);
           },
-          Rational(3), predicted, max_total, false, top_index, bitmaps};
+          predicted, max_total, false, top_index, bitmaps};
 }
 
 /// The public path, EvaluateBooleanWithRecovery with default limits; a
 /// failed evaluation reads as a wrong answer.
-Plan Public(const Hypergraph& h, const Rational& omega,
-            const Rational& predicted) {
+Plan Public(const Hypergraph& h, const Rational& predicted) {
   return {"public",
           [h](const QueryInput& db, ExecContext* ec, TriangleStats*) {
             bool answer = true;
             return !EvaluateBooleanWithRecovery(h, db, &answer, ec).ok() ||
                    answer;
           },
-          omega, predicted};
+          predicted};
 }
 
-/// The Figure-1 triangle split under `kernel`; `engine_omega` sets the
-/// split's worst-case threshold and prices its product.
-Plan Figure1(const std::string& name, MmKernel kernel, double engine_omega) {
-  return {name,
-          [kernel, engine_omega](const QueryInput& db, ExecContext* ec,
-                                 TriangleStats* st) {
-            return TriangleMm(db, engine_omega, kernel, st, ec);
+/// The Figure-1 triangle split on the Boolean kernel; the engine's omega
+/// sets the split's worst-case threshold and prices its product.
+Plan Figure1() {
+  return {"mm_boolean",
+          [](const QueryInput& db, ExecContext* ec, TriangleStats* st) {
+            return TriangleMm(db, 2.371552, MmKernel::kBoolean, st, ec);
           },
-          RealizedOmega(kernel),
-          cf::OmegaSubwTriangle(RealizedOmega(kernel)), 0, true};
+          cf::OmegaSubwTriangle(kCubicOmega), 0, true};
 }
 
-Plan CliqueMmPlan(int k, const std::string& name, MmKernel kernel) {
-  return {name,
-          [k, kernel](const QueryInput& db, ExecContext* ec, TriangleStats*) {
-            return CliqueMm(k, db, kernel, nullptr, ec);
+Plan CliqueMmPlan(int k) {
+  return {"mm_boolean",
+          [k](const QueryInput& db, ExecContext* ec, TriangleStats*) {
+            return CliqueMm(k, db, MmKernel::kBoolean, nullptr, ec);
           },
-          RealizedOmega(kernel), cf::OmegaSubwClique(k, RealizedOmega(kernel))};
+          cf::OmegaSubwClique(k, kCubicOmega)};
 }
 
 std::vector<Family> Table() {
-  const Rational w3(3);  // every kernel but Strassen; every plan without MM
-  // The public path on a triangle core runs its first rung's kernel.
-  const Rational public_omega =
-      RealizedOmega(TriangleBooleanLadder().front().kernel);
+  const Rational& w3 = kCubicOmega;
   std::vector<Family> t;
   t.push_back(
       {"triangle",
        {4000, 8000, 16000, 32000, 64000, 128000},
        bench::TriangleInstance,
-       {Public(Hypergraph::Triangle(), public_omega,
-               cf::OmegaSubwTriangle(public_omega)),
+       {Public(Hypergraph::Triangle(), cf::OmegaSubwTriangle(w3)),
         Wcoj(Hypergraph::Triangle(), cf::SubwTriangle(), 0, true),
-        Figure1("mm_boolean", MmKernel::kBoolean, 2.371552),
-        Figure1("mm_strassen", MmKernel::kStrassen, 2.8073549),
-        Figure1("gemm_blocked", MmKernel::kNaive, 3.0),
+        Figure1(),
         {"panda",
          [](const QueryInput& db, ExecContext* ec, TriangleStats*) {
            return PandaTriangleBoolean(db, 2.371552, MmKernel::kBoolean,
                                        nullptr, ec);
          },
-         w3, cf::OmegaSubwTriangle(w3)}}});
+         cf::OmegaSubwTriangle(w3)}}});
   t.push_back(
       {"four_cycle",
        {1000, 2000, 4000, 8000, 16000, 32000},
@@ -250,55 +239,53 @@ std::vector<Family> Table() {
        // The TD plan materializes R join S; its cap keeps the sweep within
        // laptop memory (its slope is fitted on the prefix). fhtw = 2 has
        // no closed form of its own.
-       {Public(Hypergraph::Cycle(4), w3, cf::SubwCycle(4)),
+       {Public(Hypergraph::Cycle(4), cf::SubwCycle(4)),
         Wcoj(Hypergraph::Cycle(4), cf::SubwCycle(4)),
         {"td",
          [](const QueryInput& db, ExecContext* ec, TriangleStats*) {
            return FourCycleTd(db, ec);
          },
-         w3, Rational(2), 8000},
+         Rational(2), 8000},
         {"partitioned",
          [](const QueryInput& db, ExecContext* ec, TriangleStats*) {
            return FourCycleCombinatorial(db, nullptr, ec);
          },
-         w3, cf::SubwCycle(4)},
+         cf::SubwCycle(4)},
         {"mm",
          [](const QueryInput& db, ExecContext* ec, TriangleStats*) {
            return FourCycleMm(db, 2.371552, MmKernel::kBoolean, nullptr, ec);
          },
-         w3, cf::PriorCycle4(w3)}}});
+         cf::PriorCycle4(w3)}}});
   t.push_back(
       {"pyramid",
        {1000, 2000, 4000, 8000, 16000},
        PyramidInstance,
-       {Public(Hypergraph::Pyramid(3), w3, cf::SubwPyramid(3)),
+       {Public(Hypergraph::Pyramid(3), cf::SubwPyramid(3)),
         Wcoj(Hypergraph::Pyramid(3), cf::SubwPyramid(3), 0, false, true),
         {"mm",
          [](const QueryInput& db, ExecContext* ec, TriangleStats*) {
            return Pyramid3Mm(db, 2.371552, MmKernel::kBoolean, nullptr, ec);
          },
-         w3, cf::OmegaSubwPyramid3(w3)}}});
+         cf::OmegaSubwPyramid3(w3)}}});
   // Ears raise no width: the public path, which reduces them first,
-  // should follow the triangle core's closed form at its first rung's
-  // omega, while WCOJ alone pays rho* = 5/2 (quadratic on this instance;
-  // capped to keep the sweep short).
+  // should follow the triangle core's closed form, while WCOJ alone pays
+  // rho* = 5/2 (quadratic on this instance; capped to keep the sweep
+  // short).
   const Hypergraph pendant = TrianglePendantQuery();
   t.push_back({"triangle_pendant",
                {500, 1000, 2000, 4000, 8000, 16000, 32000},
                TrianglePendantNegative,
-               {Public(pendant, public_omega,
-                       cf::OmegaSubwTriangle(public_omega)),
+               {Public(pendant, cf::OmegaSubwTriangle(w3)),
                 Wcoj(pendant, Rational(5, 2), 20000)}});
   for (int k : {3, 4, 5, 6}) {
     t.push_back({"clique_k" + std::to_string(k),
                  k <= 4 ? std::vector<int64_t>{24, 36, 54, 80, 120}
                         : std::vector<int64_t>{12, 18, 27, 40},
                  [k](int64_t domain) { return CliqueInstance(k, domain); },
-                 {Public(Hypergraph::Clique(k), w3, cf::SubwClique(k)),
+                 {Public(Hypergraph::Clique(k), cf::SubwClique(k)),
                   Wcoj(Hypergraph::Clique(k), cf::SubwClique(k), 0, k == 4,
                        k == 4),
-                  CliqueMmPlan(k, "mm_boolean", MmKernel::kBoolean),
-                  CliqueMmPlan(k, "mm_strassen", MmKernel::kStrassen)}});
+                  CliqueMmPlan(k)}});
   }
   return t;
 }
@@ -345,7 +332,6 @@ bool Run(const Family& family, ExecContext& ec) {
       ok &= !answered_true && !solo && !no_top && !no_bitmaps;
     }
   }
-  const std::string simd = SimdLevelName(ActiveSimdLevel());
   for (size_t p = 0; p < plans; ++p) {
     const Plan& plan = family.plans[p];
     const bench::Fit fit = bench::FitSlope(ns[p], ts[p]);
@@ -353,7 +339,7 @@ bool Run(const Family& family, ExecContext& ec) {
     const std::string ci95 = bench::FmtOrNa(fit.ci95);
     bench::Row(family.name + " " + plan.name,
                bench::Fmt(plan.predicted.ToDouble()) + " (w=" +
-                   bench::Fmt(plan.omega.ToDouble()) + ")",
+                   bench::Fmt(kCubicOmega.ToDouble()) + ")",
                std::isnan(fit.slope) ? slope : slope + " +/- " + ci95,
                "fitted over " + std::to_string(fit.points) + " N");
     if (!bench::json_mode) continue;
@@ -363,11 +349,11 @@ bool Run(const Family& family, ExecContext& ec) {
     std::printf(
         "{\"name\":\"%s\",\"kernel\":\"%s\",\"points\":%d,\"slope\":%s,"
         "\"ci95\":%s,\"predicted\":%.6f,\"omega\":%.6f,\"threads\":%d,"
-        "\"simd\":\"%s\",\"nproc\":%u}\n",
+        "\"nproc\":%u}\n",
         family.name.c_str(), plan.name.c_str(), fit.points,
         quoted(fit.slope, slope).c_str(), quoted(fit.ci95, ci95).c_str(),
-        plan.predicted.ToDouble(), plan.omega.ToDouble(), ec.threads(),
-        simd.c_str(), std::thread::hardware_concurrency());
+        plan.predicted.ToDouble(), kCubicOmega.ToDouble(), ec.threads(),
+        std::thread::hardware_concurrency());
   }
   std::printf("\n");
   return ok;

@@ -287,7 +287,6 @@ void ExecStats::Reset() {
   wcoj_top_index = 0;
   mm_products = 0;
   mm_base_calls = 0;
-  mm_simd_calls = 0;
   mm_bitsliced_calls = 0;
   mm_pack_ns = 0;
   lp_solves = 0;
@@ -352,7 +351,6 @@ std::string ExecStats::ToString() const {
   row("wcoj_top_index      ", wcoj_top_index);
   row("mm_products         ", mm_products);
   row("mm_base_calls       ", mm_base_calls);
-  row("mm_simd_calls       ", mm_simd_calls);
   row("mm_bitsliced_calls  ", mm_bitsliced_calls);
   row("mm_pack_ns          ", mm_pack_ns);
   row("lp_solves           ", lp_solves);

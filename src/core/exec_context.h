@@ -114,18 +114,15 @@ namespace fmmsw {
 ///                             the order, first-column window <= rows);
 ///                             their top-level probes read an offset
 ///                             array instead of galloping.
-/// MM micro-kernel counters (mm/kernel.h; mm_products above counts
+/// MM kernel counters (mm/kernel.h; mm_products above counts
 /// engine-level product launches, these count the kernel layer under it):
-///   - mm_base_calls         : packed-panel base-case products (GemmAdd
-///                             invocations: blocked slabs, Strassen cutoff
-///                             leaves, rectangular in-place blocks).
-///   - mm_simd_calls         : the subset that ran a vector inner kernel
-///                             (AVX2; 0 under FMMSW_SIMD=off or on
-///                             non-AVX2 hardware).
+///   - mm_base_calls         : reads 0: no kernel increments it. Kept
+///                             because the e2e benchmark client reads
+///                             it.
 ///   - mm_bitsliced_calls    : bit-sliced 0/1 counting products.
-///   - mm_pack_ns            : nanoseconds spent packing A/B panels and
-///                             bit-planes, summed across calls (and
-///                             workers, like index_build_ns).
+///   - mm_pack_ns            : nanoseconds spent packing bit-planes,
+///                             summed across calls (and workers, like
+///                             index_build_ns).
 /// Contract (machine-enforced by tools/check_contracts.py): every counter
 /// declared here must (a) carry a doc comment, (b) be zeroed in Reset(),
 /// and (c) be printed by ToString(). Adding a counter means touching all
@@ -161,10 +158,9 @@ struct ExecStats {
   std::atomic<int64_t> wcoj_popcount_leaves{0}; ///< count leaves added by popcount
   std::atomic<int64_t> wcoj_top_index{0};       ///< relations given a direct top level
   std::atomic<int64_t> mm_products{0};          ///< matrix-kernel launches
-  std::atomic<int64_t> mm_base_calls{0};        ///< packed micro-kernel products
-  std::atomic<int64_t> mm_simd_calls{0};        ///< ...with a vector inner kernel
+  std::atomic<int64_t> mm_base_calls{0};        ///< always 0; read by the e2e client
   std::atomic<int64_t> mm_bitsliced_calls{0};   ///< bit-sliced 0/1 counting products
-  std::atomic<int64_t> mm_pack_ns{0};           ///< wall ns packing panels/planes
+  std::atomic<int64_t> mm_pack_ns{0};           ///< wall ns packing bit-planes
   // Planner counters (lp/ + width/; see the README "Planner" section):
   std::atomic<int64_t> lp_solves{0};            ///< simplex solves (double+exact)
   std::atomic<int64_t> lp_warm_starts{0};       ///< ...that replayed a prior basis
@@ -214,7 +210,7 @@ enum class FaultSite {
   kWcoj = 0,  ///< generic-WCOJ task claims and depth-1 coop blocks
   kSort,      ///< radix sort passes and scatter chunks (util/radix)
   kIndex,     ///< sharded flat-index build chunks (relation/flat_index)
-  kMm,        ///< MM slabs, Strassen recursions, bit-plane rows (mm/)
+  kMm,        ///< Boolean-product and bit-plane row blocks (mm/)
   kLp,        ///< simplex pivots and width-search steps (lp/ + width/)
   kPanda,     ///< PANDA proof-sequence steps (panda/)
   kOps,       ///< relational operators + TD/elimination glue loops
@@ -265,9 +261,9 @@ bool ParseFaultPlan(const std::string& spec, FaultPlan* plan,
 ///
 /// The engines call Poll(site) at every morsel boundary — WCOJ task
 /// claims and depth-1 coop blocks, ParallelFor chunk claims, radix sort
-/// passes and scatter chunks, sharded index-build chunks, MM
-/// slabs/Strassen recursions, PANDA proof steps — naming the FaultSite
-/// plane the boundary belongs to. The fast path is a single relaxed
+/// passes and scatter chunks, sharded index-build chunks, MM row
+/// blocks, PANDA proof steps — naming the FaultSite plane the boundary
+/// belongs to. The fast path is a single relaxed
 /// load of `armed_`: an unguarded query (no limits armed, no Cancel()
 /// issued) pays ~1ns per poll. When armed, a violation throws
 /// QueryAbort, which unwinds through the (exception-safe) engines to
@@ -526,51 +522,6 @@ class ExecContext {
   mutable ExecStats stats_;
   mutable QueryGuard guard_{&stats_};
   std::vector<ScratchArena> scratch_;
-};
-
-/// RAII lease of the first free worker arena on a context, or unbound
-/// when every arena is held (callers fall back to local buffers). The
-/// destructor releases during normal return *and* exception unwinding —
-/// the raw TryAcquire/Release pattern would leave the arena busy forever
-/// if a QueryAbort unwound between the two calls.
-class ArenaLease {
- public:
-  ArenaLease() = default;
-  explicit ArenaLease(ExecContext& ec) {
-    for (int w = 0; w < ec.threads(); ++w) {
-      if (ec.scratch(w).TryAcquire()) {
-        arena_ = &ec.scratch(w);
-        break;
-      }
-    }
-  }
-  /// Leases exactly `arena` if it is free.
-  explicit ArenaLease(ScratchArena& arena) {
-    if (arena.TryAcquire()) arena_ = &arena;
-  }
-  ArenaLease(ArenaLease&& other) noexcept : arena_(other.arena_) {
-    other.arena_ = nullptr;
-  }
-  ArenaLease& operator=(ArenaLease&& other) noexcept {
-    if (this != &other) {
-      if (arena_ != nullptr) arena_->Release();
-      arena_ = other.arena_;
-      other.arena_ = nullptr;
-    }
-    return *this;
-  }
-  ArenaLease(const ArenaLease&) = delete;
-  ArenaLease& operator=(const ArenaLease&) = delete;
-  ~ArenaLease() {
-    if (arena_ != nullptr) arena_->Release();
-  }
-
-  /// The leased arena, or nullptr when unbound.
-  ScratchArena* get() const { return arena_; }
-  explicit operator bool() const { return arena_ != nullptr; }
-
- private:
-  ScratchArena* arena_ = nullptr;
 };
 
 /// RAII memory charge against a context's guard: Add() records bytes

@@ -74,18 +74,17 @@ struct TriangleStats {
 /// worst-case threshold Delta0 = N^{(omega-1)/(omega+1)} and prices the
 /// heavy core's product. Delta0 is one candidate; the engine runs the
 /// split at the candidate with the least predicted cost on this input's
-/// degree profiles (see the file comment). Pass log2(7) with the Strassen
-/// kernel so the prediction and the kernel agree; omega = 1 prices the
-/// product near free and so favors an all-heavy core.
+/// degree profiles (see the file comment). omega = 1 prices the product
+/// near free and so favors an all-heavy core.
 bool TriangleMm(const QueryInput& db, double omega,
                 MmKernel kernel = MmKernel::kBoolean,
                 TriangleStats* stats = nullptr, ExecContext* ctx = nullptr);
 
 /// Triangle counting via integer matrix multiplication (trace of A^3 on
 /// the heavy part is not enough for counts; this counts all triangles by
-/// summing the entrywise product of (M1 x M2) with T). `kernel` must be a
-/// counting kernel (kStrassen, kNaive or kBitSliced). Used by tests to
-/// cross-check against WcojCount.
+/// summing the entrywise product of (M1 x M2) with T). `kernel` must be
+/// the counting kernel kBitSliced. The count ladder's MM rung; tests
+/// cross-check it against WcojCount.
 int64_t TriangleCountMm(const QueryInput& db, MmKernel kernel,
                         ExecContext* ctx = nullptr);
 

@@ -18,9 +18,4 @@ double PredictedMmOps(int64_t m, int64_t k, int64_t n, double omega) {
   return (dm / d) * (dk / d) * (dn / d) * std::pow(d, omega);
 }
 
-double PredictedJoinOps(int64_t left, int64_t right, int64_t output) {
-  return static_cast<double>(left) + static_cast<double>(right) +
-         static_cast<double>(output);
-}
-
 }  // namespace fmmsw

@@ -2,14 +2,13 @@
 #define FMMSW_MM_COST_MODEL_H_
 
 /// \file
-/// The MM cost model used by the plan interpreter: omega-square(a,b,c)
-/// (Eq. 6) on a log_N scale, plus concrete operation-count predictions for
-/// choosing between a for-loop join and a matrix multiplication at
-/// execution time (paper Section 1.1.2: low-degree parts favor
-/// combinatorial processing, high-degree parts favor MM). It also drives
-/// the triangle engine's degree split (engine/triangle.h): TriangleMm
-/// weighs each candidate threshold's light-corner probes against its
-/// heavy core's PredictedMmOps, converted by the weights below.
+/// The MM cost model: omega-square(a,b,c) (Eq. 6) on a log_N scale, and
+/// the operation count of one concrete product. The triangle engine's
+/// degree split (engine/triangle.h) reads it: TriangleMm weighs each
+/// candidate threshold's light-corner probes against its heavy core's
+/// PredictedMmOps, converted by the weights below (paper Section 1.1.2:
+/// low-degree parts favor combinatorial processing, high-degree parts
+/// favor MM).
 
 #include <cstdint>
 
@@ -30,12 +29,9 @@ constexpr double kBooleanMmOpsPerProbe = 64.0 * kCountingMmOpsPerProbe;
 double OmegaSquareExponent(double a, double b, double c, double omega);
 
 /// Predicted scalar-operation count for multiplying an (m x k) by (k x n)
-/// matrix with the square-blocking Strassen kernel at the given omega.
+/// matrix by square blocking (Eq. 6): (m/d)(k/d)(n/d) blocks of d^omega
+/// operations each, d the smallest dimension.
 double PredictedMmOps(int64_t m, int64_t k, int64_t n, double omega);
-
-/// Predicted operation count for the combinatorial pairwise join with the
-/// given input sizes and join selectivity-driven intermediate size.
-double PredictedJoinOps(int64_t left, int64_t right, int64_t output);
 
 }  // namespace fmmsw
 

@@ -1,9 +1,6 @@
 #include "mm/matrix.h"
 
-#include <algorithm>
-
 #include "core/exec_context.h"
-#include "mm/kernel.h"
 #include "util/parallel.h"
 
 namespace fmmsw {
@@ -31,38 +28,6 @@ Matrix MultiplyNaive(const Matrix& a, const Matrix& b) {
   return out;
 }
 
-Matrix MultiplyBlocked(const Matrix& a, const Matrix& b, ExecContext* ctx) {
-  FMMSW_CHECK(a.cols() == b.rows());
-  ExecContext& ec = ExecContext::Resolve(ctx);
-  Matrix out(a.rows(), b.cols());
-  if (a.rows() == 0 || a.cols() == 0 || b.cols() == 0) return out;
-  // Output matrix, charged for the duration of the product.
-  MemCharge charge(ec, static_cast<int64_t>(a.rows()) * b.cols() * 8);
-  const SimdLevel level = ActiveSimdLevel();
-  // Each task owns a slab of output rows, so the writes never overlap;
-  // the slab product itself is the packed micro-kernel. Slab height
-  // trades B-repacking (once per slab) against fan-out: at 128 rows the
-  // repack is <1% of the slab's multiply work.
-  constexpr int kSlab = 128;
-  ParallelFor(
-      ec, FaultSite::kMm, (a.rows() + kSlab - 1) / kSlab,
-      [&](int64_t slab_begin, int64_t slab_end) {
-        // No caller scratch: ParallelFor may invoke this chunk callback
-        // once per claimed slab, so a local MmPackScratch would
-        // re-allocate the pack buffers per slab. The nullptr path borrows
-        // a per-worker context arena, whose capacity persists across
-        // slabs and calls.
-        for (int64_t slab = slab_begin; slab < slab_end; ++slab) {
-          const int i0 = static_cast<int>(slab) * kSlab;
-          const int rows = std::min(kSlab, a.rows() - i0);
-          GemmAddAt(level, a.RowPtr(i0), a.cols(), b.RowPtr(0), b.cols(),
-                    out.RowPtr(i0), out.cols(), rows, a.cols(), b.cols(),
-                    &ec, nullptr);
-        }
-      });
-  return out;
-}
-
 bool BitMatrix::AnyNonZero() const {
   for (uint64_t w : data_) {
     if (w != 0) return true;
@@ -75,6 +40,9 @@ BitMatrix BitMatrix::Multiply(const BitMatrix& a, const BitMatrix& b,
   FMMSW_CHECK(a.cols() == b.rows());
   ExecContext& ec = ExecContext::Resolve(ctx);
   BitMatrix out(a.rows(), b.cols());
+  // No output cells or no inner words: nothing to OR, and no row of a
+  // zero-word matrix may be addressed.
+  if (out.data_.empty() || a.data_.empty()) return out;
   const int a_words = a.words_;
   const int b_words = b.words_;
   MemCharge charge(ec, static_cast<int64_t>(out.data_.size()) * 8);

@@ -2,37 +2,20 @@
 #define FMMSW_MM_MATRIX_H_
 
 /// \file
-/// Dense matrices and multiplication kernels.
+/// Dense matrices and the reference product.
 ///
-/// The storage and kernels under IndicatorProduct (mm/kernel.h), the one
-/// operator through which the engines reduce heavy-part joins to Boolean /
-/// counting matrix products (paper Section 2.5 and Appendix E.6).
-/// Kernels:
-///   - MultiplyNaive: cubic reference, the differential baseline — the
-///     only int64 kernel that does NOT route through the micro-kernel
-///     layer, so tests can compare everything else against it,
-///   - MultiplyBlocked: cache-blocked cubic product; row slabs run on the
-///     context's pool, each slab through the packed micro-kernel of
-///     mm/kernel.h (runtime AVX2 / scalar dispatch, FMMSW_SIMD override),
-///   - MultiplyStrassen: Strassen recursion (omega = log2 7), the runnable
-///     stand-in for the paper's fast MM (the omega < 2.372 algorithms have
-///     no practical implementation); the cutoff base case is the packed
-///     micro-kernel,
-///   - MultiplyRectangular: the square-blocking scheme realizing
-///     omega-square(a,b,c) from Eq. (6); blocks at or below the cutoff
-///     multiply in place via the micro-kernel (no copy, no pow2 padding),
-///     larger blocks recurse through Strassen,
-///   - BitMatrix multiply: word-parallel Boolean product (the kBoolean
-///     kernel),
-///   - MultiplyBitSliced (mm/kernel.h): 0/1 counting product via
-///     bit-planes + popcount, for the engines' indicator matrices.
-/// Counting products use int64 (semiring (+, x)) and every kernel is
-/// bit-identical to MultiplyNaive; Boolean products use the (OR, AND)
-/// semiring, which suffices for Boolean CQ evaluation.
-///
-/// The int64 kernels take an optional ExecContext (nullptr = process
-/// default) supplying the thread pool, reusable pack scratch, and the
-/// mm_* stats counters (core/exec_context.h).
+/// The storage under IndicatorProduct (mm/kernel.h), the one operator
+/// through which the engines reduce heavy-part joins to Boolean /
+/// counting matrix products (paper Section 2.5 and Appendix E.6):
+///   - Matrix: row-major int64 cells, the counting operands and products
+///     of MultiplyBitSliced (mm/kernel.h),
+///   - MultiplyNaive: cubic (+, x) reference, the differential baseline
+///     the tests compare every kernel against,
+///   - BitMatrix: bit-packed cells; BitMatrix::Multiply is the
+///     word-parallel (OR, AND) product (the kBoolean kernel), which
+///     suffices for Boolean CQ evaluation.
+/// BitMatrix::Multiply takes an optional ExecContext (nullptr = process
+/// default) supplying the thread pool and the memory budget.
 
 #include <cstdint>
 #include <vector>
@@ -87,40 +70,9 @@ class Matrix {
   std::vector<int64_t> data_;
 };
 
-/// Default Strassen recursion cutoff, shared by every caller that does
-/// not pick its own (MultiplyStrassen/MultiplyRectangular defaults, the
-/// engine counting products via CountingProduct).
-inline constexpr int kMmDefaultCutoff = 256;
-
-/// Reference O(n^3) product (single-threaded, used as the differential
-/// baseline by tests; deliberately bypasses the micro-kernel layer).
+/// Reference O(n^3) product (single-threaded, the tests' differential
+/// baseline).
 Matrix MultiplyNaive(const Matrix& a, const Matrix& b);
-
-/// Cache-blocked cubic product (the combinatorial baseline kernel). Row
-/// slabs run on the context's pool, each slab through the packed
-/// micro-kernel (mm/kernel.h).
-Matrix MultiplyBlocked(const Matrix& a, const Matrix& b,
-                       ExecContext* ctx = nullptr);
-
-/// Strassen's algorithm (cutoff to the packed micro-kernel below
-/// `cutoff`). Exact over int64; the realized exponent is log2 7 ~ 2.807.
-/// The default cutoff moved 64 -> 256 with the micro-kernel base case:
-/// each extra recursion level multiplies the add/accumulate passes by
-/// 7/4 while the packed kernel beats that overhead comfortably up to a
-/// few hundred, and 50x fewer leaf calls keep sparse operands cheap
-/// (each leaf pays a packing scan).
-Matrix MultiplyStrassen(const Matrix& a, const Matrix& b,
-                        int cutoff = kMmDefaultCutoff,
-                        ExecContext* ctx = nullptr);
-
-/// Rectangular product via square blocking (Eq. 6): partitions both inputs
-/// into d x d square blocks, d = min(rows_a, cols_a, cols_b), and
-/// multiplies block pairs with Strassen — except blocks at or below the
-/// cutoff, which run the packed micro-kernel directly on strided views
-/// (no copy, no pow2 padding). Realizes n^{omega-square(a,b,c)}.
-Matrix MultiplyRectangular(const Matrix& a, const Matrix& b,
-                           int cutoff = kMmDefaultCutoff,
-                           ExecContext* ctx = nullptr);
 
 /// Bit-packed Boolean matrix ((OR, AND) semiring).
 class BitMatrix {

@@ -188,7 +188,7 @@ TEST(EliminationTest, MmWithGroupByOnFourClique) {
   }
 }
 
-TEST(EliminationTest, StrassenKernelMatchesBoolean) {
+TEST(EliminationTest, BitSlicedKernelMatchesBoolean) {
   WorkloadOptions opts;
   opts.tuples_per_relation = 60;
   opts.domain = 10;
@@ -205,10 +205,10 @@ TEST(EliminationTest, StrassenKernelMatchesBoolean) {
   s2.block = VarSet{0, 2};
   s2.method = StepMethod::kForLoop;
   plan.steps.push_back(s2);
-  EliminationOptions bool_opts, strassen_opts;
-  strassen_opts.kernel = MmKernel::kStrassen;
+  EliminationOptions bool_opts, bitsliced_opts;
+  bitsliced_opts.kernel = MmKernel::kBitSliced;
   EXPECT_EQ(ExecutePlan(h, db, plan, bool_opts),
-            ExecutePlan(h, db, plan, strassen_opts));
+            ExecutePlan(h, db, plan, bitsliced_opts));
 }
 
 // Every generalized elimination order of every query class, on planted
@@ -478,8 +478,7 @@ void ExpectSplitInvariants(const QueryInput& db, double omega,
 // chosen split) agree with the nested-loop oracle.
 TEST(TriangleDifferentialTest, EveryKernelAndOmegaMatchesNestedLoops) {
   const double omegas[] = {1.0, 2.371552, std::log2(7.0), 3.0};
-  const MmKernel kernels[] = {MmKernel::kBoolean, MmKernel::kStrassen,
-                              MmKernel::kNaive, MmKernel::kBitSliced};
+  const MmKernel kernels[] = {MmKernel::kBoolean, MmKernel::kBitSliced};
   int instances = 0, positives = 0;
   // Runs whose split left both light corners and a heavy core, runs that
   // one corner answered alone, and runs whose threshold moved off Delta0.
@@ -540,7 +539,7 @@ TEST(TriangleTest, PredictedLightPairsEqualFusedProbes) {
   }
   int64_t probed_total = 0;
   for (const auto& [name, db] : instances) {
-    for (MmKernel kernel : {MmKernel::kBoolean, MmKernel::kStrassen}) {
+    for (MmKernel kernel : {MmKernel::kBoolean, MmKernel::kBitSliced}) {
       for (double omega : {2.371552, 3.0}) {
         SCOPED_TRACE(name + " omega=" + std::to_string(omega));
         ExecContext ec(1);
@@ -576,7 +575,7 @@ TEST(TriangleTest, ThresholdTiesGoToTheLargerDelta) {
     db.relations.push_back(std::move(*rel));
   }
   TriangleStats st;
-  EXPECT_EQ(TriangleMm(db, 1.0, MmKernel::kNaive, &st),
+  EXPECT_EQ(TriangleMm(db, 1.0, MmKernel::kBitSliced, &st),
             NestedLoopTriangle(db));
   EXPECT_EQ(st.delta_worst_case, 1);
   EXPECT_EQ(st.delta, 1);
@@ -589,7 +588,7 @@ TEST(TriangleTest, ThresholdTiesGoToTheLargerDelta) {
 TEST(TriangleTest, SplitIsIdenticalAcrossThreadCounts) {
   for (TriangleFamily family : kTriangleFamilies) {
     const QueryInput db = TriangleInstance(family, 3);
-    for (MmKernel kernel : {MmKernel::kBoolean, MmKernel::kStrassen}) {
+    for (MmKernel kernel : {MmKernel::kBoolean, MmKernel::kBitSliced}) {
       TriangleStats ref;
       ExecContext ref_ec(1);
       const bool ref_answer = TriangleMm(db, 2.371552, kernel, &ref, &ref_ec);
@@ -689,8 +688,6 @@ TEST(TriangleTest, CountMatchesWcojCount) {
   opts.seed = 5;
   Hypergraph h = Hypergraph::Triangle();
   QueryInput db = MakeWorkload(h, opts);
-  EXPECT_EQ(TriangleCountMm(db, MmKernel::kNaive), WcojCount(h, db));
-  EXPECT_EQ(TriangleCountMm(db, MmKernel::kStrassen), WcojCount(h, db));
   EXPECT_EQ(TriangleCountMm(db, MmKernel::kBitSliced), WcojCount(h, db));
 }
 
@@ -739,7 +736,7 @@ TEST_P(FourCycleRegimeTest, AllAlgorithmsAgree) {
   EXPECT_EQ(FourCycleCombinatorial(db), expect) << "seed=" << seed;
   EXPECT_EQ(FourCycleMm(db, 2.0), expect) << "seed=" << seed;
   EXPECT_EQ(FourCycleMm(db, 2.371552), expect) << "seed=" << seed;
-  EXPECT_EQ(FourCycleMm(db, 2.8073549, MmKernel::kStrassen), expect)
+  EXPECT_EQ(FourCycleMm(db, 2.371552, MmKernel::kBitSliced), expect)
       << "seed=" << seed;
   EXPECT_EQ(FourCycleMm(db, 2.8073549, MmKernel::kBitSliced), expect)
       << "seed=" << seed;
@@ -769,8 +766,6 @@ TEST_P(CliqueRegimeTest, MmAgreesWithCombinatorial) {
     QueryInput db = MakeWorkload(h, opts);
     const bool expect = WcojBoolean(h, db);
     EXPECT_EQ(CliqueMm(k, db), expect) << "k=" << k << " seed=" << seed;
-    EXPECT_EQ(CliqueMm(k, db, MmKernel::kStrassen), expect)
-        << "k=" << k << " seed=" << seed;
     EXPECT_EQ(CliqueMm(k, db, MmKernel::kBitSliced), expect)
         << "k=" << k << " seed=" << seed;
   }

@@ -1,7 +1,7 @@
-// Tests for the matrix substrate: all kernels agree with the naive
-// reference on random inputs, Strassen is exact, the rectangular
-// square-blocking scheme matches Eq. (6)'s cost model, and BitMatrix
-// implements the (OR, AND) semiring.
+// Tests for the matrix substrate: the bit-sliced counting product agrees
+// with the naive reference on random inputs and rejects non-0/1 operands,
+// BitMatrix implements the (OR, AND) semiring, IndicatorProduct charges
+// what it holds under both kernels, and the cost model matches Eq. (6).
 
 #include <atomic>
 #include <cstdlib>
@@ -18,15 +18,6 @@
 namespace fmmsw {
 namespace {
 
-Matrix RandomMatrix(int rows, int cols, Rng* rng, int64_t lo = -9,
-                    int64_t hi = 9) {
-  Matrix m(rows, cols);
-  for (int i = 0; i < rows; ++i) {
-    for (int j = 0; j < cols; ++j) m.At(i, j) = rng->Uniform(lo, hi);
-  }
-  return m;
-}
-
 TEST(MatrixTest, NaiveKnownProduct) {
   Matrix a(2, 3), b(3, 2);
   // a = [[1,2,3],[4,5,6]], b = [[7,8],[9,10],[11,12]].
@@ -42,43 +33,6 @@ TEST(MatrixTest, NaiveKnownProduct) {
   EXPECT_EQ(c.At(0, 1), 64);
   EXPECT_EQ(c.At(1, 0), 139);
   EXPECT_EQ(c.At(1, 1), 154);
-}
-
-TEST(MatrixTest, BlockedMatchesNaiveRandom) {
-  Rng rng(11);
-  for (int trial = 0; trial < 10; ++trial) {
-    const int m = static_cast<int>(rng.Uniform(1, 90));
-    const int k = static_cast<int>(rng.Uniform(1, 90));
-    const int n = static_cast<int>(rng.Uniform(1, 90));
-    Matrix a = RandomMatrix(m, k, &rng), b = RandomMatrix(k, n, &rng);
-    EXPECT_EQ(MultiplyBlocked(a, b), MultiplyNaive(a, b));
-  }
-}
-
-TEST(MatrixTest, StrassenMatchesNaiveRandom) {
-  Rng rng(12);
-  for (int trial = 0; trial < 8; ++trial) {
-    const int n = static_cast<int>(rng.Uniform(1, 140));
-    Matrix a = RandomMatrix(n, n, &rng), b = RandomMatrix(n, n, &rng);
-    EXPECT_EQ(MultiplyStrassen(a, b, 16), MultiplyNaive(a, b)) << n;
-  }
-}
-
-TEST(MatrixTest, StrassenNonSquare) {
-  Rng rng(13);
-  Matrix a = RandomMatrix(37, 91, &rng), b = RandomMatrix(91, 11, &rng);
-  EXPECT_EQ(MultiplyStrassen(a, b, 8), MultiplyNaive(a, b));
-}
-
-TEST(MatrixTest, RectangularMatchesNaiveRandom) {
-  Rng rng(14);
-  for (int trial = 0; trial < 8; ++trial) {
-    const int m = static_cast<int>(rng.Uniform(1, 120));
-    const int k = static_cast<int>(rng.Uniform(1, 40));
-    const int n = static_cast<int>(rng.Uniform(1, 120));
-    Matrix a = RandomMatrix(m, k, &rng), b = RandomMatrix(k, n, &rng);
-    EXPECT_EQ(MultiplyRectangular(a, b, 16), MultiplyNaive(a, b));
-  }
 }
 
 TEST(MatrixTest, AnyNonZero) {
@@ -133,25 +87,8 @@ TEST(BitMatrixTest, AnyNonZero) {
 
 // --------------------------------------------- parallel differentials --
 // ctest runs this binary with FMMSW_THREADS=4, so the pooled kernels
-// (MultiplyBlocked, BitMatrix::Multiply, MultiplyRectangular) execute
-// multi-threaded here and are checked against the serial naive reference.
-
-TEST(ParallelKernelTest, BlockedMatchesNaiveLarge) {
-  Rng rng(21);
-  for (int trial = 0; trial < 3; ++trial) {
-    const int m = static_cast<int>(rng.Uniform(150, 260));
-    const int k = static_cast<int>(rng.Uniform(150, 260));
-    const int n = static_cast<int>(rng.Uniform(150, 260));
-    Matrix a = RandomMatrix(m, k, &rng), b = RandomMatrix(k, n, &rng);
-    EXPECT_EQ(MultiplyBlocked(a, b), MultiplyNaive(a, b));
-  }
-}
-
-TEST(ParallelKernelTest, RectangularMatchesNaiveLarge) {
-  Rng rng(22);
-  Matrix a = RandomMatrix(210, 60, &rng), b = RandomMatrix(60, 240, &rng);
-  EXPECT_EQ(MultiplyRectangular(a, b, 16), MultiplyNaive(a, b));
-}
+// (BitMatrix::Multiply here, MultiplyBitSliced in BitSlicedTest) execute
+// multi-threaded and are checked against the serial naive reference.
 
 TEST(ParallelKernelTest, BitMatrixMatchesIntegerSignLarge) {
   Rng rng(23);
@@ -214,144 +151,6 @@ TEST(ParallelKernelTest, ThreadCountHonorsEnvironment) {
   }
 }
 
-// ------------------------------------------- micro-kernel layer --------
-// The packed micro-kernel (mm/kernel.h) must be bit-identical to
-// MultiplyNaive at every SIMD level. ctest runs this binary once with the
-// host's ActiveSimdLevel (AVX2 where supported) and CI re-runs it under
-// FMMSW_SIMD=off; the tests below additionally drive both levels
-// in-process via GemmAddAt, so the scalar fallback is exercised even on
-// AVX2 hosts and vice versa.
-
-std::vector<SimdLevel> TestableLevels() {
-  std::vector<SimdLevel> levels{SimdLevel::kScalar};
-  if (MaxSimdLevel() != SimdLevel::kScalar) levels.push_back(SimdLevel::kAvx2);
-  return levels;
-}
-
-Matrix GemmVia(SimdLevel level, const Matrix& a, const Matrix& b,
-               ExecContext* ec = nullptr) {
-  Matrix out(a.rows(), b.cols());
-  MmPackScratch pack;
-  // RowPtr(0) on a degenerate 0-cell matrix would index into an empty
-  // vector before GemmAddAt's shape guard runs; pass nullptr instead
-  // (the guard returns before any dereference).
-  GemmAddAt(level, a.empty() ? nullptr : a.RowPtr(0), a.cols(),
-            b.empty() ? nullptr : b.RowPtr(0), b.cols(),
-            out.empty() ? nullptr : out.RowPtr(0), out.cols(), a.rows(),
-            a.cols(), b.cols(), ec, &pack);
-  return out;
-}
-
-TEST(MicroKernelTest, MatchesNaiveAcrossEdgeShapes) {
-  // Shapes straddling the MR x NR tile and the KC chunk boundary,
-  // including single-row / single-column panels.
-  const struct {
-    int m, k, n;
-  } shapes[] = {{1, 1, 1},   {1, 7, 1},    {7, 1, 7},    {1, 200, 1},
-                {200, 1, 3}, {4, 16, 8},   {5, 16, 9},   {3, 384, 5},
-                {3, 385, 5}, {65, 33, 47}, {64, 770, 24}};
-  Rng rng(31);
-  for (SimdLevel level : TestableLevels()) {
-    for (const auto& s : shapes) {
-      Matrix a = RandomMatrix(s.m, s.k, &rng), b = RandomMatrix(s.k, s.n, &rng);
-      EXPECT_EQ(GemmVia(level, a, b), MultiplyNaive(a, b))
-          << SimdLevelName(level) << " " << s.m << "x" << s.k << "x" << s.n;
-    }
-  }
-}
-
-TEST(MicroKernelTest, WideValuesUseTheFullKernel) {
-  // Values outside int32 disable the narrow single-multiply path; the
-  // emulated 64-bit multiply must still match scalar imul exactly
-  // (including negatives). Products stay within int64, no UB.
-  Rng rng(32);
-  Matrix a = RandomMatrix(19, 41, &rng), b = RandomMatrix(41, 23, &rng);
-  a.At(3, 7) = (int64_t{1} << 40) + 12345;
-  a.At(18, 40) = -(int64_t{1} << 52) - 7;
-  b.At(12, 11) = (int64_t{1} << 38) - 1;
-  b.At(0, 0) = -(int64_t{1} << 34);
-  const Matrix ref = MultiplyNaive(a, b);
-  for (SimdLevel level : TestableLevels()) {
-    EXPECT_EQ(GemmVia(level, a, b), ref) << SimdLevelName(level);
-  }
-}
-
-TEST(MicroKernelTest, MixedNarrowAndWideChunks) {
-  // k spans three KC chunks; only the middle chunk holds a wide value, so
-  // the per-chunk dispatch must switch kernels mid-product.
-  Rng rng(33);
-  Matrix a = RandomMatrix(9, 900, &rng), b = RandomMatrix(900, 12, &rng);
-  a.At(5, 500) = int64_t{1} << 44;
-  b.At(450, 3) = -(int64_t{1} << 41);
-  const Matrix ref = MultiplyNaive(a, b);
-  for (SimdLevel level : TestableLevels()) {
-    EXPECT_EQ(GemmVia(level, a, b), ref) << SimdLevelName(level);
-  }
-}
-
-TEST(MicroKernelTest, AccumulatesIntoExistingOutput) {
-  Rng rng(34);
-  Matrix a = RandomMatrix(10, 17, &rng), b = RandomMatrix(17, 13, &rng);
-  Matrix expect = MultiplyNaive(a, b);
-  Matrix out(10, 13);
-  for (int i = 0; i < 10; ++i) {
-    for (int j = 0; j < 13; ++j) {
-      out.At(i, j) = 100 * i + j;
-      expect.At(i, j) += 100 * i + j;
-    }
-  }
-  for (SimdLevel level : TestableLevels()) {
-    Matrix c = out;
-    MmPackScratch pack;
-    GemmAddAt(level, a.RowPtr(0), 17, b.RowPtr(0), 13, c.RowPtr(0), 13, 10,
-              17, 13, nullptr, &pack);
-    EXPECT_EQ(c, expect) << SimdLevelName(level);
-  }
-}
-
-TEST(MicroKernelTest, StridedViewsMatchContiguous) {
-  // Sub-panels addressed with lda/ldb/ldc larger than the panel width —
-  // the shape MultiplyRectangular and the Strassen quadrants produce.
-  Rng rng(35);
-  Matrix a = RandomMatrix(40, 50, &rng), b = RandomMatrix(50, 60, &rng);
-  const int m = 13, k = 21, n = 17, i0 = 5, k0 = 9, j0 = 31;
-  Matrix asub(m, k), bsub(k, n);
-  for (int i = 0; i < m; ++i) {
-    for (int kk = 0; kk < k; ++kk) asub.At(i, kk) = a.At(i0 + i, k0 + kk);
-  }
-  for (int kk = 0; kk < k; ++kk) {
-    for (int j = 0; j < n; ++j) bsub.At(kk, j) = b.At(k0 + kk, j0 + j);
-  }
-  const Matrix ref = MultiplyNaive(asub, bsub);
-  for (SimdLevel level : TestableLevels()) {
-    Matrix out(40, 60);
-    MmPackScratch pack;
-    GemmAddAt(level, a.RowPtr(i0) + k0, a.cols(), b.RowPtr(k0) + j0,
-              b.cols(), out.RowPtr(i0) + j0, out.cols(), m, k, n, nullptr,
-              &pack);
-    for (int i = 0; i < m; ++i) {
-      for (int j = 0; j < n; ++j) {
-        ASSERT_EQ(out.At(i0 + i, j0 + j), ref.At(i, j))
-            << SimdLevelName(level) << " " << i << "," << j;
-      }
-    }
-  }
-}
-
-TEST(MicroKernelTest, KernelStatsAccounting) {
-  ExecContext ec(1);
-  Rng rng(36);
-  Matrix a = RandomMatrix(96, 96, &rng), b = RandomMatrix(96, 96, &rng);
-  EXPECT_EQ(MultiplyBlocked(a, b, &ec), MultiplyNaive(a, b));
-  EXPECT_GT(ec.stats().mm_base_calls.load(), 0);
-  if (ActiveSimdLevel() == SimdLevel::kScalar) {
-    EXPECT_EQ(ec.stats().mm_simd_calls.load(), 0);
-  } else {
-    EXPECT_GT(ec.stats().mm_simd_calls.load(), 0);
-  }
-  EXPECT_EQ(ec.stats().mm_bitsliced_calls.load(), 0);
-}
-
 // --------------------------------------------- bit-sliced counting -----
 
 Matrix RandomIndicator(int rows, int cols, double density, Rng* rng) {
@@ -365,11 +164,13 @@ Matrix RandomIndicator(int rows, int cols, double density, Rng* rng) {
 }
 
 TEST(BitSlicedTest, MatchesNaiveAcrossShapes) {
-  // Inner dimensions straddling the 64-bit word boundary.
+  // Inner dimensions straddling the 64-bit word boundary, and one
+  // product tall enough to spread its rows over every worker.
   const struct {
     int m, k, n;
-  } shapes[] = {{1, 1, 1},  {3, 63, 5},  {3, 64, 5},   {3, 65, 5},
-                {9, 128, 7}, {40, 200, 31}, {1, 300, 1}};
+  } shapes[] = {{1, 1, 1},     {3, 63, 5},   {3, 64, 5},
+                {3, 65, 5},    {9, 128, 7},  {40, 200, 31},
+                {1, 300, 1},   {230, 250, 210}};
   Rng rng(41);
   for (const auto& s : shapes) {
     Matrix a = RandomIndicator(s.m, s.k, 0.4, &rng);
@@ -402,18 +203,9 @@ TEST(BitSlicedTest, CountingProductDispatch) {
   const Matrix ref = MultiplyNaive(a, b);
   EXPECT_EQ(CountingProduct(a, b, MmKernel::kBitSliced, &ec), ref);
   EXPECT_EQ(ec.stats().mm_bitsliced_calls.load(), 1);
-  // Non-0/1 input falls back to the cubic micro-kernel path.
-  Matrix c = RandomMatrix(20, 90, &rng);
-  EXPECT_EQ(CountingProduct(c, b, MmKernel::kBitSliced, &ec),
-            MultiplyNaive(c, b));
-  EXPECT_EQ(ec.stats().mm_bitsliced_calls.load(), 1);
-  // Every kernel choice agrees with the naive reference.
-  EXPECT_EQ(CountingProduct(a, b, MmKernel::kNaive, &ec), ref);
-  EXPECT_EQ(CountingProduct(a, b, MmKernel::kStrassen, &ec), ref);
 }
 
-constexpr MmKernel kAllKernels[] = {MmKernel::kBoolean, MmKernel::kStrassen,
-                                    MmKernel::kNaive, MmKernel::kBitSliced};
+constexpr MmKernel kAllKernels[] = {MmKernel::kBoolean, MmKernel::kBitSliced};
 
 TEST(IndicatorProductTest, EveryKernelMatchesNaive) {
   Rng rng(43);
@@ -493,6 +285,22 @@ TEST(IndicatorProductDeathTest, BooleanIsNotACountingKernel) {
       "kBoolean");
 }
 
+TEST(IndicatorProductDeathTest, BitSlicedRejectsNonZeroOneOperands) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  Matrix a(2, 3), b(3, 2);
+  a.At(0, 0) = 1;
+  b.At(0, 1) = 1;
+  Matrix two = a;
+  two.At(1, 2) = 2;
+  Matrix negative = b;
+  negative.At(2, 0) = -1;
+  // Checked in every build type, not only under FMMSW_DCHECK: a 2 would
+  // otherwise count as 1 and return a wrong product silently.
+  EXPECT_DEATH(MultiplyBitSliced(two, b), "0/1 inputs");
+  EXPECT_DEATH(MultiplyBitSliced(a, negative), "0/1 inputs");
+  EXPECT_DEATH(CountingProduct(two, b, MmKernel::kBitSliced), "0/1 inputs");
+}
+
 TEST(BitSlicedTest, IsZeroOne) {
   Matrix m(2, 2);
   EXPECT_TRUE(IsZeroOne(m));
@@ -509,7 +317,7 @@ TEST(BitSlicedTest, IsZeroOne) {
 
 TEST(DegenerateShapeTest, ZeroDimensionProductsAcrossKernels) {
   // 0-row / 0-col / 0-inner products must return correctly shaped
-  // all-zero matrices from every kernel.
+  // all-zero matrices from every kernel and operator.
   const struct {
     int m, k, n;
   } shapes[] = {{0, 0, 0}, {0, 5, 3}, {3, 0, 4}, {4, 6, 0}, {0, 0, 7}};
@@ -519,12 +327,19 @@ TEST(DegenerateShapeTest, ZeroDimensionProductsAcrossKernels) {
     EXPECT_EQ(ref.rows(), s.m);
     EXPECT_EQ(ref.cols(), s.n);
     EXPECT_FALSE(ref.AnyNonZero());
-    EXPECT_EQ(MultiplyBlocked(a, b), ref);
-    EXPECT_EQ(MultiplyStrassen(a, b), ref);
-    EXPECT_EQ(MultiplyRectangular(a, b), ref);
     EXPECT_EQ(MultiplyBitSliced(a, b), ref);
-    for (SimdLevel level : TestableLevels()) {
-      EXPECT_EQ(GemmVia(level, a, b), ref) << SimdLevelName(level);
+    EXPECT_EQ(CountingProduct(a, b, MmKernel::kBitSliced), ref);
+    for (MmKernel kernel : kAllKernels) {
+      ExecContext ec(1);
+      {
+        IndicatorProduct p(s.m, s.k, s.n, kernel, ec);
+        p.Multiply();
+        for (int i = 0; i < s.m; ++i) {
+          for (int j = 0; j < s.n; ++j) EXPECT_FALSE(p.NonZero(i, j));
+        }
+      }
+      EXPECT_EQ(ec.stats().mm_products.load(), 1);
+      EXPECT_EQ(ec.stats().mem_current_bytes.load(), 0);
     }
   }
 }

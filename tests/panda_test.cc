@@ -174,7 +174,7 @@ TEST(ExecutorTest, FlatInternedDimensionsHandleExtremeValues) {
       EXPECT_EQ(PandaTriangleBoolean(db, omega, MmKernel::kBoolean, &stats),
                 expect)
           << "plant=" << plant << " omega=" << omega;
-      EXPECT_EQ(PandaTriangleBoolean(db, omega, MmKernel::kNaive), expect)
+      EXPECT_EQ(PandaTriangleBoolean(db, omega, MmKernel::kBitSliced), expect)
           << "plant=" << plant << " omega=" << omega;
     }
   }

@@ -143,7 +143,7 @@ TEST(FaultPlanTest, PlanFaultIsRetryableAndSiteKeyed) {
   // An MM-plane fault aborts the MM engine with retryable status...
   int64_t count = -1;
   const ExecResult mm = RunGuarded(ec, {}, [&] {
-    count = TriangleCountMm(db, MmKernel::kNaive, &ec);
+    count = TriangleCountMm(db, MmKernel::kBitSliced, &ec);
   });
   EXPECT_EQ(mm.status, ExecStatus::kMemoryLimitExceeded);
   EXPECT_NE(mm.message.find("fault plan fired at site mm"),
@@ -344,24 +344,29 @@ TEST(RecoveryTest, JoinWithRecoveryMatchesCleanJoin) {
 // comfortably.
 TEST(RecoveryTest, BudgetAbortLeavesMemoryChargesBalanced) {
   ExecContext ec(2);
-  // 300 > the 256 recursion cutoff: Strassen pads to 512x512 and
-  // charges ~8.4 MB for pads + scratch up front, tripping the 4 MB
-  // budget inside the MemCharge constructor itself.
-  const Matrix a(300, 300);
-  const Matrix b(300, 300);
+  // MultiplyBitSliced charges its bit-planes and its output in one
+  // MemCharge before allocating them: (m + n) * ceil(k / 64) words plus
+  // m * n int64 cells. The budget is exactly the 300^3 product's 744,000
+  // bytes, so the 600^3 product's 2,976,000 trip it inside the MemCharge
+  // constructor itself.
+  const auto bitsliced_bytes = [](int64_t m, int64_t k, int64_t n) {
+    return (m + n) * ((k + 63) / 64) * 8 + m * n * 8;
+  };
   QueryLimits tight;
-  tight.memory_budget_bytes = 4 << 20;
+  tight.memory_budget_bytes = bitsliced_bytes(300, 300, 300);
+  const Matrix big(600, 600);
   const ExecResult aborted = RunGuarded(ec, tight, [&] {
-    const Matrix c = MultiplyStrassen(a, b, /*cutoff=*/256, &ec);
+    const Matrix c = MultiplyBitSliced(big, big, &ec);
     (void)c;
   });
   ASSERT_EQ(aborted.status, ExecStatus::kMemoryLimitExceeded);
   EXPECT_EQ(ec.stats().mem_current_bytes.load(), 0)
       << "budget abort leaked tracked memory charges";
   // The same context, under the same budget, must immediately admit a
-  // plan that fits (cutoff 512 keeps 300x300 in the packed base case).
+  // product that fits, with no byte to spare.
+  const Matrix small(300, 300);
   const ExecResult ok = RunGuarded(ec, tight, [&] {
-    const Matrix c = MultiplyStrassen(a, b, /*cutoff=*/512, &ec);
+    const Matrix c = MultiplyBitSliced(small, small, &ec);
     (void)c;
   });
   EXPECT_TRUE(ok.ok()) << ok.message;
@@ -595,8 +600,7 @@ std::vector<MmEngineCase> MmEngineCases() {
   // (separately charged) product and every relation-side charge. Bit
   // packing shrinks the inner dimension 64x, so the kBoolean case also
   // needs a wide X side.
-  for (MmKernel kernel : {MmKernel::kBoolean, MmKernel::kStrassen,
-                          MmKernel::kNaive, MmKernel::kBitSliced}) {
+  for (MmKernel kernel : {MmKernel::kBoolean, MmKernel::kBitSliced}) {
     const bool boolean = kernel == MmKernel::kBoolean;
     const QueryInput db = boolean ? HeavyTriangle(4096, 8192, 64)
                                   : HeavyTriangle(16, 20000, 16);
@@ -616,15 +620,12 @@ std::vector<MmEngineCase> MmEngineCases() {
   const QueryInput tri = HeavyTriangle(16, 20000, 16);
   const int64_t tri_count = WcojCount(Hypergraph::Triangle(), tri);
   EXPECT_GT(tri_count, 0);
-  for (MmKernel kernel :
-       {MmKernel::kStrassen, MmKernel::kNaive, MmKernel::kBitSliced}) {
-    // Full-domain dimensions: |X| = |Z| = 16, |Y| = 20000.
-    cases.push_back({"TriangleCountMm", kernel, 1, tri_count,
-                     [tri, kernel](ExecContext& ec, int64_t* bytes) {
-                       *bytes = MmBytes(16, 20000, 16, kernel);
-                       return TriangleCountMm(tri, kernel, &ec);
-                     }});
-  }
+  // Full-domain dimensions: |X| = |Z| = 16, |Y| = 20000.
+  cases.push_back({"TriangleCountMm", MmKernel::kBitSliced, 1, tri_count,
+                   [tri](ExecContext& ec, int64_t* bytes) {
+                     *bytes = MmBytes(16, 20000, 16, MmKernel::kBitSliced);
+                     return TriangleCountMm(tri, MmKernel::kBitSliced, &ec);
+                   }});
   {
     // Four-cycle-free: x reaches y = w = x % 16, z reaches y = z % 16 and
     // w = (z + 1) % 16. Every y and w is heavy, so both light 2-path sets
@@ -642,19 +643,19 @@ std::vector<MmEngineCase> MmEngineCases() {
     }
     const QueryInput db = Sorted(
         {std::move(r), std::move(s), std::move(t), std::move(u)});
-    cases.push_back({"FourCycleMm", MmKernel::kStrassen, 2,
+    cases.push_back({"FourCycleMm", MmKernel::kBitSliced, 2,
                      OracleBoolean(Hypergraph::Cycle(4), db, false),
                      [db](ExecContext& ec, int64_t* bytes) {
                        FourCycleStats st;
                        const bool found = FourCycleMm(
-                           db, kAllHeavyOmega, MmKernel::kStrassen, &st, &ec);
+                           db, kAllHeavyOmega, MmKernel::kBitSliced, &st, &ec);
                        // B1 = (w x x)(x x y) and B2 = (y x z)(z x w), both
                        // live at once; mm_dims = {|W|, |X| + |Z|, |Y|}.
                        const int64_t w = st.mm_dims[0], xz = st.mm_dims[1],
                                      y = st.mm_dims[2];
                        *bytes =
-                           IndicatorBytes(w + y, xz, MmKernel::kStrassen) +
-                           2 * IndicatorBytes(w, y, MmKernel::kStrassen);
+                           IndicatorBytes(w + y, xz, MmKernel::kBitSliced) +
+                           2 * IndicatorBytes(w, y, MmKernel::kBitSliced);
                        return int64_t{found};
                      }});
   }
@@ -697,15 +698,15 @@ std::vector<MmEngineCase> MmEngineCases() {
     for (Value x = 0; x < kX; ++x) e02.Add({x, (x + 1) % kX});
     const QueryInput db =
         Sorted({std::move(e01), std::move(e02), std::move(e12)});
-    cases.push_back({"CliqueMm", MmKernel::kNaive, 1,
+    cases.push_back({"CliqueMm", MmKernel::kBitSliced, 1,
                      OracleBoolean(Hypergraph::Clique(3), db, true),
                      [db](ExecContext& ec, int64_t* bytes) {
                        CliqueStats st;
                        const bool found =
-                           CliqueMm(3, db, MmKernel::kNaive, &st, &ec);
-                       *bytes = MmBytes(st.group_cliques[0],
-                                        st.group_cliques[1],
-                                        st.group_cliques[2], MmKernel::kNaive);
+                           CliqueMm(3, db, MmKernel::kBitSliced, &st, &ec);
+                       *bytes = MmBytes(
+                           st.group_cliques[0], st.group_cliques[1],
+                           st.group_cliques[2], MmKernel::kBitSliced);
                        return int64_t{found};
                      }});
   }
@@ -716,17 +717,17 @@ std::vector<MmEngineCase> MmEngineCases() {
                           MmExpr{VarSet{0}, VarSet{2}, VarSet{1},
                                  VarSet::Empty()}});
     plan.steps.push_back({VarSet{0, 2}, StepMethod::kForLoop, {}});
-    cases.push_back({"ExecutePlan", MmKernel::kNaive, 1,
+    cases.push_back({"ExecutePlan", MmKernel::kBitSliced, 1,
                      OracleBoolean(Hypergraph::Triangle(), tri, true),
                      [tri, plan](ExecContext& ec, int64_t* bytes) {
                        EliminationStats st;
                        const bool found = ExecutePlan(
                            Hypergraph::Triangle(), tri, plan,
-                           {.kernel = MmKernel::kNaive}, &st, &ec);
+                           {.kernel = MmKernel::kBitSliced}, &st, &ec);
                        // mm_cells = |X||Y| + |Y||Z|, the operand cells;
                        // the product is |X| x |Z| = 16 x 16.
                        *bytes = st.mm_cells * 8 +
-                                IndicatorBytes(16, 16, MmKernel::kNaive);
+                                IndicatorBytes(16, 16, MmKernel::kBitSliced);
                        return int64_t{found};
                      }});
   }
@@ -746,14 +747,14 @@ std::vector<MmEngineCase> MmEngineCases() {
     t.Add({0, 0});
     const QueryInput db =
         Sorted({std::move(r), std::move(s), std::move(t)});
-    cases.push_back({"PandaTriangleBoolean", MmKernel::kStrassen, 1,
+    cases.push_back({"PandaTriangleBoolean", MmKernel::kBitSliced, 1,
                      OracleBoolean(Hypergraph::Triangle(), db, true),
                      [db](ExecContext& ec, int64_t* bytes) {
                        PandaStats st;
                        const bool found = PandaTriangleBoolean(
-                           db, 2.0, MmKernel::kStrassen, &st, &ec);
+                           db, 2.0, MmKernel::kBitSliced, &st, &ec);
                        EXPECT_EQ(st.mm_executed, 1);
-                       *bytes = MmBytes(kX, kY, kZ, MmKernel::kStrassen);
+                       *bytes = MmBytes(kX, kY, kZ, MmKernel::kBitSliced);
                        return int64_t{found};
                      }});
   }
@@ -805,7 +806,7 @@ TEST(RecoveryTest, LightCornerAnswerRunsNoMmProduct) {
   opts.seed = 5;
   opts.plant_witness = true;
   const QueryInput db = MakeWorkload(Hypergraph::Triangle(), opts);
-  for (MmKernel kernel : {MmKernel::kBoolean, MmKernel::kNaive}) {
+  for (MmKernel kernel : {MmKernel::kBoolean, MmKernel::kBitSliced}) {
     ExecContext ec(2);
     TriangleStats st;
     EXPECT_TRUE(TriangleMm(db, 3.0, kernel, &st, &ec));
@@ -1311,8 +1312,8 @@ TEST(BooleanLadderTest, FirstRungAnswersWithinBitPackedBudget) {
     ASSERT_EQ(st.solo_corner, -1);
     const int64_t packed_peak = probe.stats().mem_peak_bytes.load();
     const int64_t int64_operands =
-        IndicatorBytes(st.mm_dim_x, st.mm_dim_y, MmKernel::kNaive) +
-        IndicatorBytes(st.mm_dim_y, st.mm_dim_z, MmKernel::kNaive);
+        IndicatorBytes(st.mm_dim_x, st.mm_dim_y, MmKernel::kBitSliced) +
+        IndicatorBytes(st.mm_dim_y, st.mm_dim_z, MmKernel::kBitSliced);
     ASSERT_LT(packed_peak, int64_operands) << "threads=" << threads;
     const QueryLimits limits = {
         .memory_budget_bytes = (packed_peak + int64_operands) / 2};

@@ -84,11 +84,11 @@ comments and PR descriptions. This linter turns them into build failures
 
   env-knob            Every std::getenv("FMMSW_...") in src/ must name
                       one of the sanctioned knobs: FMMSW_THREADS (pool
-                      size), FMMSW_SIMD (kernel dispatch) or
-                      FMMSW_FAULT_PLAN (fault injection). A new env var
-                      is a new untested configuration axis; adding one
-                      means extending ENV_KNOBS in the same change, in
-                      plain sight of review. No allow marker applies.
+                      size) or FMMSW_FAULT_PLAN (fault injection). A new
+                      env var is a new untested configuration axis;
+                      adding one means extending ENV_KNOBS in the same
+                      change, in plain sight of review. No allow marker
+                      applies.
 
 Allow marker: a site that legitimately violates a rule carries, on the
 same line or the line directly above,
@@ -410,7 +410,7 @@ def check_one_mm_operator(text, path):
 # Rule: env-knob
 
 
-ENV_KNOBS = ("FMMSW_THREADS", "FMMSW_SIMD", "FMMSW_FAULT_PLAN")
+ENV_KNOBS = ("FMMSW_THREADS", "FMMSW_FAULT_PLAN")
 GETENV_RE = re.compile(r'getenv\s*\(\s*"(FMMSW_\w*)"')
 
 
@@ -763,7 +763,7 @@ prod.Multiply();
 // the operator calls CountingProduct( for the counting kernels
 Matrix q = MultiplyBitSliced(a, b, &ec);
 // contracts: allow(one-mm-operator) differential reference in a test hook
-Matrix r = CountingProduct(a, b, MmKernel::kNaive, &ec);
+Matrix r = CountingProduct(a, b, MmKernel::kBitSliced, &ec);
 """
     v = check_one_mm_operator(src, "src")
     expect("mm-operator", v, "one-mm-operator", 2)
@@ -788,11 +788,10 @@ ParallelFor(ec, FaultSite::kSort, n, chunk);
     v = check_fault_site_coverage("// no table", uses, "cc")
     expect("site-notable", v, "fault-site-coverage", 1)
 
-    # env-knob: an unsanctioned FMMSW_ getenv fires; the three knobs, a
+    # env-knob: an unsanctioned FMMSW_ getenv fires; the two knobs, a
     # non-FMMSW_ variable and a comment mention don't.
     src = """
 const char* a = std::getenv("FMMSW_THREADS");
-const char* b = std::getenv("FMMSW_SIMD");
 const char* c = std::getenv( "FMMSW_FAULT_PLAN" );
 const char* d = std::getenv("FMMSW_NEW_KNOB");
 const char* e = getenv("HOME");
