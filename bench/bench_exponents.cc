@@ -211,7 +211,7 @@ Plan Figure1() {
 Plan CliqueMmPlan(int k) {
   return {"mm_boolean",
           [k](const QueryInput& db, ExecContext* ec, TriangleStats*) {
-            return CliqueMm(k, db, MmKernel::kBoolean, nullptr, ec);
+            return CliqueMm(k, db, nullptr, ec);
           },
           cf::OmegaSubwClique(k, kCubicOmega)};
 }
@@ -228,8 +228,7 @@ std::vector<Family> Table() {
         Figure1(),
         {"panda",
          [](const QueryInput& db, ExecContext* ec, TriangleStats*) {
-           return PandaTriangleBoolean(db, 2.371552, MmKernel::kBoolean,
-                                       nullptr, ec);
+           return PandaTriangleBoolean(db, 2.371552, nullptr, ec);
          },
          cf::OmegaSubwTriangle(w3)}}});
   t.push_back(
@@ -253,7 +252,7 @@ std::vector<Family> Table() {
          cf::SubwCycle(4)},
         {"mm",
          [](const QueryInput& db, ExecContext* ec, TriangleStats*) {
-           return FourCycleMm(db, 2.371552, MmKernel::kBoolean, nullptr, ec);
+           return FourCycleMm(db, 2.371552, nullptr, ec);
          },
          cf::PriorCycle4(w3)}}});
   t.push_back(
@@ -264,7 +263,7 @@ std::vector<Family> Table() {
         Wcoj(Hypergraph::Pyramid(3), cf::SubwPyramid(3), 0, false, true),
         {"mm",
          [](const QueryInput& db, ExecContext* ec, TriangleStats*) {
-           return Pyramid3Mm(db, 2.371552, MmKernel::kBoolean, nullptr, ec);
+           return Pyramid3Mm(db, 2.371552, nullptr, ec);
          },
          cf::OmegaSubwPyramid3(w3)}}});
   // Ears raise no width: the public path, which reduces them first,

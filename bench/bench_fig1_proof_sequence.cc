@@ -87,7 +87,7 @@ void Run() {
       QueryInput db = MakeWorkload(Hypergraph::Triangle(), opts);
       PandaStats stats;
       const bool derived =
-          PandaTriangleBoolean(db, 2.371552, MmKernel::kBoolean, &stats);
+          PandaTriangleBoolean(db, 2.371552, &stats);
       const bool baseline = WcojBoolean(Hypergraph::Triangle(), db);
       ++total;
       if (derived == baseline) ++agree;

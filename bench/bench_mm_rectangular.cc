@@ -1,8 +1,9 @@
 // E8 — the MM kernel substrate: measured runtime of the two kernels, the
 // bit-sliced 0/1 counting product and the bit-packed Boolean product,
 // across an n-sweep; plus the n^{w-square(a,b,c)} shape table of Eq. (6).
-// Every timed counting product is verified against MultiplyNaive once per
-// size before timing.
+// Both kernels run on BitMatrix operands; every timed counting product is
+// verified against MultiplyNaive (and the int64 entry MultiplyBitSliced)
+// once per size before timing.
 
 #include <cmath>
 #include <cstdio>
@@ -55,22 +56,18 @@ void Run() {
   for (int n : {128, 256, 512}) {
     if (!bench::StepEnabled(n)) continue;
     Rng rng(17);
-    // 0/1 counting product. The mm_pack_ns delta splits out the bit-plane
-    // packing time (blocked transpose for B).
-    Matrix ia = RandomIndicator(n, n, 0.3, &rng);
-    Matrix ib = RandomIndicator(n, n, 0.3, &rng);
+    // Both kernels run on the bit-packed operands the engines fill.
+    const Matrix ia = RandomIndicator(n, n, 0.3, &rng);
+    const Matrix ib = RandomIndicator(n, n, 0.3, &rng);
+    const BitMatrix ba(ia), bb(ib);
     const Matrix iref = MultiplyNaive(ia, ib);
+    FMMSW_CHECK(MultiplyBitSliced(ia, ib, &ec) == iref);
+    // 0/1 counting product. The mm_pack_ns delta splits out the time to
+    // transpose B into column planes.
     const int64_t pack0 = ec.stats().mm_pack_ns.load();
     const bench::Timing t_bits = SampleVerified(
-        ec, [&] { return MultiplyBitSliced(ia, ib, &ec); }, iref);
+        ec, [&] { return MultiplyBitSlicedPacked(ba, bb, &ec); }, iref);
     const double bits_pack_ms = PackMsPerCall(ec, pack0);
-    BitMatrix ba(n, n), bb(n, n);
-    for (int i = 0; i < n; ++i) {
-      for (int j = 0; j < n; ++j) {
-        if (ia.At(i, j) != 0) ba.Set(i, j);
-        if (ib.At(i, j) != 0) bb.Set(i, j);
-      }
-    }
     const bench::Timing t_bool = bench::Sample(ec, [&] {
       BitMatrix bm = BitMatrix::Multiply(ba, bb, &ec);
       if (bm.rows() < 0) std::abort();
@@ -81,25 +78,6 @@ void Run() {
     bench::Json("mm", n, "bitsliced", t_bits);
     bench::Json("mm", n, "bitsliced_pack", bits_pack_ms);
     bench::Json("mm", n, "bitmatrix", t_bool);
-  }
-
-  // Pack-focused sweep at sizes where the B planes outgrow cache — the
-  // regime the blocked transpose pack targets.
-  bench::Header("bit-sliced pack (blocked transpose) at larger n");
-  for (int n : {1024, 2048}) {
-    if (!bench::StepEnabled(n)) continue;
-    Rng rng(23);
-    Matrix ia = RandomIndicator(n, n, 0.3, &rng);
-    Matrix ib = RandomIndicator(n, n, 0.3, &rng);
-    const Matrix ref = MultiplyNaive(ia, ib);
-    const int64_t pack0 = ec.stats().mm_pack_ns.load();
-    const bench::Timing t = SampleVerified(
-        ec, [&] { return MultiplyBitSliced(ia, ib, &ec); }, ref);
-    const double pack_ms = PackMsPerCall(ec, pack0);
-    std::printf("%6d bitsliced %10.3f ms  pack %10.3f ms\n", n, t.median_ms,
-                pack_ms);
-    bench::Json("mm", n, "bitsliced_large", t);
-    bench::Json("mm", n, "bitsliced_large_pack", pack_ms);
   }
 
   // Shape table: predicted block count * d^w vs Eq. (6) exponent.

@@ -46,8 +46,7 @@ int main(int argc, char** argv) {
 
   sw.Reset();
   FourCycleStats mstats;
-  const bool c = FourCycleMm(db, 2.371552, MmKernel::kBoolean, &mstats,
-                             &ctx);
+  const bool c = FourCycleMm(db, 2.371552, &mstats, &ctx);
   std::printf("%-34s %-6s %.4f s  (mm dims %lldx%lldx%lld)\n",
               "MM hybrid (w-subw):", c ? "true" : "false", sw.Seconds(),
               static_cast<long long>(mstats.mm_dims[0]),

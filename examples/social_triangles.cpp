@@ -72,9 +72,14 @@ int main(int argc, char** argv) {
   std::printf("combinatorial WCOJ: %s in %.4f s\n",
               base ? "found" : "absent", sw.Seconds());
 
+  // Nothing is held between runs, so after a reset the tracked peak is
+  // the count's own: its bit-packed operands plus the int64 product.
+  ctx.stats().Reset();
   sw.Reset();
   const int64_t count = TriangleCountMm(db, MmKernel::kBitSliced, &ctx);
   std::printf("exact triangle count (counting MM): %lld in %.4f s\n",
               static_cast<long long>(count), sw.Seconds());
+  std::printf("  tracked memory peak: %.1f MB\n",
+              static_cast<double>(ctx.stats().mem_peak_bytes.load()) / 1e6);
   return any == base ? 0 : 1;
 }

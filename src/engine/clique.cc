@@ -3,6 +3,7 @@
 #include "core/exec_context.h"
 #include "engine/wcoj.h"
 #include "hypergraph/hypergraph.h"
+#include "mm/kernel.h"
 #include "relation/flat_index.h"
 #include "relation/ops.h"
 #include "util/check.h"
@@ -96,7 +97,7 @@ bool Compatible(int k, const QueryInput& db,
 
 }  // namespace
 
-bool CliqueMm(int k, const QueryInput& db, MmKernel kernel, CliqueStats* stats,
+bool CliqueMm(int k, const QueryInput& db, CliqueStats* stats,
               ExecContext* ctx) {
   ExecContext& ec = ExecContext::Resolve(ctx);
   FMMSW_CHECK(k >= 3);
@@ -152,7 +153,7 @@ bool CliqueMm(int k, const QueryInput& db, MmKernel kernel, CliqueStats* stats,
   // The compatibility fills and the final check only read the shared pair
   // sets; rows are partitioned across threads, so the row-local writes
   // (row i of each operand) never conflict.
-  IndicatorProduct p(na, nb, nc, kernel, ec);
+  IndicatorProduct p(na, nb, nc, MmKernel::kBoolean, ec);
   ParallelFor(ec.pool(), na, [&](int64_t begin, int64_t end) {
     for (int64_t i = begin; i < end; ++i) {
       for (int j = 0; j < nb; ++j) {

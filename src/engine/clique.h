@@ -14,7 +14,6 @@
 /// The database layout follows Hypergraph::Clique(k): one relation per
 /// vertex pair (i, j), i < j, in lexicographic order.
 
-#include "mm/kernel.h"
 #include "relation/relation.h"
 
 namespace fmmsw {
@@ -26,8 +25,8 @@ struct CliqueStats {
 };
 
 /// MM-based detection via the 3-group split.
-bool CliqueMm(int k, const QueryInput& db, MmKernel kernel = MmKernel::kBoolean,
-              CliqueStats* stats = nullptr, ExecContext* ctx = nullptr);
+bool CliqueMm(int k, const QueryInput& db, CliqueStats* stats = nullptr,
+              ExecContext* ctx = nullptr);
 
 }  // namespace fmmsw
 

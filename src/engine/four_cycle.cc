@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "core/exec_context.h"
+#include "mm/kernel.h"
 #include "relation/degree.h"
 #include "relation/flat_index.h"
 #include "relation/ops.h"
@@ -162,8 +163,8 @@ bool FourCycleCombinatorial(const QueryInput& db, FourCycleStats* stats,
   return !q.empty();
 }
 
-bool FourCycleMm(const QueryInput& db, double omega, MmKernel kernel,
-                 FourCycleStats* stats, ExecContext* ctx) {
+bool FourCycleMm(const QueryInput& db, double omega, FourCycleStats* stats,
+                 ExecContext* ctx) {
   FMMSW_CHECK(db.relations.size() == 4);
   ExecContext& ec = ExecContext::Resolve(ctx);
   const Relation& r = db.relations[0];
@@ -252,7 +253,7 @@ bool FourCycleMm(const QueryInput& db, double omega, MmKernel kernel,
   const int nz = zi.size();
 
   // B1 = U_h (w by x) times R_h (x by y).
-  IndicatorProduct b1(nw, nx, ny, kernel, ec);
+  IndicatorProduct b1(nw, nx, ny, MmKernel::kBoolean, ec);
   for (size_t row = 0; row < uh.size(); ++row) {
     b1.SetA(wi.FindValue(uh.Get(row, kW)), xi.FindValue(uh.Get(row, kX)));
   }
@@ -261,7 +262,7 @@ bool FourCycleMm(const QueryInput& db, double omega, MmKernel kernel,
   }
   b1.Multiply();
   // B2 = S_h (y by z) times T_h (z by w).
-  IndicatorProduct b2(ny, nz, nw, kernel, ec);
+  IndicatorProduct b2(ny, nz, nw, MmKernel::kBoolean, ec);
   for (size_t row = 0; row < sh.size(); ++row) {
     b2.SetA(yi.FindValue(sh.Get(row, kY)), zi.FindValue(sh.Get(row, kZ)));
   }

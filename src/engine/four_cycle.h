@@ -17,7 +17,6 @@
 ///    against the light 2-path set, so on adversarial instances the
 ///    measured exponent can exceed the Table 1 value.
 
-#include "mm/kernel.h"
 #include "relation/relation.h"
 
 namespace fmmsw {
@@ -44,7 +43,6 @@ bool FourCycleCombinatorial(const QueryInput& db,
 
 /// MM hybrid at the given omega.
 bool FourCycleMm(const QueryInput& db, double omega,
-                 MmKernel kernel = MmKernel::kBoolean,
                  FourCycleStats* stats = nullptr, ExecContext* ctx = nullptr);
 
 }  // namespace fmmsw

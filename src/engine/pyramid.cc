@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "core/exec_context.h"
+#include "mm/kernel.h"
 #include "relation/degree.h"
 #include "relation/flat_index.h"
 #include "relation/ops.h"
@@ -18,8 +19,8 @@ constexpr int kX1 = 1, kX2 = 2, kX3 = 3;
 
 }  // namespace
 
-bool Pyramid3Mm(const QueryInput& db, double omega, MmKernel kernel,
-                PyramidStats* stats, ExecContext* ctx) {
+bool Pyramid3Mm(const QueryInput& db, double omega, PyramidStats* stats,
+                ExecContext* ctx) {
   FMMSW_CHECK(db.relations.size() == 4);
   ExecContext& ec = ExecContext::Resolve(ctx);
   const Relation& r1 = db.relations[0];  // R1(Y, X1)
@@ -169,7 +170,8 @@ bool Pyramid3Mm(const QueryInput& db, double omega, MmKernel kernel,
           }
         }
         if (x2i.size() == 0 || x3i.size() == 0) return false;
-        IndicatorProduct prod(x2i.size(), yi.size(), x3i.size(), kernel, ec);
+        IndicatorProduct prod(x2i.size(), yi.size(), x3i.size(),
+                              MmKernel::kBoolean, ec);
         for (int32_t row = y_of_x1.First(x1key); row >= 0;
              row = y_of_x1.Next(row)) {
           const Value y = r1h.Row(row)[r1h_y_col];

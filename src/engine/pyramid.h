@@ -22,7 +22,6 @@
 /// QueryInput layout per Hypergraph::Pyramid(3): relations
 /// [R1(Y,X1), R2(Y,X2), R3(Y,X3), B(X1,X2,X3)].
 
-#include "mm/kernel.h"
 #include "relation/relation.h"
 
 namespace fmmsw {
@@ -39,7 +38,6 @@ struct PyramidStats {
 
 /// The Lemma C.13 MM algorithm at the given omega.
 bool Pyramid3Mm(const QueryInput& db, double omega,
-                MmKernel kernel = MmKernel::kBoolean,
                 PyramidStats* stats = nullptr, ExecContext* ctx = nullptr);
 
 }  // namespace fmmsw

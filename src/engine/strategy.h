@@ -16,8 +16,7 @@
 /// first (ReduceEars), the triangle's MM hybrid leads when the cyclic
 /// core left is the triangle, and every other core runs WCOJ alone.
 /// Each triangle ladder holds one MM rung: a rung that wins no measured
-/// row is deleted, and the int64 counting products all charge the same
-/// operands, so a budget that aborts one aborts them all.
+/// row is deleted.
 ///
 /// Everything here is pure metadata — no ExecContext flows through, and
 /// these functions never touch a database — so the ctx-threading lint

@@ -10,18 +10,19 @@
 /// matrices built from relations and keep the non-zero cells.
 /// IndicatorProduct is that operation. Engines mark operand cells, call
 /// Multiply() once, and read cells of the product; the operator owns the
-/// storage (bit-packed for kBoolean, int64 for kBitSliced), charges it to
-/// the memory budget, counts the product and picks the kernel. There are
-/// two kernels:
+/// storage, charges it to the memory budget, counts the product and picks
+/// the kernel. Both kernels take the same operands, a row-major BitMatrix
+/// A (rows x inner) and B (inner x cols); only the product differs:
 ///
 ///   - BitMatrix::Multiply (mm/matrix.h): the word-parallel (OR, AND)
-///     product, for Boolean decisions.
-///   - MultiplyBitSliced: the counting product of 0/1 matrices. Rows of A
-///     and columns of B are packed into bit-planes; out[i][j] is the
-///     popcount of a word-AND, 64 multiply-adds per word op.
+///     product, a BitMatrix, for Boolean decisions.
+///   - MultiplyBitSlicedPacked: the counting product, an int64 Matrix.
+///     A's rows are already its bit-planes; B is transposed into one plane
+///     per column, and out[i][j] is the popcount of a word-AND, 64
+///     multiply-adds per word op.
 ///
 /// Both run row blocks on the context's pool. Products, bit-sliced calls
-/// and packing time are accounted on the ExecContext (mm_products,
+/// and B's transpose time are accounted on the ExecContext (mm_products,
 /// mm_bitsliced_calls, mm_pack_ns).
 
 #include <cstdint>
@@ -48,20 +49,25 @@ const char* SimdLevelName(SimdLevel level);
 /// True if every entry of m is 0 or 1 (the engines' indicator matrices).
 bool IsZeroOne(const Matrix& m);
 
-/// Bit-sliced counting product for 0/1 matrices: packs rows of a and
-/// columns of b into k-bit planes and accumulates popcount(word AND word),
-/// so each 64-wide slice of the inner dimension costs one AND + popcount
-/// instead of 64 int64 multiply-adds. CHECKs that both inputs are 0/1
-/// (one scan of each). Charges its planes and output to the memory
-/// budget before allocating them. Row blocks run on the context's pool.
-/// Exact: out == MultiplyNaive(a, b).
+/// Bit-sliced counting product of bit-packed 0/1 matrices: accumulates
+/// popcount(row word of a AND column-plane word of b), so each 64-wide
+/// slice of the inner dimension costs one AND + popcount instead of 64
+/// int64 multiply-adds. Charges b's column planes and the int64 output to
+/// the memory budget before allocating them. Row blocks run on the
+/// context's pool.
+Matrix MultiplyBitSlicedPacked(const BitMatrix& a, const BitMatrix& b,
+                               ExecContext* ctx = nullptr);
+
+/// MultiplyBitSlicedPacked for int64 operands: CHECKs that both are 0/1
+/// (one scan of each), packs them to bits (charged while held) and runs
+/// the same kernel. Exact: out == MultiplyNaive(a, b).
 Matrix MultiplyBitSliced(const Matrix& a, const Matrix& b,
                          ExecContext* ctx = nullptr);
 
 /// Kernel choice for the engines' matrix products.
 enum class MmKernel {
   kBoolean,    ///< bit-packed (OR, AND) product (BitMatrix::Multiply)
-  kBitSliced,  ///< 0/1 counting via bit-planes (MultiplyBitSliced)
+  kBitSliced,  ///< 0/1 counting via bit-planes (MultiplyBitSlicedPacked)
 };
 
 /// The counting product under a counting kernel: MultiplyBitSliced for
@@ -74,58 +80,46 @@ Matrix CountingProduct(const Matrix& a, const Matrix& b, MmKernel kernel,
 /// relations hold with SetA/SetB, call Multiply() once, then read the
 /// product with NonZero (either kernel) or Count (kBitSliced).
 ///
-/// The constructor charges the operand bytes to the context's memory
-/// budget before allocating them (bit-packed for kBoolean, int64 for
-/// kBitSliced); an armed budget below them aborts with
-/// kMemoryLimitExceeded before any operand exists. Multiply() adds the
-/// product's bytes once the kernel returns it. Both charges are held for
-/// the operator's lifetime, as long as the matrices they cover.
+/// The constructor charges the bit-packed operand bytes to the context's
+/// memory budget before allocating them; an armed budget below them
+/// aborts with kMemoryLimitExceeded before any operand exists. Multiply()
+/// adds the product's bytes (bit-packed for kBoolean, int64 for
+/// kBitSliced) once the kernel returns it. Both charges are held for the
+/// operator's lifetime, as long as the matrices they cover.
 ///
-/// SetA(i, k) writes only row i of A and SetB(k, j) only row k of B, so
-/// fills partitioned by row may run concurrently.
+/// SetA(i, k) writes only row i of A and SetB(k, j) only row k of B, and
+/// rows never share a word, so fills partitioned by row may run
+/// concurrently.
 class IndicatorProduct {
  public:
   IndicatorProduct(int rows, int inner, int cols, MmKernel kernel,
                    ExecContext& ec);
 
-  void SetA(int i, int k) {
-    if (kernel_ == MmKernel::kBoolean) {
-      bit_a_.Set(i, k);
-    } else {
-      a_.At(i, k) = 1;
-    }
-  }
-  void SetB(int k, int j) {
-    if (kernel_ == MmKernel::kBoolean) {
-      bit_b_.Set(k, j);
-    } else {
-      b_.At(k, j) = 1;
-    }
-  }
+  void SetA(int i, int k) { a_.Set(i, k); }
+  void SetB(int k, int j) { b_.Set(k, j); }
 
   /// Computes A * B (counts one mm_products): BitMatrix::Multiply for
-  /// kBoolean, MultiplyBitSliced for kBitSliced. Charges the product's
-  /// bytes.
+  /// kBoolean, MultiplyBitSlicedPacked for kBitSliced. Charges the
+  /// product's bytes.
   void Multiply();
 
   /// True if some inner index k has A[i][k] = B[k][j] = 1.
   bool NonZero(int i, int j) const {
-    return kernel_ == MmKernel::kBoolean ? bit_out_.Get(i, j)
-                                         : out_.At(i, j) != 0;
+    return kernel_ == MmKernel::kBoolean ? bits_out_.Get(i, j)
+                                         : counts_.At(i, j) != 0;
   }
   /// The number of such k. CHECKs that the kernel counts.
   int64_t Count(int i, int j) const {
     FMMSW_CHECK(kernel_ != MmKernel::kBoolean);
-    return out_.At(i, j);
+    return counts_.At(i, j);
   }
 
  private:
   ExecContext& ec_;
   MmKernel kernel_;
-  int rows_, cols_;
   MemCharge charge_;  // declared before the matrices it covers
-  BitMatrix bit_a_, bit_b_, bit_out_;
-  Matrix a_, b_, out_;
+  BitMatrix a_, b_, bits_out_;
+  Matrix counts_;
 };
 
 }  // namespace fmmsw

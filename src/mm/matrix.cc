@@ -28,11 +28,26 @@ Matrix MultiplyNaive(const Matrix& a, const Matrix& b) {
   return out;
 }
 
-bool BitMatrix::AnyNonZero() const {
-  for (uint64_t w : data_) {
-    if (w != 0) return true;
+BitMatrix::BitMatrix(const Matrix& m) : BitMatrix(m.rows(), m.cols()) {
+  for (int i = 0; i < rows_; ++i) {
+    for (int j = 0; j < cols_; ++j) {
+      data_[static_cast<size_t>(i) * words_ + (j >> 6)] |=
+          static_cast<uint64_t>(m.At(i, j) != 0) << (j & 63);
+    }
   }
-  return false;
+}
+
+BitMatrix BitMatrix::Transpose() const {
+  BitMatrix t(cols_, rows_);
+  for (int r = 0; r < rows_; ++r) {
+    for (int w = 0; w < words_; ++w) {
+      uint64_t bits = data_[static_cast<size_t>(r) * words_ + w];
+      for (; bits != 0; bits &= bits - 1) {
+        t.Set((w << 6) + __builtin_ctzll(bits), r);
+      }
+    }
+  }
+  return t;
 }
 
 BitMatrix BitMatrix::Multiply(const BitMatrix& a, const BitMatrix& b,

@@ -7,13 +7,13 @@
 /// The storage under IndicatorProduct (mm/kernel.h), the one operator
 /// through which the engines reduce heavy-part joins to Boolean /
 /// counting matrix products (paper Section 2.5 and Appendix E.6):
-///   - Matrix: row-major int64 cells, the counting operands and products
-///     of MultiplyBitSliced (mm/kernel.h),
+///   - BitMatrix: bit-packed cells, the operands of both kernels;
+///     BitMatrix::Multiply is the word-parallel (OR, AND) product (the
+///     kBoolean kernel), which suffices for Boolean CQ evaluation,
+///   - Matrix: row-major int64 cells, the counting kernel's product
+///     (mm/kernel.h) and the operands of its int64 entry,
 ///   - MultiplyNaive: cubic (+, x) reference, the differential baseline
-///     the tests compare every kernel against,
-///   - BitMatrix: bit-packed cells; BitMatrix::Multiply is the
-///     word-parallel (OR, AND) product (the kBoolean kernel), which
-///     suffices for Boolean CQ evaluation.
+///     the tests compare every kernel against.
 /// BitMatrix::Multiply takes an optional ExecContext (nullptr = process
 /// default) supplying the thread pool and the memory budget.
 
@@ -81,6 +81,8 @@ class BitMatrix {
   BitMatrix(int rows, int cols)
       : rows_(rows), cols_(cols), words_((cols + 63) / 64),
         data_(static_cast<size_t>(rows) * words_, 0) {}
+  /// The bits of m: a cell is set iff m's cell is non-zero.
+  explicit BitMatrix(const Matrix& m);
 
   int rows() const { return rows_; }
   int cols() const { return cols_; }
@@ -95,7 +97,15 @@ class BitMatrix {
             (c & 63)) & 1ULL;
   }
 
-  bool AnyNonZero() const;
+  /// The ceil(cols / 64) words of row r; bits past cols are zero.
+  const uint64_t* RowWords(int r) const {
+    return &data_[static_cast<size_t>(r) * words_];
+  }
+
+  /// The cols x rows transpose: row c of the result is column c of this
+  /// matrix as a rows-bit plane. Visits set bits via ctz, so it costs
+  /// one pass over the words plus one write per set bit.
+  BitMatrix Transpose() const;
 
   /// Word-parallel Boolean product: out[i][j] = OR_k (a[i][k] AND b[k][j]).
   /// Skips zero words of `a`, visits set bits via ctz, and spreads row

@@ -6,6 +6,7 @@
 
 #include "core/exec_context.h"
 #include "hypergraph/hypergraph.h"
+#include "mm/kernel.h"
 #include "relation/degree.h"
 #include "relation/flat_index.h"
 #include "relation/ops.h"
@@ -67,8 +68,7 @@ RelationPtr AtomWithSchema(const Hypergraph& h, const QueryInput& db,
 bool ExecuteProofSequence(const Hypergraph& h, const QueryInput& db,
                           const OmegaShannonInequality& ineq,
                           const ProofSequence& seq, int64_t threshold,
-                          MmKernel kernel, PandaStats* stats,
-                          ExecContext* ctx) {
+                          PandaStats* stats, ExecContext* ctx) {
   ExecContext& ec = ExecContext::Resolve(ctx);
   TableMap tables;
   // RHS terms start as the input atoms (Theorem E.10's initial
@@ -183,7 +183,8 @@ bool ExecuteProofSequence(const Hypergraph& h, const QueryInput& db,
       yi.InternValue(m2.Get(r, vy));
       zi.InternValue(m2.Get(r, vz));
     }
-    IndicatorProduct m(xi.size(), yi.size(), zi.size(), kernel, ec);
+    IndicatorProduct m(xi.size(), yi.size(), zi.size(), MmKernel::kBoolean,
+                       ec);
     for (size_t r = 0; r < m1.size(); ++r) {
       m.SetA(xi.FindValue(m1.Get(r, vx)), yi.FindValue(m1.Get(r, vy)));
     }
@@ -200,7 +201,7 @@ bool ExecuteProofSequence(const Hypergraph& h, const QueryInput& db,
   return false;
 }
 
-bool PandaTriangleBoolean(const QueryInput& db, double omega, MmKernel kernel,
+bool PandaTriangleBoolean(const QueryInput& db, double omega,
                           PandaStats* stats, ExecContext* ctx) {
   const double n = static_cast<double>(db.TotalSize());
   if (n == 0) return false;
@@ -214,7 +215,7 @@ bool PandaTriangleBoolean(const QueryInput& db, double omega, MmKernel kernel,
   ProofSequence seq = TriangleProofSequence(omega_q);
   FMMSW_CHECK(VerifyProofSequence(ineq, seq, omega_q));
   return ExecuteProofSequence(Hypergraph::Triangle(), db, ineq, seq,
-                              threshold, kernel, stats, ctx);
+                              threshold, stats, ctx);
 }
 
 }  // namespace fmmsw

@@ -20,7 +20,6 @@
 /// and projections build new relations.
 
 #include "hypergraph/hypergraph.h"
-#include "mm/kernel.h"
 #include "panda/proof.h"
 #include "relation/relation.h"
 
@@ -41,14 +40,12 @@ struct PandaStats {
 bool ExecuteProofSequence(const Hypergraph& h, const QueryInput& db,
                           const OmegaShannonInequality& ineq,
                           const ProofSequence& seq, int64_t threshold,
-                          MmKernel kernel = MmKernel::kBoolean,
                           PandaStats* stats = nullptr,
                           ExecContext* ctx = nullptr);
 
 /// End-to-end: the Figure-1 triangle algorithm derived from its proof
 /// sequence.
 bool PandaTriangleBoolean(const QueryInput& db, double omega,
-                          MmKernel kernel = MmKernel::kBoolean,
                           PandaStats* stats = nullptr,
                           ExecContext* ctx = nullptr);
 

@@ -21,9 +21,13 @@
 #include "engine/wcoj.h"
 #include "gtest/gtest.h"
 #include "hypergraph/decomposition.h"
+#include "mm/kernel.h"
+#include "mm/matrix.h"
 #include "relation/degree.h"
 #include "relation/generators.h"
 #include "relation/ops.h"
+#include "util/parallel.h"
+#include "util/random.h"
 #include "width/emm.h"
 
 namespace fmmsw {
@@ -736,10 +740,7 @@ TEST_P(FourCycleRegimeTest, AllAlgorithmsAgree) {
   EXPECT_EQ(FourCycleCombinatorial(db), expect) << "seed=" << seed;
   EXPECT_EQ(FourCycleMm(db, 2.0), expect) << "seed=" << seed;
   EXPECT_EQ(FourCycleMm(db, 2.371552), expect) << "seed=" << seed;
-  EXPECT_EQ(FourCycleMm(db, 2.371552, MmKernel::kBitSliced), expect)
-      << "seed=" << seed;
-  EXPECT_EQ(FourCycleMm(db, 2.8073549, MmKernel::kBitSliced), expect)
-      << "seed=" << seed;
+  EXPECT_EQ(FourCycleMm(db, 2.8073549), expect) << "seed=" << seed;
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -766,12 +767,59 @@ TEST_P(CliqueRegimeTest, MmAgreesWithCombinatorial) {
     QueryInput db = MakeWorkload(h, opts);
     const bool expect = WcojBoolean(h, db);
     EXPECT_EQ(CliqueMm(k, db), expect) << "k=" << k << " seed=" << seed;
-    EXPECT_EQ(CliqueMm(k, db, MmKernel::kBitSliced), expect)
-        << "k=" << k << " seed=" << seed;
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(K, CliqueRegimeTest, ::testing::Values(3, 4, 5, 6));
+
+// The operand fill CliqueMm runs: ParallelFor partitioned by row, each
+// chunk marking cells of its own rows only. Under both kernels the
+// operands are bit-packed, so neighbouring cells of a row share a 64-bit
+// word; rows never do, so the fill is race-free (the TSan job runs this
+// binary) and the product equals the naive one.
+TEST(IndicatorProductTest, RowPartitionedParallelFillMatchesNaive) {
+  constexpr int kRows = 203, kInner = 150, kCols = 131;
+  Rng rng(29);
+  Matrix a(kRows, kInner), b(kInner, kCols);
+  for (int i = 0; i < kRows; ++i) {
+    for (int k = 0; k < kInner; ++k) a.At(i, k) = rng.Flip(0.3) ? 1 : 0;
+  }
+  for (int k = 0; k < kInner; ++k) {
+    for (int j = 0; j < kCols; ++j) b.At(k, j) = rng.Flip(0.3) ? 1 : 0;
+  }
+  const Matrix ref = MultiplyNaive(a, b);
+  for (MmKernel kernel : {MmKernel::kBoolean, MmKernel::kBitSliced}) {
+    for (int threads : {1, 4}) {
+      SCOPED_TRACE("kernel=" + std::to_string(static_cast<int>(kernel)) +
+                   " threads=" + std::to_string(threads));
+      ExecContext ec(threads);
+      IndicatorProduct p(kRows, kInner, kCols, kernel, ec);
+      ParallelFor(ec.pool(), kRows, [&](int64_t begin, int64_t end) {
+        for (int64_t i = begin; i < end; ++i) {
+          for (int k = 0; k < kInner; ++k) {
+            if (a.At(i, k) != 0) p.SetA(i, k);
+          }
+        }
+      });
+      ParallelFor(ec.pool(), kInner, [&](int64_t begin, int64_t end) {
+        for (int64_t k = begin; k < end; ++k) {
+          for (int j = 0; j < kCols; ++j) {
+            if (b.At(k, j) != 0) p.SetB(k, j);
+          }
+        }
+      });
+      p.Multiply();
+      for (int i = 0; i < kRows; ++i) {
+        for (int j = 0; j < kCols; ++j) {
+          ASSERT_EQ(p.NonZero(i, j), ref.At(i, j) != 0) << i << "," << j;
+          if (kernel == MmKernel::kBitSliced) {
+            ASSERT_EQ(p.Count(i, j), ref.At(i, j)) << i << "," << j;
+          }
+        }
+      }
+    }
+  }
+}
 
 TEST(CliqueTest, GroupDimensionsReported) {
   WorkloadOptions opts;
@@ -780,7 +828,7 @@ TEST(CliqueTest, GroupDimensionsReported) {
   opts.seed = 3;
   QueryInput db = MakeWorkload(Hypergraph::Clique(6), opts);
   CliqueStats stats;
-  CliqueMm(6, db, MmKernel::kBoolean, &stats);
+  CliqueMm(6, db, &stats);
   EXPECT_GT(stats.group_cliques[0], 0);
   EXPECT_GT(stats.group_cliques[1], 0);
   EXPECT_GT(stats.group_cliques[2], 0);

@@ -76,18 +76,36 @@ TEST(BitMatrixTest, MultiplyMatchesIntegerSign) {
   }
 }
 
-TEST(BitMatrixTest, AnyNonZero) {
-  BitMatrix m(5, 70);
-  EXPECT_FALSE(m.AnyNonZero());
-  m.Set(4, 69);
-  EXPECT_TRUE(m.AnyNonZero());
-  EXPECT_TRUE(m.Get(4, 69));
-  EXPECT_FALSE(m.Get(4, 68));
+TEST(BitMatrixTest, TransposeMatchesCellwise) {
+  // Shapes straddling 64-bit word edges on both axes; rows 64..127 stay
+  // empty, so a tall shape also has all-zero words.
+  const struct {
+    int rows, cols;
+  } shapes[] = {{1, 1}, {63, 65}, {64, 64}, {65, 63}, {130, 7}, {7, 200},
+                {0, 5},  {5, 0}};
+  Rng rng(17);
+  for (const auto& s : shapes) {
+    BitMatrix m(s.rows, s.cols);
+    for (int r = 0; r < s.rows; ++r) {
+      for (int c = 0; c < s.cols; ++c) {
+        if (r / 64 != 1 && rng.Flip(0.3)) m.Set(r, c);
+      }
+    }
+    const BitMatrix t = m.Transpose();
+    ASSERT_EQ(t.rows(), s.cols);
+    ASSERT_EQ(t.cols(), s.rows);
+    for (int r = 0; r < s.rows; ++r) {
+      for (int c = 0; c < s.cols; ++c) {
+        ASSERT_EQ(t.Get(c, r), m.Get(r, c))
+            << s.rows << "x" << s.cols << " at " << r << "," << c;
+      }
+    }
+  }
 }
 
 // --------------------------------------------- parallel differentials --
 // ctest runs this binary with FMMSW_THREADS=4, so the pooled kernels
-// (BitMatrix::Multiply here, MultiplyBitSliced in BitSlicedTest) execute
+// (BitMatrix::Multiply here, the counting kernel in BitSlicedTest) execute
 // multi-threaded and are checked against the serial naive reference.
 
 TEST(ParallelKernelTest, BitMatrixMatchesIntegerSignLarge) {
@@ -205,6 +223,25 @@ TEST(BitSlicedTest, CountingProductDispatch) {
   EXPECT_EQ(ec.stats().mm_bitsliced_calls.load(), 1);
 }
 
+TEST(BitSlicedTest, PackedKernelChargesPlanesAndOutputExactly) {
+  // b's column planes (n x ceil(k / 64) words) and the m x n int64
+  // output: a budget of exactly those bytes runs, one byte less aborts.
+  constexpr int kM = 30, kK = 200, kN = 40;
+  const int64_t bytes = (kN * ((kK + 63) / 64) + kM * kN) * 8;
+  const BitMatrix a(kM, kK), b(kK, kN);
+  ExecContext ec(1);
+  const ExecResult fits = RunGuarded(ec, {.memory_budget_bytes = bytes}, [&] {
+    EXPECT_EQ(MultiplyBitSlicedPacked(a, b, &ec), Matrix(kM, kN));
+  });
+  EXPECT_TRUE(fits.ok()) << fits.message;
+  EXPECT_EQ(ec.stats().mem_peak_bytes.load(), bytes);
+  const ExecResult aborted =
+      RunGuarded(ec, {.memory_budget_bytes = bytes - 1},
+                 [&] { (void)MultiplyBitSlicedPacked(a, b, &ec); });
+  EXPECT_EQ(aborted.status, ExecStatus::kMemoryLimitExceeded);
+  EXPECT_EQ(ec.stats().mem_current_bytes.load(), 0);
+}
+
 constexpr MmKernel kAllKernels[] = {MmKernel::kBoolean, MmKernel::kBitSliced};
 
 TEST(IndicatorProductTest, EveryKernelMatchesNaive) {
@@ -242,12 +279,9 @@ TEST(IndicatorProductTest, EveryKernelMatchesNaive) {
 TEST(IndicatorProductTest, ChargesOperandsBeforeAllocatingAndItsProduct) {
   constexpr int kRows = 8, kInner = 4000, kCols = 8;
   for (MmKernel kernel : kAllKernels) {
-    // Bit-packed rows are whole 64-bit words; int64 operands are dense.
+    // Both kernels' operands are bit-packed rows of whole 64-bit words.
     const int64_t bytes =
-        kernel == MmKernel::kBoolean
-            ? (kRows * ((kInner + 63) / 64) + kInner * ((kCols + 63) / 64)) *
-                  8
-            : int64_t{8} * kInner * (kRows + kCols);
+        (kRows * ((kInner + 63) / 64) + kInner * ((kCols + 63) / 64)) * 8;
     // The product, charged by Multiply(), is kRows x kCols.
     const int64_t product_bytes =
         kernel == MmKernel::kBoolean ? kRows * ((kCols + 63) / 64) * 8
@@ -352,8 +386,6 @@ TEST(DegenerateShapeTest, AnyNonZeroAndEmptyOnDegenerateMatrices) {
   EXPECT_FALSE(Matrix(0, 0).AnyNonZero());
   EXPECT_FALSE(Matrix(0, 5).AnyNonZero());
   EXPECT_FALSE(Matrix(5, 0).AnyNonZero());
-  EXPECT_FALSE(BitMatrix(0, 0).AnyNonZero());
-  EXPECT_FALSE(BitMatrix(0, 9).AnyNonZero());
 }
 
 TEST(CostModelTest, OmegaSquareExponent) {

@@ -136,7 +136,7 @@ TEST(ExecutorTest, StatsReportFigureOneShape) {
   opts.seed = 1;
   QueryInput db = MakeWorkload(Hypergraph::Triangle(), opts);
   PandaStats stats;
-  PandaTriangleBoolean(db, 2.371552, MmKernel::kBoolean, &stats);
+  PandaTriangleBoolean(db, 2.371552, &stats);
   // Figure 1: three partitions (R, S, T) and three light-join
   // compositions; the MM group executes once (unless a light table
   // answered first).
@@ -171,10 +171,7 @@ TEST(ExecutorTest, FlatInternedDimensionsHandleExtremeValues) {
     const bool expect = BruteForceBoolean(Hypergraph::Triangle(), db);
     for (double omega : {2.0, 2.371552, 3.0}) {
       PandaStats stats;
-      EXPECT_EQ(PandaTriangleBoolean(db, omega, MmKernel::kBoolean, &stats),
-                expect)
-          << "plant=" << plant << " omega=" << omega;
-      EXPECT_EQ(PandaTriangleBoolean(db, omega, MmKernel::kBitSliced), expect)
+      EXPECT_EQ(PandaTriangleBoolean(db, omega, &stats), expect)
           << "plant=" << plant << " omega=" << omega;
     }
   }
@@ -193,9 +190,7 @@ TEST(ExecutorTest, RepeatedExecutionsOnOneContextAgree) {
   ExecContext ec(1);
   const bool expect = BruteForceBoolean(Hypergraph::Triangle(), db);
   for (int rep = 0; rep < 3; ++rep) {
-    EXPECT_EQ(
-        PandaTriangleBoolean(db, 2.371552, MmKernel::kBoolean, nullptr, &ec),
-        expect);
+    EXPECT_EQ(PandaTriangleBoolean(db, 2.371552, nullptr, &ec), expect);
   }
   EXPECT_GE(ec.stats().partition_calls.load(), 9);
 }

@@ -344,14 +344,18 @@ TEST(RecoveryTest, JoinWithRecoveryMatchesCleanJoin) {
 // comfortably.
 TEST(RecoveryTest, BudgetAbortLeavesMemoryChargesBalanced) {
   ExecContext ec(2);
-  // MultiplyBitSliced charges its bit-planes and its output in one
-  // MemCharge before allocating them: (m + n) * ceil(k / 64) words plus
-  // m * n int64 cells. The budget is exactly the 300^3 product's 744,000
-  // bytes, so the 600^3 product's 2,976,000 trip it inside the MemCharge
-  // constructor itself.
+  // MultiplyBitSliced charges the bit-packed copies of its operands
+  // (m * ceil(k / 64) + k * ceil(n / 64) words), then its kernel charges
+  // B's column planes and its output in one MemCharge before allocating
+  // them: n * ceil(k / 64) words plus m * n int64 cells. The budget is
+  // exactly the 300^3 product's 756,000 bytes, so the 600^3 product's
+  // 3,024,000 trip it inside the kernel's MemCharge constructor itself.
   const auto bitsliced_bytes = [](int64_t m, int64_t k, int64_t n) {
-    return (m + n) * ((k + 63) / 64) * 8 + m * n * 8;
+    return (m * ((k + 63) / 64) + k * ((n + 63) / 64) +
+            n * ((k + 63) / 64)) * 8 +
+           m * n * 8;
   };
+  ASSERT_EQ(bitsliced_bytes(300, 300, 300), 756000);
   QueryLimits tight;
   tight.memory_budget_bytes = bitsliced_bytes(300, 300, 300);
   const Matrix big(600, 600);
@@ -375,19 +379,19 @@ TEST(RecoveryTest, BudgetAbortLeavesMemoryChargesBalanced) {
 
 // ------------------------------------------- MM operand accounting --
 
-// Bytes of one rows x cols indicator matrix as stored under `kernel`:
-// whole 64-bit words per bit-packed row for kBoolean, dense int64 cells
-// for the counting kernels.
-int64_t IndicatorBytes(int64_t rows, int64_t cols, MmKernel kernel) {
-  return rows * (kernel == MmKernel::kBoolean ? (cols + 63) / 64 : cols) * 8;
+// Bytes of one rows x cols bit-packed indicator matrix: whole 64-bit
+// words per row. Both kernels' operands and the kBoolean product.
+int64_t BitBytes(int64_t rows, int64_t cols) {
+  return rows * ((cols + 63) / 64) * 8;
 }
 
 // Bytes one rows x inner x cols product holds once it has run: both
-// operands and the product.
+// bit-packed operands and the product, bits under kBoolean and int64
+// cells under kBitSliced.
 int64_t MmBytes(int64_t rows, int64_t inner, int64_t cols, MmKernel kernel) {
-  return IndicatorBytes(rows, inner, kernel) +
-         IndicatorBytes(inner, cols, kernel) +
-         IndicatorBytes(rows, cols, kernel);
+  return BitBytes(rows, inner) + BitBytes(inner, cols) +
+         (kernel == MmKernel::kBoolean ? BitBytes(rows, cols)
+                                       : rows * cols * 8);
 }
 
 QueryInput Sorted(std::vector<Relation> rels) {
@@ -596,20 +600,17 @@ struct MmEngineCase {
 
 std::vector<MmEngineCase> MmEngineCases() {
   std::vector<MmEngineCase> cases;
-  // Inner dimensions dwarf the outer ones, so the operands outweigh the
-  // (separately charged) product and every relation-side charge. Bit
-  // packing shrinks the inner dimension 64x, so the kBoolean case also
-  // needs a wide X side.
+  // Every operand is bit-packed, which shrinks the inner dimension 64x,
+  // so the outer dimensions are wide enough for the operands to outweigh
+  // every relation-side charge several times over.
+  const QueryInput tri = HeavyTriangle(2048, 16384, 32);
   for (MmKernel kernel : {MmKernel::kBoolean, MmKernel::kBitSliced}) {
-    const bool boolean = kernel == MmKernel::kBoolean;
-    const QueryInput db = boolean ? HeavyTriangle(4096, 8192, 64)
-                                  : HeavyTriangle(16, 20000, 16);
     cases.push_back({"TriangleMm", kernel, 1,
-                     OracleBoolean(Hypergraph::Triangle(), db, true),
-                     [db, kernel](ExecContext& ec, int64_t* bytes) {
+                     OracleBoolean(Hypergraph::Triangle(), tri, true),
+                     [tri, kernel](ExecContext& ec, int64_t* bytes) {
                        TriangleStats st;
                        const bool found =
-                           TriangleMm(db, kAllHeavyOmega, kernel, &st, &ec);
+                           TriangleMm(tri, kAllHeavyOmega, kernel, &st, &ec);
                        EXPECT_FALSE(st.answer_from_light);
                        EXPECT_EQ(st.solo_corner, -1);
                        *bytes = MmBytes(st.mm_dim_x, st.mm_dim_y,
@@ -617,20 +618,19 @@ std::vector<MmEngineCase> MmEngineCases() {
                        return int64_t{found};
                      }});
   }
-  const QueryInput tri = HeavyTriangle(16, 20000, 16);
   const int64_t tri_count = WcojCount(Hypergraph::Triangle(), tri);
   EXPECT_GT(tri_count, 0);
-  // Full-domain dimensions: |X| = |Z| = 16, |Y| = 20000.
+  // Full-domain dimensions: |X| = 2048, |Y| = 16384, |Z| = 32.
   cases.push_back({"TriangleCountMm", MmKernel::kBitSliced, 1, tri_count,
                    [tri](ExecContext& ec, int64_t* bytes) {
-                     *bytes = MmBytes(16, 20000, 16, MmKernel::kBitSliced);
+                     *bytes = MmBytes(2048, 16384, 32, MmKernel::kBitSliced);
                      return TriangleCountMm(tri, MmKernel::kBitSliced, &ec);
                    }});
   {
-    // Four-cycle-free: x reaches y = w = x % 16, z reaches y = z % 16 and
-    // w = (z + 1) % 16. Every y and w is heavy, so both light 2-path sets
-    // are empty and the two heavy-core products run.
-    constexpr int kInner = 10000, kOuter = 16;
+    // Four-cycle-free: x reaches y = w = x % kOuter, z reaches
+    // y = z % kOuter and w = (z + 1) % kOuter. Every y and w is heavy, so
+    // both light 2-path sets are empty and the two heavy-core products run.
+    constexpr int kInner = 4096, kOuter = 1024;
     Relation r(VarSet{0, 1}), s(VarSet{1, 2}), t(VarSet{2, 3}),
         u(VarSet{0, 3});
     for (Value x = 0; x < kInner; ++x) {
@@ -643,26 +643,27 @@ std::vector<MmEngineCase> MmEngineCases() {
     }
     const QueryInput db = Sorted(
         {std::move(r), std::move(s), std::move(t), std::move(u)});
-    cases.push_back({"FourCycleMm", MmKernel::kBitSliced, 2,
+    cases.push_back({"FourCycleMm", MmKernel::kBoolean, 2,
                      OracleBoolean(Hypergraph::Cycle(4), db, false),
                      [db](ExecContext& ec, int64_t* bytes) {
                        FourCycleStats st;
-                       const bool found = FourCycleMm(
-                           db, kAllHeavyOmega, MmKernel::kBitSliced, &st, &ec);
+                       const bool found =
+                           FourCycleMm(db, kAllHeavyOmega, &st, &ec);
                        // B1 = (w x x)(x x y) and B2 = (y x z)(z x w), both
-                       // live at once; mm_dims = {|W|, |X| + |Z|, |Y|}.
-                       const int64_t w = st.mm_dims[0], xz = st.mm_dims[1],
-                                     y = st.mm_dims[2];
-                       *bytes =
-                           IndicatorBytes(w + y, xz, MmKernel::kBitSliced) +
-                           2 * IndicatorBytes(w, y, MmKernel::kBitSliced);
+                       // live at once; mm_dims = {|W|, |X| + |Z|, |Y|}, and
+                       // |X| = |Z| by construction.
+                       const int64_t w = st.mm_dims[0],
+                                     x = st.mm_dims[1] / 2, y = st.mm_dims[2];
+                       EXPECT_EQ(x, int64_t{kInner});
+                       *bytes = MmBytes(w, x, y, MmKernel::kBoolean) +
+                                MmBytes(y, x, w, MmKernel::kBoolean);
                        return int64_t{found};
                      }});
   }
   {
     // Pyramid-free (the base pairs x2 = x3 + 5, no y reaches that), with
-    // one heavy x1 group whose product is (16 x Y) times (Y x 16).
-    constexpr int kY = 20000, kX = 16;
+    // one heavy x1 group whose product is (X x Y) times (Y x X).
+    constexpr int kY = 8192, kX = 1024;
     Relation r1(VarSet{0, 1}), r2(VarSet{0, 2}), r3(VarSet{0, 3}),
         base(VarSet{1, 2, 3});
     for (Value y = 0; y < kY; ++y) {
@@ -674,22 +675,22 @@ std::vector<MmEngineCase> MmEngineCases() {
     for (Value x3 = 0; x3 < kX; ++x3) base.Add({0, (x3 + 5) % kX, x3});
     const QueryInput db = Sorted(
         {std::move(r1), std::move(r2), std::move(r3), std::move(base)});
-    cases.push_back({"Pyramid3Mm", MmKernel::kBitSliced, 1,
+    cases.push_back({"Pyramid3Mm", MmKernel::kBoolean, 1,
                      OracleBoolean(Hypergraph::Pyramid(3), db, false),
                      [db](ExecContext& ec, int64_t* bytes) {
                        PyramidStats st;
-                       const bool found = Pyramid3Mm(
-                           db, kAllHeavyOmega, MmKernel::kBitSliced, &st, &ec);
+                       const bool found =
+                           Pyramid3Mm(db, kAllHeavyOmega, &st, &ec);
                        EXPECT_EQ(st.mm_groups, 1);
-                       *bytes = MmBytes(kX, kY, kX, MmKernel::kBitSliced);
+                       *bytes = MmBytes(kX, kY, kX, MmKernel::kBoolean);
                        return int64_t{found};
                      }});
   }
   {
     // 3-clique over pair relations (0,1), (0,2), (1,2); the middle group
-    // is the 20000 values of variable 1. Every y closes the triangle
-    // (y % 16, y, (y + 1) % 16).
-    constexpr int kY = 20000, kX = 16;
+    // is the 8192 values of variable 1. Every y closes the triangle
+    // (y % 512, y, (y + 1) % 512).
+    constexpr int kY = 8192, kX = 512;
     Relation e01(VarSet{0, 1}), e02(VarSet{0, 2}), e12(VarSet{1, 2});
     for (Value y = 0; y < kY; ++y) {
       e01.Add({y % kX, y});
@@ -698,15 +699,14 @@ std::vector<MmEngineCase> MmEngineCases() {
     for (Value x = 0; x < kX; ++x) e02.Add({x, (x + 1) % kX});
     const QueryInput db =
         Sorted({std::move(e01), std::move(e02), std::move(e12)});
-    cases.push_back({"CliqueMm", MmKernel::kBitSliced, 1,
+    cases.push_back({"CliqueMm", MmKernel::kBoolean, 1,
                      OracleBoolean(Hypergraph::Clique(3), db, true),
                      [db](ExecContext& ec, int64_t* bytes) {
                        CliqueStats st;
-                       const bool found =
-                           CliqueMm(3, db, MmKernel::kBitSliced, &st, &ec);
+                       const bool found = CliqueMm(3, db, &st, &ec);
                        *bytes = MmBytes(
                            st.group_cliques[0], st.group_cliques[1],
-                           st.group_cliques[2], MmKernel::kBitSliced);
+                           st.group_cliques[2], MmKernel::kBoolean);
                        return int64_t{found};
                      }});
   }
@@ -724,10 +724,9 @@ std::vector<MmEngineCase> MmEngineCases() {
                        const bool found = ExecutePlan(
                            Hypergraph::Triangle(), tri, plan,
                            {.kernel = MmKernel::kBitSliced}, &st, &ec);
-                       // mm_cells = |X||Y| + |Y||Z|, the operand cells;
-                       // the product is |X| x |Z| = 16 x 16.
-                       *bytes = st.mm_cells * 8 +
-                                IndicatorBytes(16, 16, MmKernel::kBitSliced);
+                       // mm_cells = |X||Y| + |Y||Z|, the operand cells.
+                       EXPECT_EQ(st.mm_cells, 2048 * 16384 + 16384 * 32);
+                       *bytes = MmBytes(2048, 16384, 32, MmKernel::kBitSliced);
                        return int64_t{found};
                      }});
   }
@@ -735,7 +734,9 @@ std::vector<MmEngineCase> MmEngineCases() {
     // At omega = 2 the threshold is ceil(N^(1/3)) = 51 and Z has no heavy
     // table; every x has 64 Y-neighbours and every y 64 Z-neighbours, so
     // both are heavy, the plain (light) tables are empty and the MM term
-    // over 512 x 1500 x 64 decides. (0, y, 0) is a triangle.
+    // over 512 x 1500 x 64 decides. (0, y, 0) is a triangle. Heavy needs
+    // a degree of N^(1/3) at the proof sequence's omega >= 2, so here the
+    // relations outweigh the bit-packed operands, unlike the cases above.
     constexpr int kX = 512, kY = 1500, kZ = 64;
     Relation r(VarSet{0, 1}), s(VarSet{1, 2}), t(VarSet{0, 2});
     for (Value x = 0; x < kX; ++x) {
@@ -747,14 +748,14 @@ std::vector<MmEngineCase> MmEngineCases() {
     t.Add({0, 0});
     const QueryInput db =
         Sorted({std::move(r), std::move(s), std::move(t)});
-    cases.push_back({"PandaTriangleBoolean", MmKernel::kBitSliced, 1,
+    cases.push_back({"PandaTriangleBoolean", MmKernel::kBoolean, 1,
                      OracleBoolean(Hypergraph::Triangle(), db, true),
                      [db](ExecContext& ec, int64_t* bytes) {
                        PandaStats st;
-                       const bool found = PandaTriangleBoolean(
-                           db, 2.0, MmKernel::kBitSliced, &st, &ec);
+                       const bool found =
+                           PandaTriangleBoolean(db, 2.0, &st, &ec);
                        EXPECT_EQ(st.mm_executed, 1);
-                       *bytes = MmBytes(kX, kY, kZ, MmKernel::kBitSliced);
+                       *bytes = MmBytes(kX, kY, kZ, MmKernel::kBoolean);
                        return int64_t{found};
                      }});
   }
@@ -816,24 +817,24 @@ TEST(RecoveryTest, LightCornerAnswerRunsNoMmProduct) {
 }
 
 // Unbudgeted, every MM rung of the count ladder returns the oracle's
-// count on a long, thin Y axis. Under a budget below TriangleCountMm's
-// dense operands every MM rung fails before allocating them, and the
+// count on a wide X side. Under a budget below TriangleCountMm's
+// bit-packed operands every MM rung fails before allocating them, and the
 // ladder degrades to a combinatorial rung whose count is bit-identical to
 // the clean run.
 TEST(RecoveryTest, CountLadderDegradesPastMmRungsUnderBudget) {
-  constexpr int kXz = 16, kY = 20000;
+  constexpr int kX = 2048, kY = 16384, kZ = 32;
   const Hypergraph h = Hypergraph::Triangle();
   Relation r(VarSet{0, 1}), s(VarSet{1, 2}), t(VarSet{0, 2});
   for (Value y = 0; y < kY; ++y) {
-    r.Add({y % kXz, y});
-    s.Add({y, (y * 7) % kXz});
+    r.Add({y % kX, y});
+    s.Add({y, (y * 7) % kZ});
   }
-  for (Value x = 0; x < kXz; ++x) {
-    for (Value z = 0; z < kXz; z += 2) t.Add({x, z});
+  for (Value x = 0; x < kX; ++x) {
+    for (Value z = 0; z < kZ; z += 2) t.Add({x, z});
   }
   const QueryInput db =
       Sorted({std::move(r), std::move(s), std::move(t)});
-  const int64_t dense_bytes = int64_t{8} * kY * (kXz + kXz);
+  const int64_t operand_bytes = BitBytes(kX, kY) + BitBytes(kY, kZ);
   ExecContext ref_ec(1);
   const int64_t clean_count = WcojCount(h, db, &ref_ec);
   ASSERT_GT(clean_count, 0);
@@ -848,7 +849,7 @@ TEST(RecoveryTest, CountLadderDegradesPastMmRungsUnderBudget) {
     int64_t count = -1;
     RecoveryReport report;
     const ExecResult res = EvaluateCountWithRecovery(
-        h, db, &count, &ec, {.memory_budget_bytes = dense_bytes / 2}, {},
+        h, db, &count, &ec, {.memory_budget_bytes = operand_bytes / 2}, {},
         &report);
     ASSERT_TRUE(res.ok()) << res.message;
     EXPECT_EQ(count, clean_count) << "threads=" << threads;
@@ -1298,8 +1299,8 @@ QueryInput ModFourSquareTriangle(int d) {
 }
 
 // The Boolean ladder's first rung runs the full split on bit-packed
-// operands, so a budget that the int64 operands of a counting kernel
-// overrun still answers on that rung, in one attempt.
+// operands, so a budget that the same operands would overrun as dense
+// int64 cells still answers on that rung, in one attempt.
 TEST(BooleanLadderTest, FirstRungAnswersWithinBitPackedBudget) {
   const Hypergraph h = Hypergraph::Triangle();
   const QueryInput db = ModFourSquareTriangle(64);
@@ -1311,9 +1312,9 @@ TEST(BooleanLadderTest, FirstRungAnswersWithinBitPackedBudget) {
     ASSERT_FALSE(TriangleMm(db, first.omega, MmKernel::kBoolean, &st, &probe));
     ASSERT_EQ(st.solo_corner, -1);
     const int64_t packed_peak = probe.stats().mem_peak_bytes.load();
+    // The same operands as dense int64 cells, one per pair.
     const int64_t int64_operands =
-        IndicatorBytes(st.mm_dim_x, st.mm_dim_y, MmKernel::kBitSliced) +
-        IndicatorBytes(st.mm_dim_y, st.mm_dim_z, MmKernel::kBitSliced);
+        (st.mm_dim_x * st.mm_dim_y + st.mm_dim_y * st.mm_dim_z) * 8;
     ASSERT_LT(packed_peak, int64_operands) << "threads=" << threads;
     const QueryLimits limits = {
         .memory_budget_bytes = (packed_peak + int64_operands) / 2};

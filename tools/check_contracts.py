@@ -78,9 +78,10 @@ comments and PR descriptions. This linter turns them into build failures
                       through IndicatorProduct (mm/kernel.h), which charges
                       the operands to the memory budget, counts the
                       product and picks the kernel. Calling
-                      BitMatrix::Multiply or CountingProduct( there
-                      brings back a hand-rolled product that skips all
-                      three.
+                      BitMatrix::Multiply, CountingProduct(,
+                      MultiplyBitSliced( or MultiplyBitSlicedPacked(
+                      there brings back a hand-rolled product that skips
+                      all three.
 
   env-knob            Every std::getenv("FMMSW_...") in src/ must name
                       one of the sanctioned knobs: FMMSW_THREADS (pool
@@ -385,7 +386,8 @@ def check_catalog_mutation(text, path):
 # Rule: one-mm-operator
 
 
-RAW_MM_RE = re.compile(r"BitMatrix::Multiply\b|\bCountingProduct\s*\(")
+RAW_MM_RE = re.compile(r"BitMatrix::Multiply\b|\bCountingProduct\s*\(|"
+                       r"\bMultiplyBitSliced(?:Packed)?\s*\(")
 MM_CALLER_DIRS = ("src/engine/", "src/panda/")
 
 
@@ -752,21 +754,22 @@ auto q = std::const_pointer_cast<Relation>(unpublished);
     v = check_catalog_mutation(src, "src")
     expect("catalog", v, "no-catalog-mutation", 2)
 
-    # one-mm-operator: a raw BitMatrix::Multiply or CountingProduct call
-    # fires; the operator, a comment mention, another kernel name and an
-    # allow-marked site don't.
+    # one-mm-operator: a raw BitMatrix::Multiply, CountingProduct,
+    # MultiplyBitSliced or MultiplyBitSlicedPacked call fires; the
+    # operator, a comment mention and an allow-marked site don't.
     src = """
 BitMatrix p = BitMatrix::Multiply(a, b, &ec);
 Matrix m = CountingProduct(a, b, kernel, &ec);
 IndicatorProduct prod(rows, inner, cols, kernel, ec);
 prod.Multiply();
-// the operator calls CountingProduct( for the counting kernels
+// the operator calls MultiplyBitSlicedPacked( for the counting kernel
 Matrix q = MultiplyBitSliced(a, b, &ec);
+Matrix c = MultiplyBitSlicedPacked(bits_a, bits_b, &ec);
 // contracts: allow(one-mm-operator) differential reference in a test hook
 Matrix r = CountingProduct(a, b, MmKernel::kBitSliced, &ec);
 """
     v = check_one_mm_operator(src, "src")
-    expect("mm-operator", v, "one-mm-operator", 2)
+    expect("mm-operator", v, "one-mm-operator", 4)
 
     # fault-site-coverage: a registered-but-never-polled tag fires; the
     # polled tags (via Poll or site-tagged ParallelFor) don't; a missing
