@@ -119,7 +119,8 @@ namespace fmmsw {
 ///   - mm_base_calls         : reads 0: no kernel increments it. Kept
 ///                             because the e2e benchmark client reads
 ///                             it.
-///   - mm_bitsliced_calls    : bit-sliced 0/1 counting products.
+///   - mm_bitsliced_calls    : IndicatorCounts operators built (the
+///                             bit-sliced 0/1 counting kernel).
 ///   - mm_pack_ns            : nanoseconds spent packing bit-planes,
 ///                             summed across calls (and workers, like
 ///                             index_build_ns).
@@ -159,7 +160,7 @@ struct ExecStats {
   std::atomic<int64_t> wcoj_top_index{0};       ///< relations given a direct top level
   std::atomic<int64_t> mm_products{0};          ///< matrix-kernel launches
   std::atomic<int64_t> mm_base_calls{0};        ///< always 0; read by the e2e client
-  std::atomic<int64_t> mm_bitsliced_calls{0};   ///< bit-sliced 0/1 counting products
+  std::atomic<int64_t> mm_bitsliced_calls{0};   ///< IndicatorCounts operators built
   std::atomic<int64_t> mm_pack_ns{0};           ///< wall ns packing bit-planes
   // Planner counters (lp/ + width/; see the README "Planner" section):
   std::atomic<int64_t> lp_solves{0};            ///< simplex solves (double+exact)

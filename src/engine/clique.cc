@@ -153,7 +153,7 @@ bool CliqueMm(int k, const QueryInput& db, CliqueStats* stats,
   // The compatibility fills and the final check only read the shared pair
   // sets; rows are partitioned across threads, so the row-local writes
   // (row i of each operand) never conflict.
-  IndicatorProduct p(na, nb, nc, MmKernel::kBoolean, ec);
+  IndicatorProduct p(na, nb, nc, ec);
   ParallelFor(ec.pool(), na, [&](int64_t begin, int64_t end) {
     for (int64_t i = begin; i < end; ++i) {
       for (int j = 0; j < nb; ++j) {

@@ -6,6 +6,7 @@
 
 #include "core/exec_context.h"
 #include "engine/wcoj.h"
+#include "mm/kernel.h"
 #include "util/check.h"
 
 namespace fmmsw {
@@ -107,12 +108,11 @@ std::vector<int> ColsFor(const Relation& r, VarSet vars) {
 /// Eliminates `block` via the MM option `mm` (Appendix E.6): the incident
 /// relations are covered by an A side (schema inside x|g|z) and a B side
 /// (schema inside y|g|z); M1 = join of the A side, M2 = join of the B side;
-/// for every G-value, multiply the |x|-by-|z| and |z|-by-|y| Boolean (or
-/// counting) matrices and keep the non-zero output cells as the new
-/// relation over x|y|g = N(block).
+/// for every G-value, multiply the |x|-by-|z| and |z|-by-|y| Boolean
+/// matrices and keep the non-zero output cells as the new relation over
+/// x|y|g = N(block).
 void EliminateMm(State* s, VarSet block, const MmExpr& mm,
-                 const EliminationOptions& opts, EliminationStats* stats,
-                 ExecContext* ec) {
+                 EliminationStats* stats, ExecContext* ec) {
   FMMSW_CHECK(mm.z == block);
   const VarSet a_side = mm.x | mm.g | block;
   const VarSet b_side = mm.y | mm.g | block;
@@ -203,7 +203,7 @@ void EliminateMm(State* s, VarSet block, const MmExpr& mm,
       result.Add(tuple);
     };
     const auto xkeys = xs.Reverse(), ykeys = ys.Reverse();
-    IndicatorProduct mc(xs.size(), zs.size(), ys.size(), opts.kernel,
+    IndicatorProduct mc(xs.size(), zs.size(), ys.size(),
                         ExecContext::Resolve(ec));
     for (size_t r : rows.first) {
       mc.SetA(xs.Find(ExtractKey(m1, r, m1_x)),
@@ -243,8 +243,9 @@ EliminationPlan ForLoopPlan(const Hypergraph& h,
 }
 
 bool ExecutePlan(const Hypergraph& h, const QueryInput& db,
-                 const EliminationPlan& plan, const EliminationOptions& opts,
-                 EliminationStats* stats, ExecContext* ctx) {
+                 const EliminationPlan& plan,
+                 const EliminationOptions& /*opts*/, EliminationStats* stats,
+                 ExecContext* ctx) {
   ExecContext& ec = ExecContext::Resolve(ctx);
   FMMSW_CHECK(db.relations.size() == h.edges().size());
   State s{h, db.relations};
@@ -257,7 +258,7 @@ bool ExecutePlan(const Hypergraph& h, const QueryInput& db,
       if (r.empty()) return false;
     }
     if (step.method == StepMethod::kMm) {
-      EliminateMm(&s, step.block, step.mm, opts, stats, &ec);
+      EliminateMm(&s, step.block, step.mm, stats, &ec);
     } else {
       EliminateForLoop(&s, step.block, stats, &ec);
     }

@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "hypergraph/hypergraph.h"
-#include "mm/kernel.h"
 #include "relation/relation.h"
 #include "width/mm_expr.h"
 
@@ -40,9 +39,10 @@ struct EliminationPlan {
   std::vector<PlanStep> steps;
 };
 
-struct EliminationOptions {
-  MmKernel kernel = MmKernel::kBoolean;
-};
+/// Empty: every MM step runs the one Boolean IndicatorProduct, so there is
+/// nothing left to choose. The struct stays only because callers outside
+/// the library pass `{}` in ExecutePlan's options position.
+struct EliminationOptions {};
 
 struct EliminationStats {
   int64_t forloop_steps = 0;

@@ -253,7 +253,7 @@ bool FourCycleMm(const QueryInput& db, double omega, FourCycleStats* stats,
   const int nz = zi.size();
 
   // B1 = U_h (w by x) times R_h (x by y).
-  IndicatorProduct b1(nw, nx, ny, MmKernel::kBoolean, ec);
+  IndicatorProduct b1(nw, nx, ny, ec);
   for (size_t row = 0; row < uh.size(); ++row) {
     b1.SetA(wi.FindValue(uh.Get(row, kW)), xi.FindValue(uh.Get(row, kX)));
   }
@@ -262,7 +262,7 @@ bool FourCycleMm(const QueryInput& db, double omega, FourCycleStats* stats,
   }
   b1.Multiply();
   // B2 = S_h (y by z) times T_h (z by w).
-  IndicatorProduct b2(ny, nz, nw, MmKernel::kBoolean, ec);
+  IndicatorProduct b2(ny, nz, nw, ec);
   for (size_t row = 0; row < sh.size(); ++row) {
     b2.SetA(yi.FindValue(sh.Get(row, kY)), zi.FindValue(sh.Get(row, kZ)));
   }

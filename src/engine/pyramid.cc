@@ -170,8 +170,7 @@ bool Pyramid3Mm(const QueryInput& db, double omega, PyramidStats* stats,
           }
         }
         if (x2i.size() == 0 || x3i.size() == 0) return false;
-        IndicatorProduct prod(x2i.size(), yi.size(), x3i.size(),
-                              MmKernel::kBoolean, ec);
+        IndicatorProduct prod(x2i.size(), yi.size(), x3i.size(), ec);
         for (int32_t row = y_of_x1.First(x1key); row >= 0;
              row = y_of_x1.Next(row)) {
           const Value y = r1h.Row(row)[r1h_y_col];

@@ -37,7 +37,9 @@ class Hypergraph;
 struct StrategyCard {
   std::string name;    ///< stable rung name (logs, RecoveryReport, tests)
   bool uses_mm = false;
-  /// Counting/boolean kernel the rung dispatches (meaningful iff uses_mm).
+  /// The MM operator the rung runs (meaningful iff uses_mm): kBoolean for
+  /// TriangleMm's IndicatorProduct, kBitSliced for TriangleCountMm's
+  /// IndicatorCounts. Each engine CHECKs that it gets its own.
   MmKernel kernel = MmKernel::kBoolean;
   /// The threshold exponent of the degree-split hybrids (meaningful iff
   /// uses_mm): TriangleMm prices its heavy core's product with it and
@@ -51,8 +53,8 @@ struct StrategyCard {
   int memory_rank = 0;
 };
 
-/// Degradation ladder for triangle *counting*: the bit-sliced 0/1
-/// counting product (TriangleCountMm) -> plain WCOJ count.
+/// Degradation ladder for triangle *counting*: bit-sliced 0/1 counts at
+/// the cells T holds (TriangleCountMm) -> plain WCOJ count.
 const std::vector<StrategyCard>& TriangleCountLadder();
 
 /// Degradation ladder for the *Boolean* triangle query: the Figure-1

@@ -1,6 +1,7 @@
 #include "engine/triangle.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <iterator>
 #include <utility>
@@ -81,12 +82,12 @@ struct SplitCost {
 
 /// When every side keeps a heavy value: the light term is the three
 /// corners' probed pairs, and the MM term the core's fill (one pass over
-/// R, S and T) plus its product, converted to probes by the kernel's
-/// weight. When side i has no heavy value, corner i holds every triangle
-/// (it is light on all of them), so the split is priced as the cheapest
-/// such corner's candidate pairs alone, with no core.
+/// R, S and T) plus its Boolean product, converted to probes by
+/// kBooleanMmOpsPerProbe. When side i has no heavy value, corner i holds
+/// every triangle (it is light on all of them), so the split is priced as
+/// the cheapest such corner's candidate pairs alone, with no core.
 SplitCost PredictSplit(const CornerProfile (&corners)[3], int64_t delta,
-                       double core_rows, double omega, MmKernel kernel) {
+                       double core_rows, double omega) {
   SplitCost c;
   for (int i = 0; i < 3; ++i) {
     const size_t light = corners[i].LightCount(delta);
@@ -101,12 +102,9 @@ SplitCost PredictSplit(const CornerProfile (&corners)[3], int64_t delta,
     c.light_pairs = corners[c.solo].pairs.back();
     return c;
   }
-  const double ops_per_probe = kernel == MmKernel::kBoolean
-                                   ? kBooleanMmOpsPerProbe
-                                   : kCountingMmOpsPerProbe;
   c.mm_ops = core_rows +
              PredictedMmOps(c.heavy[0], c.heavy[1], c.heavy[2], omega) /
-                 ops_per_probe;
+                 kBooleanMmOpsPerProbe;
   return c;
 }
 
@@ -115,6 +113,8 @@ SplitCost PredictSplit(const CornerProfile (&corners)[3], int64_t delta,
 bool TriangleMm(const QueryInput& db, double omega, MmKernel kernel,
                 TriangleStats* stats, ExecContext* ctx) {
   FMMSW_CHECK(db.relations.size() == 3);
+  FMMSW_CHECK(kernel == MmKernel::kBoolean &&
+              "TriangleMm decides with the Boolean product");
   ExecContext& ec = ExecContext::Resolve(ctx);
   const Relation& r = db.relations[0];  // R(X,Y)
   const Relation& s = db.relations[1];  // S(Y,Z)
@@ -154,7 +154,7 @@ bool TriangleMm(const QueryInput& db, double omega, MmKernel kernel,
   int64_t delta = -1;
   SplitCost best;
   for (int64_t d : candidates) {
-    const SplitCost c = PredictSplit(corners, d, core_rows, omega, kernel);
+    const SplitCost c = PredictSplit(corners, d, core_rows, omega);
     if (c.CoreCells() > max_cells) continue;
     if (delta < 0 || c.Total() < best.Total() ||
         (c.Total() == best.Total() && d > delta)) {
@@ -169,7 +169,7 @@ bool TriangleMm(const QueryInput& db, double omega, MmKernel kernel,
     stats->predicted_light_pairs = best.light_pairs;
     stats->predicted_mm_ops = best.mm_ops;
     stats->predicted_ops_worst_case =
-        PredictSplit(corners, delta0, core_rows, omega, kernel).Total();
+        PredictSplit(corners, delta0, core_rows, omega).Total();
     stats->solo_corner = best.solo;
     stats->heavy_x = best.heavy[kX];
     stats->heavy_y = best.heavy[kY];
@@ -228,7 +228,7 @@ bool TriangleMm(const QueryInput& db, double omega, MmKernel kernel,
     stats->mm_dim_z = zi.size();
   }
   // Product over heavy X x heavy Y x heavy Z.
-  IndicatorProduct m(xi.size(), yi.size(), zi.size(), kernel, ec);
+  IndicatorProduct m(xi.size(), yi.size(), zi.size(), ec);
   for (size_t row = 0; row < m1.size(); ++row) {
     m.SetA(xi.FindValue(m1.Get(row, kX)), yi.FindValue(m1.Get(row, kY)));
   }
@@ -247,35 +247,46 @@ bool TriangleMm(const QueryInput& db, double omega, MmKernel kernel,
 int64_t TriangleCountMm(const QueryInput& db, MmKernel kernel,
                         ExecContext* ctx) {
   FMMSW_CHECK(db.relations.size() == 3);
+  FMMSW_CHECK(kernel == MmKernel::kBitSliced &&
+              "TriangleCountMm counts with the bit-sliced kernel");
   ExecContext& ec = ExecContext::Resolve(ctx);
-  const Relation& r = db.relations[0];
-  const Relation& s = db.relations[1];
-  const Relation& t = db.relations[2];
-  // Index all X and Z values of T plus those in R/S (counts need exact
-  // dimensions, not just the heavy part).
-  Relation xs = Union(Project(r, VarSet{kX}, &ec), Project(t, VarSet{kX}, &ec),
-                      &ec);
-  Relation ys = Union(Project(r, VarSet{kY}, &ec), Project(s, VarSet{kY}, &ec),
-                      &ec);
-  Relation zs = Union(Project(s, VarSet{kZ}, &ec), Project(t, VarSet{kZ}, &ec),
-                      &ec);
-  const FlatInterner xi(xs, KeySpec(xs, xs.schema()), &ec);
-  const FlatInterner yi(ys, KeySpec(ys, ys.schema()), &ec);
-  const FlatInterner zi(zs, KeySpec(zs, zs.schema()), &ec);
-  IndicatorProduct m(xi.size(), yi.size(), zi.size(), kernel, ec);
+  const Relation& r = db.relations[0];  // R(X,Y)
+  const Relation& s = db.relations[1];  // S(Y,Z)
+  const Relation& t = db.relations[2];  // T(X,Z)
+  // A triangle's x and y come from R and its z from S: a T row with x
+  // outside R or z outside S, and an S row with y outside R, adds 0.
+  // Interned one value at a time, so each table is sized by the distinct
+  // values, not by the rows.
+  FlatInterner xi, yi, zi;
+  for (size_t row = 0; row < r.size(); ++row) {
+    xi.InternValue(r.Get(row, kX));
+    yi.InternValue(r.Get(row, kY));
+  }
+  for (size_t row = 0; row < s.size(); ++row) zi.InternValue(s.Get(row, kZ));
+  IndicatorCounts m(xi.size(), yi.size(), zi.size(), ec);
   for (size_t row = 0; row < r.size(); ++row) {
     m.SetA(xi.FindValue(r.Get(row, kX)), yi.FindValue(r.Get(row, kY)));
   }
   for (size_t row = 0; row < s.size(); ++row) {
-    m.SetB(yi.FindValue(s.Get(row, kY)), zi.FindValue(s.Get(row, kZ)));
+    const int y = yi.FindValue(s.Get(row, kY));
+    if (y >= 0) m.SetB(y, zi.FindValue(s.Get(row, kZ)));
   }
-  m.Multiply();
-  int64_t count = 0;
-  for (size_t row = 0; row < t.size(); ++row) {
-    count +=
-        m.Count(xi.FindValue(t.Get(row, kX)), zi.FindValue(t.Get(row, kZ)));
-  }
-  return count;
+  // count = sum over T(x, z) of |{y : R(x, y), S(y, z)}|; integer partial
+  // sums, so the total is the same at every thread count.
+  std::atomic<int64_t> count{0};
+  ParallelFor(
+      ec, FaultSite::kMm, static_cast<int64_t>(t.size()),
+      [&](int64_t begin, int64_t end) {
+        int64_t part = 0;
+        for (int64_t row = begin; row < end; ++row) {
+          const int x = xi.FindValue(t.Get(row, kX));
+          const int z = zi.FindValue(t.Get(row, kZ));
+          if (x >= 0 && z >= 0) part += m.Count(x, z);
+        }
+        count += part;
+      },
+      /*grain=*/64);
+  return count.load();
 }
 
 }  // namespace fmmsw

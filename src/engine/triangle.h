@@ -75,16 +75,19 @@ struct TriangleStats {
 /// heavy core's product. Delta0 is one candidate; the engine runs the
 /// split at the candidate with the least predicted cost on this input's
 /// degree profiles (see the file comment). omega = 1 prices the product
-/// near free and so favors an all-heavy core.
+/// near free and so favors an all-heavy core. The core is one Boolean
+/// IndicatorProduct: `kernel` must be kBoolean.
 bool TriangleMm(const QueryInput& db, double omega,
                 MmKernel kernel = MmKernel::kBoolean,
                 TriangleStats* stats = nullptr, ExecContext* ctx = nullptr);
 
-/// Triangle counting via integer matrix multiplication (trace of A^3 on
-/// the heavy part is not enough for counts; this counts all triangles by
-/// summing the entrywise product of (M1 x M2) with T). `kernel` must be
-/// the counting kernel kBitSliced. The count ladder's MM rung; tests
-/// cross-check it against WcojCount.
+/// Exact triangle count: the sum over T(x, z) of the number of y with
+/// R(x, y) and S(y, z). One IndicatorCounts holds R as an X x Y operand
+/// and S as a Y x Z operand, over the values R and S hold, and the count
+/// reads only the |T| cells T names (a T row outside those values adds
+/// 0); no X x Z product is built. `kernel` must be the counting kernel
+/// kBitSliced. The count ladder's MM rung; tests cross-check it against
+/// WcojCount.
 int64_t TriangleCountMm(const QueryInput& db, MmKernel kernel,
                         ExecContext* ctx = nullptr);
 

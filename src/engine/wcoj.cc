@@ -1156,9 +1156,11 @@ Relation WcojJoin(const Hypergraph& h, const QueryInput& db, VarSet output_vars,
   // own buffer, carved into segments tagged (task, depth-1 block start).
   // Claims partition the depth-1 runs of every cooperative task exactly,
   // so concatenating the segments in ascending tag order reproduces the
-  // serial enumeration order no matter which worker claimed what — and
-  // the canonical sort below makes the relation bit-identical across
-  // thread counts either way.
+  // serial enumeration order no matter which worker claimed what. The
+  // canonical sort below alone would make the relation bit-identical
+  // across thread counts; the ordered merge is what lets it skip its
+  // work: a full join in the default order enumerates in sorted order,
+  // so SortAndDedupe's presorted pre-scan finds nothing to sort.
   struct WorkerOut {
     std::vector<Value> data;
     std::vector<std::pair<uint64_t, size_t>> segs;  // (tag, start offset)

@@ -53,11 +53,10 @@ std::vector<Gveo> AllVeos(const Hypergraph& h) {
 
 namespace {
 
-void GveoRec(VarSet remaining, Gveo* cur, std::vector<Gveo>* out,
-             int max_count) {
+void GveoRec(VarSet remaining, Gveo* cur, std::vector<Gveo>* out) {
   if (remaining.empty()) {
-    FMMSW_CHECK(static_cast<int>(out->size()) < max_count &&
-                "GVEO enumeration overflow; raise max_count");
+    FMMSW_CHECK(static_cast<int>(out->size()) < kMaxGveos &&
+                "GVEO enumeration overflow; raise kMaxGveos");
     out->push_back(*cur);
     return;
   }
@@ -66,17 +65,17 @@ void GveoRec(VarSet remaining, Gveo* cur, std::vector<Gveo>* out,
   for (VarSet s : Subsets(remaining)) {
     if (s.empty()) continue;
     cur->blocks.push_back(s);
-    GveoRec(remaining - s, cur, out, max_count);
+    GveoRec(remaining - s, cur, out);
     cur->blocks.pop_back();
   }
 }
 
 }  // namespace
 
-std::vector<Gveo> AllGveos(const Hypergraph& h, int max_count) {
+std::vector<Gveo> AllGveos(const Hypergraph& h) {
   std::vector<Gveo> out;
   Gveo cur;
-  GveoRec(h.vertices(), &cur, &out, max_count);
+  GveoRec(h.vertices(), &cur, &out);
   return out;
 }
 

@@ -39,11 +39,14 @@ std::vector<EliminationStep> EliminationSequence(const Hypergraph& h,
 /// All plain VEOs (permutations of the active vertices). k! entries.
 std::vector<Gveo> AllVeos(const Hypergraph& h);
 
+/// Safety cap on AllGveos: a CHECK fails on overflow, so a truncated
+/// enumeration can never silently produce a wrong width.
+inline constexpr int kMaxGveos = 1000000;
+
 /// All GVEOs (ordered set partitions of the active vertices). These grow as
-/// the Fubini numbers (75 for k=4, 541 for k=5, 4683 for k=6); callers pass
-/// `max_count` as a safety valve and get a CHECK failure on overflow so a
-/// truncated enumeration can never silently produce a wrong width.
-std::vector<Gveo> AllGveos(const Hypergraph& h, int max_count = 1000000);
+/// the Fubini numbers (75 for k=4, 541 for k=5, 4683 for k=6), at most
+/// kMaxGveos of them.
+std::vector<Gveo> AllGveos(const Hypergraph& h);
 
 /// A tree decomposition represented by its bag sets. For width computation
 /// only the bags matter; `TreeEdges` recovers a join tree when one is

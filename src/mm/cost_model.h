@@ -6,24 +6,23 @@
 /// the operation count of one concrete product. The triangle engine's
 /// degree split (engine/triangle.h) reads it: TriangleMm weighs each
 /// candidate threshold's light-corner probes against its heavy core's
-/// PredictedMmOps, converted by the weights below (paper Section 1.1.2:
-/// low-degree parts favor combinatorial processing, high-degree parts
-/// favor MM).
+/// Boolean PredictedMmOps, converted by the weight below (paper Section
+/// 1.1.2: low-degree parts favor combinatorial processing, high-degree
+/// parts favor MM).
 
 #include <cstdint>
 
 namespace fmmsw {
 
-/// Probe-to-MM-op weights: how many PredictedMmOps operations cost as much
+/// Probe-to-MM-op weight: how many PredictedMmOps operations cost as much
 /// as one fused light-corner probe (a hash lookup plus an existence check).
 /// Measured on e2e_bench/CALIBRATION.md's tri_dense row: about 25 ns per
 /// fused probe (the boolean rung) against about 0.11 ns per counting-MM
 /// multiply-add (the count request's full-domain product), a ratio near
-/// 230. The counting weight sits well below it, so the split under-credits
-/// MM rather than over-credits it.
-constexpr double kCountingMmOpsPerProbe = 32.0;
-/// The bit-packed Boolean kernel does one word operation per 64 cells.
-constexpr double kBooleanMmOpsPerProbe = 64.0 * kCountingMmOpsPerProbe;
+/// 230. The bit-packed Boolean kernel does one word operation per 64
+/// cells, so the weight is 64 x 32: the 32 sits well below that ratio,
+/// and the split under-credits MM rather than over-credits it.
+constexpr double kBooleanMmOpsPerProbe = 2048.0;
 
 /// Exponent of multiplying n^a x n^b by n^b x n^c via square blocking.
 double OmegaSquareExponent(double a, double b, double c, double omega);

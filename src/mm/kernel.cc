@@ -35,42 +35,6 @@ bool IsZeroOne(const Matrix& m) {
   return true;
 }
 
-Matrix MultiplyBitSlicedPacked(const BitMatrix& a, const BitMatrix& b,
-                               ExecContext* ctx) {
-  FMMSW_CHECK(a.cols() == b.rows());
-  ExecContext& ec = ExecContext::Resolve(ctx);
-  const int m = a.rows(), k = a.cols(), n = b.cols();
-  const int words = (k + 63) / 64;
-  // B's column planes + counting output, charged before they exist and
-  // held until the product returns.
-  MemCharge charge(ec, static_cast<int64_t>(n) * words * 8 +
-                           static_cast<int64_t>(m) * n * 8);
-  Matrix out(m, n);
-  if (m == 0 || k == 0 || n == 0) return out;
-  Bump(ec.stats().mm_bitsliced_calls);
-  Stopwatch sw;
-  const BitMatrix planes = b.Transpose();  // row j: column j of b
-  Bump(ec.stats().mm_pack_ns, static_cast<int64_t>(sw.Seconds() * 1e9));
-  ParallelFor(
-      ec, FaultSite::kMm, m,
-      [&](int64_t row_begin, int64_t row_end) {
-        for (int64_t i = row_begin; i < row_end; ++i) {
-          const uint64_t* arow = a.RowWords(i);
-          int64_t* orow = out.RowPtr(i);
-          for (int j = 0; j < n; ++j) {
-            const uint64_t* bcol = planes.RowWords(j);
-            int64_t count = 0;
-            for (int w = 0; w < words; ++w) {
-              count += __builtin_popcountll(arow[w] & bcol[w]);
-            }
-            orow[j] = count;
-          }
-        }
-      },
-      /*grain=*/8);
-  return out;
-}
-
 namespace {
 
 // Bytes of a rows x cols BitMatrix: whole 64-bit words per row.
@@ -86,12 +50,31 @@ Matrix MultiplyBitSliced(const Matrix& a, const Matrix& b,
   FMMSW_CHECK(IsZeroOne(a) && IsZeroOne(b) &&
               "bit-sliced counting product requires 0/1 inputs");
   ExecContext& ec = ExecContext::Resolve(ctx);
-  MemCharge charge(ec, BitBytes(a.rows(), a.cols()) +
-                           BitBytes(b.rows(), b.cols()));
+  const int m = a.rows(), k = a.cols(), n = b.cols();
   Stopwatch sw;
-  const BitMatrix abits(a), bbits(b);
+  IndicatorCounts counts(m, k, n, ec);
+  for (int r = 0; r < m; ++r) {
+    for (int c = 0; c < k; ++c) {
+      if (a.At(r, c) != 0) counts.SetA(r, c);
+    }
+  }
+  for (int r = 0; r < k; ++r) {
+    for (int c = 0; c < n; ++c) {
+      if (b.At(r, c) != 0) counts.SetB(r, c);
+    }
+  }
   Bump(ec.stats().mm_pack_ns, static_cast<int64_t>(sw.Seconds() * 1e9));
-  return MultiplyBitSlicedPacked(abits, bbits, &ec);
+  MemCharge charge(ec, static_cast<int64_t>(m) * n * 8);
+  Matrix out(m, n);
+  ParallelFor(
+      ec, FaultSite::kMm, m,
+      [&](int64_t row_begin, int64_t row_end) {
+        for (int64_t i = row_begin; i < row_end; ++i) {
+          for (int j = 0; j < n; ++j) out.At(i, j) = counts.Count(i, j);
+        }
+      },
+      /*grain=*/8);
+  return out;
 }
 
 Matrix CountingProduct(const Matrix& a, const Matrix& b, MmKernel kernel,
@@ -102,9 +85,8 @@ Matrix CountingProduct(const Matrix& a, const Matrix& b, MmKernel kernel,
 }
 
 IndicatorProduct::IndicatorProduct(int rows, int inner, int cols,
-                                   MmKernel kernel, ExecContext& ec)
+                                   ExecContext& ec)
     : ec_(ec),
-      kernel_(kernel),
       charge_(ec, BitBytes(rows, inner) + BitBytes(inner, cols)),
       a_(rows, inner),
       b_(inner, cols) {}
@@ -113,13 +95,28 @@ void IndicatorProduct::Multiply() {
   Bump(ec_.stats().mm_products);
   // The kernel's own charge for its output ended when it returned; the
   // product now lives as long as the operator, so its charge does too.
-  if (kernel_ == MmKernel::kBoolean) {
-    bits_out_ = BitMatrix::Multiply(a_, b_, &ec_);
-    charge_.Add(BitBytes(a_.rows(), b_.cols()));
-  } else {
-    counts_ = MultiplyBitSlicedPacked(a_, b_, &ec_);
-    charge_.Add(static_cast<int64_t>(a_.rows()) * b_.cols() * 8);
+  out_ = BitMatrix::Multiply(a_, b_, &ec_);
+  charge_.Add(BitBytes(a_.rows(), b_.cols()));
+}
+
+IndicatorCounts::IndicatorCounts(int rows, int inner, int cols,
+                                 ExecContext& ec)
+    : charge_(ec, BitBytes(rows, inner) + BitBytes(cols, inner)),
+      a_(rows, inner),
+      bt_(cols, inner) {
+  Bump(ec.stats().mm_products);
+  Bump(ec.stats().mm_bitsliced_calls);
+}
+
+int64_t IndicatorCounts::Count(int i, int j) const {
+  const uint64_t* arow = a_.RowWords(i);
+  const uint64_t* bcol = bt_.RowWords(j);
+  const int words = (a_.cols() + 63) / 64;
+  int64_t count = 0;
+  for (int w = 0; w < words; ++w) {
+    count += __builtin_popcountll(arow[w] & bcol[w]);
   }
+  return count;
 }
 
 }  // namespace fmmsw

@@ -37,30 +37,17 @@ BitMatrix::BitMatrix(const Matrix& m) : BitMatrix(m.rows(), m.cols()) {
   }
 }
 
-BitMatrix BitMatrix::Transpose() const {
-  BitMatrix t(cols_, rows_);
-  for (int r = 0; r < rows_; ++r) {
-    for (int w = 0; w < words_; ++w) {
-      uint64_t bits = data_[static_cast<size_t>(r) * words_ + w];
-      for (; bits != 0; bits &= bits - 1) {
-        t.Set((w << 6) + __builtin_ctzll(bits), r);
-      }
-    }
-  }
-  return t;
-}
-
 BitMatrix BitMatrix::Multiply(const BitMatrix& a, const BitMatrix& b,
                               ExecContext* ctx) {
   FMMSW_CHECK(a.cols() == b.rows());
   ExecContext& ec = ExecContext::Resolve(ctx);
+  const int a_words = a.words_;
+  const int b_words = b.words_;
+  MemCharge charge(ec, static_cast<int64_t>(a.rows()) * b_words * 8);
   BitMatrix out(a.rows(), b.cols());
   // No output cells or no inner words: nothing to OR, and no row of a
   // zero-word matrix may be addressed.
   if (out.data_.empty() || a.data_.empty()) return out;
-  const int a_words = a.words_;
-  const int b_words = b.words_;
-  MemCharge charge(ec, static_cast<int64_t>(out.data_.size()) * 8);
   ParallelFor(
       ec, FaultSite::kMm, a.rows(),
       [&](int64_t row_begin, int64_t row_end) {

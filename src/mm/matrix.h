@@ -4,14 +4,14 @@
 /// \file
 /// Dense matrices and the reference product.
 ///
-/// The storage under IndicatorProduct (mm/kernel.h), the one operator
-/// through which the engines reduce heavy-part joins to Boolean /
-/// counting matrix products (paper Section 2.5 and Appendix E.6):
-///   - BitMatrix: bit-packed cells, the operands of both kernels;
-///     BitMatrix::Multiply is the word-parallel (OR, AND) product (the
-///     kBoolean kernel), which suffices for Boolean CQ evaluation,
-///   - Matrix: row-major int64 cells, the counting kernel's product
-///     (mm/kernel.h) and the operands of its int64 entry,
+/// The storage under the MM operators (mm/kernel.h), through which the
+/// engines reduce heavy-part joins to Boolean matrix products and the
+/// triangle count to cell counts (paper Section 2.5 and Appendix E.6):
+///   - BitMatrix: bit-packed cells, the operands of every operator;
+///     BitMatrix::Multiply is the word-parallel (OR, AND) product that
+///     IndicatorProduct runs, which suffices for Boolean CQ evaluation,
+///   - Matrix: row-major int64 cells, the operands and product of the
+///     int64 counting entry MultiplyBitSliced (mm/kernel.h),
 ///   - MultiplyNaive: cubic (+, x) reference, the differential baseline
 ///     the tests compare every kernel against.
 /// BitMatrix::Multiply takes an optional ExecContext (nullptr = process
@@ -47,12 +47,6 @@ class Matrix {
   }
 
   const std::vector<int64_t>& data() const { return data_; }
-
-  /// Raw row access for the multiplication kernels.
-  int64_t* RowPtr(int r) { return &data_[static_cast<size_t>(r) * cols_]; }
-  const int64_t* RowPtr(int r) const {
-    return &data_[static_cast<size_t>(r) * cols_];
-  }
 
   bool operator==(const Matrix& o) const {
     return rows_ == o.rows_ && cols_ == o.cols_ && data_ == o.data_;
@@ -99,17 +93,14 @@ class BitMatrix {
 
   /// The ceil(cols / 64) words of row r; bits past cols are zero.
   const uint64_t* RowWords(int r) const {
-    return &data_[static_cast<size_t>(r) * words_];
+    return data_.data() + static_cast<size_t>(r) * words_;
   }
-
-  /// The cols x rows transpose: row c of the result is column c of this
-  /// matrix as a rows-bit plane. Visits set bits via ctz, so it costs
-  /// one pass over the words plus one write per set bit.
-  BitMatrix Transpose() const;
 
   /// Word-parallel Boolean product: out[i][j] = OR_k (a[i][k] AND b[k][j]).
   /// Skips zero words of `a`, visits set bits via ctz, and spreads row
-  /// blocks over the context's pool (nullptr = process default).
+  /// blocks over the context's pool (nullptr = process default). Charges
+  /// the output to the context's memory budget before allocating it and
+  /// holds the charge until it returns.
   static BitMatrix Multiply(const BitMatrix& a, const BitMatrix& b,
                             ExecContext* ctx = nullptr);
 

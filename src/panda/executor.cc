@@ -183,8 +183,7 @@ bool ExecuteProofSequence(const Hypergraph& h, const QueryInput& db,
       yi.InternValue(m2.Get(r, vy));
       zi.InternValue(m2.Get(r, vz));
     }
-    IndicatorProduct m(xi.size(), yi.size(), zi.size(), MmKernel::kBoolean,
-                       ec);
+    IndicatorProduct m(xi.size(), yi.size(), zi.size(), ec);
     for (size_t r = 0; r < m1.size(); ++r) {
       m.SetA(xi.FindValue(m1.Get(r, vx)), yi.FindValue(m1.Get(r, vy)));
     }

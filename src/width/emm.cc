@@ -7,11 +7,10 @@
 
 namespace fmmsw {
 
-std::vector<MmExpr> EnumerateMmOptions(const Hypergraph& h, VarSet x,
-                                       const EmmOptions& opts) {
+std::vector<MmExpr> EnumerateMmOptions(const Hypergraph& h, VarSet x) {
   std::vector<VarSet> incident;
   for (int idx : h.IncidentEdges(x)) incident.push_back(h.edges()[idx]);
-  if (static_cast<int>(incident.size()) > opts.max_incident_edges) {
+  if (static_cast<int>(incident.size()) > kMaxIncidentEdges) {
     // Fall back to the subsumption-reduced edge list. Every cover of the
     // reduced list is a valid cover of the full list (assign each subsumed
     // edge wherever a subsumer went), so the options remain sound; a few
@@ -25,8 +24,8 @@ std::vector<MmExpr> EnumerateMmOptions(const Hypergraph& h, VarSet x,
   }
   const int m = static_cast<int>(incident.size());
   if (m == 0) return {};
-  FMMSW_CHECK(m <= opts.max_incident_edges &&
-              "EMM enumeration too large; raise EmmOptions::max_incident_edges");
+  FMMSW_CHECK(m <= kMaxIncidentEdges &&
+              "EMM enumeration too large; raise kMaxIncidentEdges");
 
   std::set<std::pair<uint32_t, uint32_t>> seen_ab;
   std::set<MmExpr> out;
@@ -67,9 +66,8 @@ std::vector<MmExpr> EnumerateMmOptions(const Hypergraph& h, VarSet x,
 }
 
 Rational EvaluateEmm(const Hypergraph& h, VarSet x, const SetFn<Rational>& hfn,
-                     const Rational& gamma, bool* defined,
-                     const EmmOptions& opts) {
-  auto options = EnumerateMmOptions(h, x, opts);
+                     const Rational& gamma, bool* defined) {
+  auto options = EnumerateMmOptions(h, x);
   if (options.empty()) {
     *defined = false;
     return Rational(0);

@@ -21,24 +21,20 @@
 
 namespace fmmsw {
 
-struct EmmOptions {
-  /// Hard cap on |del(X)| before enumerating the 3^m covers; incident edge
-  /// lists are first shrunk by subsumption. A CHECK fires on overflow so a
-  /// truncated enumeration can never silently change a width.
-  int max_incident_edges = 14;
-};
+/// Hard cap on |del(X)| before enumerating the 3^m covers; incident edge
+/// lists are first shrunk by subsumption. A CHECK fires on overflow so a
+/// truncated enumeration can never silently change a width.
+inline constexpr int kMaxIncidentEdges = 14;
 
 /// All distinct non-trivial MM options for eliminating X from H. The EMM
 /// measure is the minimum of MmExpr::Evaluate over this list.
-std::vector<MmExpr> EnumerateMmOptions(const Hypergraph& h, VarSet x,
-                                       const EmmOptions& opts = {});
+std::vector<MmExpr> EnumerateMmOptions(const Hypergraph& h, VarSet x);
 
 /// EMM_H(X) evaluated on a concrete polymatroid: min over options of the
 /// MM measure. Returns false in *defined if there are no options (then X
 /// can only be eliminated with for-loops).
 Rational EvaluateEmm(const Hypergraph& h, VarSet x, const SetFn<Rational>& hfn,
-                     const Rational& gamma, bool* defined,
-                     const EmmOptions& opts = {});
+                     const Rational& gamma, bool* defined);
 
 }  // namespace fmmsw
 

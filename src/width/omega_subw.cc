@@ -9,6 +9,7 @@
 #include "core/exec_context.h"
 #include "util/check.h"
 #include "util/parallel.h"
+#include "width/emm.h"
 #include "width/maxmin_solver.h"
 #include "width/width_cache.h"
 
@@ -94,10 +95,9 @@ struct StepPlan {
 /// order — the slot numbering is first-occurrence order and therefore
 /// independent of thread count. A step is *required* (Proposition 4.11)
 /// when its U is non-empty and not contained in any earlier step's U.
-StepPlan BuildStepPlan(const Hypergraph& h, const OmegaSubwOptions& opts,
-                       ExecContext& ec) {
+StepPlan BuildStepPlan(const Hypergraph& h, ExecContext& ec) {
   StepPlan plan;
-  plan.gveos = AllGveos(h, opts.gveo_cap);
+  plan.gveos = AllGveos(h);
   const int64_t ng = static_cast<int64_t>(plan.gveos.size());
   FMMSW_CHECK(ng > 0);
 
@@ -154,7 +154,6 @@ StepPlan BuildStepPlan(const Hypergraph& h, const OmegaSubwOptions& opts,
 
 /// Phase 2: each distinct site's MM option list, fanned per site.
 std::vector<std::vector<MmExpr>> SiteOptions(const StepPlan& plan,
-                                             const EmmOptions& emm,
                                              ExecContext& ec) {
   std::vector<std::vector<MmExpr>> options(plan.sites.size());
   ParallelFor(
@@ -162,8 +161,7 @@ std::vector<std::vector<MmExpr>> SiteOptions(const StepPlan& plan,
       [&](int64_t lo, int64_t hi) {
         for (int64_t i = lo; i < hi; ++i) {
           options[i] =
-              EnumerateMmOptions(plan.sites[i].before, plan.sites[i].block,
-                                 emm);
+              EnumerateMmOptions(plan.sites[i].before, plan.sites[i].block);
         }
       },
       /*grain=*/1);
@@ -236,8 +234,8 @@ OmegaSubwResult OmegaSubwGeneral(const Hypergraph& h, const Rational& omega,
                                  ExecContext& ec) {
   OmegaSubwResult out;
   const Rational gamma = omega - Rational(2);
-  const StepPlan plan = BuildStepPlan(h, opts, ec);
-  const auto options = SiteOptions(plan, opts.emm, ec);
+  const StepPlan plan = BuildStepPlan(h, ec);
+  const auto options = SiteOptions(plan, ec);
   const int64_t nsites = static_cast<int64_t>(plan.sites.size());
 
   // ---- Upper bound: min over GVEOs of max over required steps of
@@ -308,7 +306,6 @@ OmegaSubwResult OmegaSubwGeneral(const Hypergraph& h, const Rational& omega,
 }  // namespace
 
 std::vector<MmExpr> ClusteredMmTerms(const Hypergraph& h,
-                                     const EmmOptions& emm,
                                      ExecContext* ctx) {
   ExecContext& ec = ExecContext::Resolve(ctx);
   std::vector<VarSet> blocks;
@@ -325,7 +322,7 @@ std::vector<MmExpr> ClusteredMmTerms(const Hypergraph& h,
       [&](int64_t lo, int64_t hi) {
         std::set<MmExpr> local;
         for (int64_t i = lo; i < hi; ++i) {
-          for (const MmExpr& e : EnumerateMmOptions(h, blocks[i], emm)) {
+          for (const MmExpr& e : EnumerateMmOptions(h, blocks[i])) {
             local.insert(e.WidthCanonical());
           }
         }
@@ -337,8 +334,7 @@ std::vector<MmExpr> ClusteredMmTerms(const Hypergraph& h,
 }
 
 Rational GveoCostOn(const Hypergraph& h, const Gveo& gveo,
-                    const SetFn<Rational>& hfn, const Rational& omega,
-                    const EmmOptions& emm) {
+                    const SetFn<Rational>& hfn, const Rational& omega) {
   const Rational gamma = omega - Rational(2);
   Rational worst(0);
   for (const EliminationStep& step : EliminationSequence(h, gveo)) {
@@ -346,7 +342,7 @@ Rational GveoCostOn(const Hypergraph& h, const Gveo& gveo,
     Rational cost = hfn[step.u];
     bool defined = false;
     Rational via_mm =
-        EvaluateEmm(step.before, step.block, hfn, gamma, &defined, emm);
+        EvaluateEmm(step.before, step.block, hfn, gamma, &defined);
     if (defined) cost = Rational::Min(cost, via_mm);
     worst = Rational::Max(worst, cost);
   }
@@ -354,11 +350,10 @@ Rational GveoCostOn(const Hypergraph& h, const Gveo& gveo,
 }
 
 Rational WidthAt(const Hypergraph& h, const SetFn<Rational>& hfn,
-                 const Rational& omega, const OmegaSubwOptions& opts,
-                 ExecContext* ctx) {
+                 const Rational& omega, ExecContext* ctx) {
   ExecContext& ec = ExecContext::Resolve(ctx);
-  const StepPlan plan = BuildStepPlan(h, opts, ec);
-  const auto options = SiteOptions(plan, opts.emm, ec);
+  const StepPlan plan = BuildStepPlan(h, ec);
+  const auto options = SiteOptions(plan, ec);
   return EvaluatePlan(plan, options, hfn, omega - Rational(2), ec);
 }
 
@@ -370,7 +365,7 @@ OmegaSubwResult OmegaSubwClustered(const Hypergraph& h, const Rational& omega,
   FMMSW_CHECK(h.IsClustered());
   OmegaSubwResult out;
   out.used_clustered_form = true;
-  std::vector<MmExpr> terms = ClusteredMmTerms(h, opts.emm, &ec);
+  std::vector<MmExpr> terms = ClusteredMmTerms(h, &ec);
   out.num_mm_terms = static_cast<int>(terms.size());
 
   MaxMinSolver solver(h, &ec);

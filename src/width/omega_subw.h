@@ -39,7 +39,6 @@
 #include "hypergraph/decomposition.h"
 #include "hypergraph/hypergraph.h"
 #include "util/rational.h"
-#include "width/emm.h"
 #include "width/mm_expr.h"
 
 namespace fmmsw {
@@ -50,9 +49,6 @@ struct OmegaSubwOptions {
   /// Enumerate all 3^J selections instead of branch-and-bound (Example D.1
   /// reproduction; exponential, use only for small J).
   bool full_enumeration = false;
-  /// Safety cap on the GVEO enumeration (CHECK on overflow).
-  int gveo_cap = 1000000;
-  EmmOptions emm;
   /// Extra lower-bound candidate polymatroids (e.g. the Appendix C
   /// witnesses); each must be a valid edge-dominated polymatroid.
   std::vector<SetFn<Rational>> witnesses;
@@ -93,8 +89,7 @@ struct OmegaSubwResult {
 /// The inner cost of Definition 4.7 for one GVEO on a concrete polymatroid:
 /// max over Proposition-4.11-required steps of min(h(U_i), EMM_i).
 Rational GveoCostOn(const Hypergraph& h, const Gveo& gveo,
-                    const SetFn<Rational>& hfn, const Rational& omega,
-                    const EmmOptions& emm = {});
+                    const SetFn<Rational>& hfn, const Rational& omega);
 
 /// The width attained by a concrete polymatroid: min over *all* GVEOs of
 /// GveoCostOn. This is a certified lower bound on w-subw(H) whenever hfn is
@@ -102,8 +97,7 @@ Rational GveoCostOn(const Hypergraph& h, const Gveo& gveo,
 /// `ctx`'s pool (Default() when null); the exact Rational result is
 /// identical at every thread count.
 Rational WidthAt(const Hypergraph& h, const SetFn<Rational>& hfn,
-                 const Rational& omega, const OmegaSubwOptions& opts = {},
-                 ExecContext* ctx = nullptr);
+                 const Rational& omega, ExecContext* ctx = nullptr);
 
 /// w-subw for clustered hypergraphs, exact (Eq. 40).
 OmegaSubwResult OmegaSubwClustered(const Hypergraph& h, const Rational& omega,
@@ -123,7 +117,6 @@ OmegaSubwResult OmegaSubw(const Hypergraph& h, const Rational& omega,
 /// Exposed for tests (the 4-clique must yield exactly the 10 terms of
 /// Eq. 28) and for the Example-D.1 bench.
 std::vector<MmExpr> ClusteredMmTerms(const Hypergraph& h,
-                                     const EmmOptions& emm = {},
                                      ExecContext* ctx = nullptr);
 
 }  // namespace fmmsw

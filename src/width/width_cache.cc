@@ -36,8 +36,6 @@ std::string WidthCacheKey(const Hypergraph& h, const Rational& omega,
   key += "|w" + omega.ToString();
   key += opts.full_enumeration ? "|full" : "|bb";
   key += opts.warm_start ? "|warm" : "|cold";
-  key += "|cap" + std::to_string(opts.gveo_cap);
-  key += "|mie" + std::to_string(opts.emm.max_incident_edges);
   key += "|mp" + std::to_string(opts.max_pivots);
   for (const SetFn<Rational>& w : opts.witnesses) {
     key += "|W" + std::to_string(w.universe().mask()) + ":";

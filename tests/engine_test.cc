@@ -192,29 +192,6 @@ TEST(EliminationTest, MmWithGroupByOnFourClique) {
   }
 }
 
-TEST(EliminationTest, BitSlicedKernelMatchesBoolean) {
-  WorkloadOptions opts;
-  opts.tuples_per_relation = 60;
-  opts.domain = 10;
-  opts.seed = 77;
-  Hypergraph h = Hypergraph::Triangle();
-  QueryInput db = MakeWorkload(h, opts);
-  EliminationPlan plan;
-  PlanStep mm_step;
-  mm_step.block = VarSet{1};
-  mm_step.method = StepMethod::kMm;
-  mm_step.mm = MmExpr{VarSet{0}, VarSet{2}, VarSet{1}, VarSet::Empty()};
-  plan.steps.push_back(mm_step);
-  PlanStep s2;
-  s2.block = VarSet{0, 2};
-  s2.method = StepMethod::kForLoop;
-  plan.steps.push_back(s2);
-  EliminationOptions bool_opts, bitsliced_opts;
-  bitsliced_opts.kernel = MmKernel::kBitSliced;
-  EXPECT_EQ(ExecutePlan(h, db, plan, bool_opts),
-            ExecutePlan(h, db, plan, bitsliced_opts));
-}
-
 // Every generalized elimination order of every query class, on planted
 // and unplanted instances: all-for-loop blocks, then each MM option of the
 // first block as a kMm step with for-loops after it; plus the TD plan
@@ -478,11 +455,10 @@ void ExpectSplitInvariants(const QueryInput& db, double omega,
 }
 
 // Generated differential test: on every family, WCOJ and TriangleMm under
-// every kernel and omega (which moves both Delta0 and the MM price, so the
-// chosen split) agree with the nested-loop oracle.
-TEST(TriangleDifferentialTest, EveryKernelAndOmegaMatchesNestedLoops) {
+// every omega (which moves both Delta0 and the MM price, so the chosen
+// split) agree with the nested-loop oracle.
+TEST(TriangleDifferentialTest, EveryOmegaMatchesNestedLoops) {
   const double omegas[] = {1.0, 2.371552, std::log2(7.0), 3.0};
-  const MmKernel kernels[] = {MmKernel::kBoolean, MmKernel::kBitSliced};
   int instances = 0, positives = 0;
   // Runs whose split left both light corners and a heavy core, runs that
   // one corner answered alone, and runs whose threshold moved off Delta0.
@@ -494,20 +470,17 @@ TEST(TriangleDifferentialTest, EveryKernelAndOmegaMatchesNestedLoops) {
       EXPECT_EQ(WcojBoolean(Hypergraph::Triangle(), db), expect);
       ++instances;
       positives += expect ? 1 : 0;
-      for (MmKernel kernel : kernels) {
-        for (double omega : omegas) {
-          SCOPED_TRACE("family=" + std::to_string(static_cast<int>(family)) +
-                       " seed=" + std::to_string(seed) + " kernel=" +
-                       std::to_string(static_cast<int>(kernel)) +
-                       " omega=" + std::to_string(omega));
-          TriangleStats st;
-          ASSERT_EQ(TriangleMm(db, omega, kernel, &st), expect);
-          ExpectSplitInvariants(db, omega, st);
-          mixed += st.predicted_light_pairs > 0 && st.heavy_x > 0 &&
-                   st.heavy_y > 0 && st.heavy_z > 0;
-          solo += st.solo_corner >= 0;
-          moved += st.delta != st.delta_worst_case;
-        }
+      for (double omega : omegas) {
+        SCOPED_TRACE("family=" + std::to_string(static_cast<int>(family)) +
+                     " seed=" + std::to_string(seed) +
+                     " omega=" + std::to_string(omega));
+        TriangleStats st;
+        ASSERT_EQ(TriangleMm(db, omega, MmKernel::kBoolean, &st), expect);
+        ExpectSplitInvariants(db, omega, st);
+        mixed += st.predicted_light_pairs > 0 && st.heavy_x > 0 &&
+                 st.heavy_y > 0 && st.heavy_z > 0;
+        solo += st.solo_corner >= 0;
+        moved += st.delta != st.delta_worst_case;
       }
     }
   }
@@ -543,16 +516,14 @@ TEST(TriangleTest, PredictedLightPairsEqualFusedProbes) {
   }
   int64_t probed_total = 0;
   for (const auto& [name, db] : instances) {
-    for (MmKernel kernel : {MmKernel::kBoolean, MmKernel::kBitSliced}) {
-      for (double omega : {2.371552, 3.0}) {
-        SCOPED_TRACE(name + " omega=" + std::to_string(omega));
-        ExecContext ec(1);
-        TriangleStats st;
-        EXPECT_FALSE(TriangleMm(db, omega, kernel, &st, &ec));
-        EXPECT_EQ(ec.stats().fused_probe_tuples.load(),
-                  st.predicted_light_pairs);
-        probed_total += st.predicted_light_pairs;
-      }
+    for (double omega : {2.371552, 3.0}) {
+      SCOPED_TRACE(name + " omega=" + std::to_string(omega));
+      ExecContext ec(1);
+      TriangleStats st;
+      EXPECT_FALSE(TriangleMm(db, omega, MmKernel::kBoolean, &st, &ec));
+      EXPECT_EQ(ec.stats().fused_probe_tuples.load(),
+                st.predicted_light_pairs);
+      probed_total += st.predicted_light_pairs;
     }
   }
   EXPECT_GT(probed_total, 0);
@@ -579,7 +550,7 @@ TEST(TriangleTest, ThresholdTiesGoToTheLargerDelta) {
     db.relations.push_back(std::move(*rel));
   }
   TriangleStats st;
-  EXPECT_EQ(TriangleMm(db, 1.0, MmKernel::kBitSliced, &st),
+  EXPECT_EQ(TriangleMm(db, 1.0, MmKernel::kBoolean, &st),
             NestedLoopTriangle(db));
   EXPECT_EQ(st.delta_worst_case, 1);
   EXPECT_EQ(st.delta, 1);
@@ -592,21 +563,21 @@ TEST(TriangleTest, ThresholdTiesGoToTheLargerDelta) {
 TEST(TriangleTest, SplitIsIdenticalAcrossThreadCounts) {
   for (TriangleFamily family : kTriangleFamilies) {
     const QueryInput db = TriangleInstance(family, 3);
-    for (MmKernel kernel : {MmKernel::kBoolean, MmKernel::kBitSliced}) {
-      TriangleStats ref;
-      ExecContext ref_ec(1);
-      const bool ref_answer = TriangleMm(db, 2.371552, kernel, &ref, &ref_ec);
-      for (int threads : {2, 4}) {
-        ExecContext ec(threads);
-        TriangleStats st;
-        EXPECT_EQ(TriangleMm(db, 2.371552, kernel, &st, &ec), ref_answer);
-        EXPECT_EQ(st.delta, ref.delta);
-        EXPECT_EQ(st.predicted_light_pairs, ref.predicted_light_pairs);
-        EXPECT_EQ(st.predicted_mm_ops, ref.predicted_mm_ops);
-        EXPECT_EQ(st.heavy_x, ref.heavy_x);
-        EXPECT_EQ(st.heavy_y, ref.heavy_y);
-        EXPECT_EQ(st.heavy_z, ref.heavy_z);
-      }
+    TriangleStats ref;
+    ExecContext ref_ec(1);
+    const bool ref_answer =
+        TriangleMm(db, 2.371552, MmKernel::kBoolean, &ref, &ref_ec);
+    for (int threads : {2, 4}) {
+      ExecContext ec(threads);
+      TriangleStats st;
+      EXPECT_EQ(TriangleMm(db, 2.371552, MmKernel::kBoolean, &st, &ec),
+                ref_answer);
+      EXPECT_EQ(st.delta, ref.delta);
+      EXPECT_EQ(st.predicted_light_pairs, ref.predicted_light_pairs);
+      EXPECT_EQ(st.predicted_mm_ops, ref.predicted_mm_ops);
+      EXPECT_EQ(st.heavy_x, ref.heavy_x);
+      EXPECT_EQ(st.heavy_y, ref.heavy_y);
+      EXPECT_EQ(st.heavy_z, ref.heavy_z);
     }
   }
 }
@@ -685,14 +656,39 @@ TEST(TriangleTest, SoloCornerRunsOneFusedJoin) {
   }
 }
 
+// The count reads only the cells T holds, over the values R and S hold:
+// on a random workload, and on one where T names x values outside R and
+// z values outside S and S names y values outside R, it equals WCOJ's
+// count at every thread count.
 TEST(TriangleTest, CountMatchesWcojCount) {
+  const Hypergraph h = Hypergraph::Triangle();
   WorkloadOptions opts;
   opts.tuples_per_relation = 120;
   opts.domain = 15;
   opts.seed = 5;
-  Hypergraph h = Hypergraph::Triangle();
-  QueryInput db = MakeWorkload(h, opts);
-  EXPECT_EQ(TriangleCountMm(db, MmKernel::kBitSliced), WcojCount(h, db));
+  const QueryInput base = MakeWorkload(h, opts);
+  Relation s = base.relations[1], t = base.relations[2];
+  for (Value v = 0; v < 4; ++v) {
+    t.Add({100 + v, v});  // x outside R
+    t.Add({v, 200 + v});  // z outside S
+    t.Add({100 + v, 200 + v});
+    s.Add({300 + v, v});  // y outside R
+  }
+  s.SortAndDedupe();
+  t.SortAndDedupe();
+  QueryInput stray;
+  stray.relations = {base.relations[0], std::move(s), std::move(t)};
+  for (const QueryInput& db : {base, stray}) {
+    const int64_t expect = WcojCount(h, db);
+    EXPECT_GT(expect, 0);
+    for (int threads : {1, 2, 4}) {
+      ExecContext ec(threads);
+      EXPECT_EQ(TriangleCountMm(db, MmKernel::kBitSliced, &ec), expect)
+          << "threads=" << threads;
+      EXPECT_EQ(ec.stats().mm_products.load(), 1);
+      EXPECT_EQ(ec.stats().mm_bitsliced_calls.load(), 1);
+    }
+  }
 }
 
 TEST(TriangleTest, HeavyPartSizeBound) {
@@ -772,11 +768,12 @@ TEST_P(CliqueRegimeTest, MmAgreesWithCombinatorial) {
 
 INSTANTIATE_TEST_SUITE_P(K, CliqueRegimeTest, ::testing::Values(3, 4, 5, 6));
 
-// The operand fill CliqueMm runs: ParallelFor partitioned by row, each
-// chunk marking cells of its own rows only. Under both kernels the
-// operands are bit-packed, so neighbouring cells of a row share a 64-bit
-// word; rows never do, so the fill is race-free (the TSan job runs this
-// binary) and the product equals the naive one.
+// The operand fills the MM operators allow: ParallelFor partitioned by
+// the row each write touches. IndicatorProduct (CliqueMm's fill) marks
+// row i of A and row k of B; IndicatorCounts marks row i of A and row j
+// of B^T, so its B fill is partitioned by j. Neighbouring cells of a row
+// share a 64-bit word, rows never do, so the fills are race-free (the
+// TSan job runs this binary) and the products equal the naive one.
 TEST(IndicatorProductTest, RowPartitionedParallelFillMatchesNaive) {
   constexpr int kRows = 203, kInner = 150, kCols = 131;
   Rng rng(29);
@@ -788,34 +785,40 @@ TEST(IndicatorProductTest, RowPartitionedParallelFillMatchesNaive) {
     for (int j = 0; j < kCols; ++j) b.At(k, j) = rng.Flip(0.3) ? 1 : 0;
   }
   const Matrix ref = MultiplyNaive(a, b);
-  for (MmKernel kernel : {MmKernel::kBoolean, MmKernel::kBitSliced}) {
-    for (int threads : {1, 4}) {
-      SCOPED_TRACE("kernel=" + std::to_string(static_cast<int>(kernel)) +
-                   " threads=" + std::to_string(threads));
-      ExecContext ec(threads);
-      IndicatorProduct p(kRows, kInner, kCols, kernel, ec);
-      ParallelFor(ec.pool(), kRows, [&](int64_t begin, int64_t end) {
-        for (int64_t i = begin; i < end; ++i) {
-          for (int k = 0; k < kInner; ++k) {
-            if (a.At(i, k) != 0) p.SetA(i, k);
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    ExecContext ec(threads);
+    IndicatorProduct p(kRows, kInner, kCols, ec);
+    IndicatorCounts c(kRows, kInner, kCols, ec);
+    ParallelFor(ec.pool(), kRows, [&](int64_t begin, int64_t end) {
+      for (int64_t i = begin; i < end; ++i) {
+        for (int k = 0; k < kInner; ++k) {
+          if (a.At(i, k) != 0) {
+            p.SetA(i, k);
+            c.SetA(i, k);
           }
         }
-      });
-      ParallelFor(ec.pool(), kInner, [&](int64_t begin, int64_t end) {
-        for (int64_t k = begin; k < end; ++k) {
-          for (int j = 0; j < kCols; ++j) {
-            if (b.At(k, j) != 0) p.SetB(k, j);
-          }
-        }
-      });
-      p.Multiply();
-      for (int i = 0; i < kRows; ++i) {
+      }
+    });
+    ParallelFor(ec.pool(), kInner, [&](int64_t begin, int64_t end) {
+      for (int64_t k = begin; k < end; ++k) {
         for (int j = 0; j < kCols; ++j) {
-          ASSERT_EQ(p.NonZero(i, j), ref.At(i, j) != 0) << i << "," << j;
-          if (kernel == MmKernel::kBitSliced) {
-            ASSERT_EQ(p.Count(i, j), ref.At(i, j)) << i << "," << j;
-          }
+          if (b.At(k, j) != 0) p.SetB(k, j);
         }
+      }
+    });
+    ParallelFor(ec.pool(), kCols, [&](int64_t begin, int64_t end) {
+      for (int64_t j = begin; j < end; ++j) {
+        for (int k = 0; k < kInner; ++k) {
+          if (b.At(k, j) != 0) c.SetB(k, j);
+        }
+      }
+    });
+    p.Multiply();
+    for (int i = 0; i < kRows; ++i) {
+      for (int j = 0; j < kCols; ++j) {
+        ASSERT_EQ(p.NonZero(i, j), ref.At(i, j) != 0) << i << "," << j;
+        ASSERT_EQ(c.Count(i, j), ref.At(i, j)) << i << "," << j;
       }
     }
   }

@@ -1,10 +1,12 @@
-// Tests for the matrix substrate: the bit-sliced counting product agrees
-// with the naive reference on random inputs and rejects non-0/1 operands,
-// BitMatrix implements the (OR, AND) semiring, IndicatorProduct charges
-// what it holds under both kernels, and the cost model matches Eq. (6).
+// Tests for the matrix substrate: IndicatorCounts and the bit-sliced
+// counting product agree with the naive reference on random inputs, the
+// int64 entry rejects non-0/1 operands, BitMatrix implements the (OR, AND)
+// semiring, both MM operators charge what they hold, and the cost model
+// matches Eq. (6).
 
 #include <atomic>
 #include <cstdlib>
+#include <string>
 #include <vector>
 
 #include "core/exec_context.h"
@@ -76,37 +78,11 @@ TEST(BitMatrixTest, MultiplyMatchesIntegerSign) {
   }
 }
 
-TEST(BitMatrixTest, TransposeMatchesCellwise) {
-  // Shapes straddling 64-bit word edges on both axes; rows 64..127 stay
-  // empty, so a tall shape also has all-zero words.
-  const struct {
-    int rows, cols;
-  } shapes[] = {{1, 1}, {63, 65}, {64, 64}, {65, 63}, {130, 7}, {7, 200},
-                {0, 5},  {5, 0}};
-  Rng rng(17);
-  for (const auto& s : shapes) {
-    BitMatrix m(s.rows, s.cols);
-    for (int r = 0; r < s.rows; ++r) {
-      for (int c = 0; c < s.cols; ++c) {
-        if (r / 64 != 1 && rng.Flip(0.3)) m.Set(r, c);
-      }
-    }
-    const BitMatrix t = m.Transpose();
-    ASSERT_EQ(t.rows(), s.cols);
-    ASSERT_EQ(t.cols(), s.rows);
-    for (int r = 0; r < s.rows; ++r) {
-      for (int c = 0; c < s.cols; ++c) {
-        ASSERT_EQ(t.Get(c, r), m.Get(r, c))
-            << s.rows << "x" << s.cols << " at " << r << "," << c;
-      }
-    }
-  }
-}
-
 // --------------------------------------------- parallel differentials --
 // ctest runs this binary with FMMSW_THREADS=4, so the pooled kernels
-// (BitMatrix::Multiply here, the counting kernel in BitSlicedTest) execute
-// multi-threaded and are checked against the serial naive reference.
+// (BitMatrix::Multiply here, the counting product in BitSlicedTest)
+// execute multi-threaded and are checked against the serial naive
+// reference.
 
 TEST(ParallelKernelTest, BitMatrixMatchesIntegerSignLarge) {
   Rng rng(23);
@@ -181,20 +157,52 @@ Matrix RandomIndicator(int rows, int cols, double density, Rng* rng) {
   return m;
 }
 
+// A counting operator holding a's and b's non-zero cells.
+void Fill(IndicatorCounts* counts, const Matrix& a, const Matrix& b) {
+  for (int i = 0; i < a.rows(); ++i) {
+    for (int k = 0; k < a.cols(); ++k) {
+      if (a.At(i, k) != 0) counts->SetA(i, k);
+    }
+  }
+  for (int k = 0; k < b.rows(); ++k) {
+    for (int j = 0; j < b.cols(); ++j) {
+      if (b.At(k, j) != 0) counts->SetB(k, j);
+    }
+  }
+}
+
+// Every cell of a counting operator over a and b equals the naive
+// product's.
+void ExpectCountsMatchNaive(const Matrix& a, const Matrix& b) {
+  const Matrix ref = MultiplyNaive(a, b);
+  ExecContext ec(1);
+  IndicatorCounts counts(a.rows(), a.cols(), b.cols(), ec);
+  Fill(&counts, a, b);
+  for (int i = 0; i < ref.rows(); ++i) {
+    for (int j = 0; j < ref.cols(); ++j) {
+      ASSERT_EQ(counts.Count(i, j), ref.At(i, j)) << i << "," << j;
+    }
+  }
+  EXPECT_EQ(ec.stats().mm_products.load(), 1);
+  EXPECT_EQ(ec.stats().mm_bitsliced_calls.load(), 1);
+}
+
 TEST(BitSlicedTest, MatchesNaiveAcrossShapes) {
   // Inner dimensions straddling the 64-bit word boundary, and one
   // product tall enough to spread its rows over every worker.
   const struct {
     int m, k, n;
-  } shapes[] = {{1, 1, 1},     {3, 63, 5},   {3, 64, 5},
-                {3, 65, 5},    {9, 128, 7},  {40, 200, 31},
-                {1, 300, 1},   {230, 250, 210}};
+  } shapes[] = {{1, 1, 1},    {3, 63, 5},  {3, 64, 5},     {3, 65, 5},
+                {9, 127, 7},  {9, 128, 7}, {9, 129, 7},    {40, 200, 31},
+                {1, 300, 1},  {230, 250, 210}};
   Rng rng(41);
   for (const auto& s : shapes) {
     Matrix a = RandomIndicator(s.m, s.k, 0.4, &rng);
     Matrix b = RandomIndicator(s.k, s.n, 0.4, &rng);
-    EXPECT_EQ(MultiplyBitSliced(a, b), MultiplyNaive(a, b))
-        << s.m << "x" << s.k << "x" << s.n;
+    SCOPED_TRACE(std::to_string(s.m) + "x" + std::to_string(s.k) + "x" +
+                 std::to_string(s.n));
+    EXPECT_EQ(MultiplyBitSliced(a, b), MultiplyNaive(a, b));
+    ExpectCountsMatchNaive(a, b);
   }
 }
 
@@ -223,100 +231,105 @@ TEST(BitSlicedTest, CountingProductDispatch) {
   EXPECT_EQ(ec.stats().mm_bitsliced_calls.load(), 1);
 }
 
-TEST(BitSlicedTest, PackedKernelChargesPlanesAndOutputExactly) {
-  // b's column planes (n x ceil(k / 64) words) and the m x n int64
-  // output: a budget of exactly those bytes runs, one byte less aborts.
-  constexpr int kM = 30, kK = 200, kN = 40;
-  const int64_t bytes = (kN * ((kK + 63) / 64) + kM * kN) * 8;
-  const BitMatrix a(kM, kK), b(kK, kN);
+TEST(IndicatorCountsTest, ChargesOperandsExactly) {
+  // A (kRows x ceil(kInner / 64) words) and B^T (kCols x ceil(kInner / 64)
+  // words): a budget of exactly those bytes runs, one byte less aborts
+  // before either exists.
+  constexpr int kRows = 30, kInner = 200, kCols = 40;
+  const int64_t bytes = (kRows + kCols) * ((kInner + 63) / 64) * 8;
   ExecContext ec(1);
   const ExecResult fits = RunGuarded(ec, {.memory_budget_bytes = bytes}, [&] {
-    EXPECT_EQ(MultiplyBitSlicedPacked(a, b, &ec), Matrix(kM, kN));
+    IndicatorCounts counts(kRows, kInner, kCols, ec);
+    EXPECT_EQ(ec.stats().mem_current_bytes.load(), bytes);
+    EXPECT_EQ(counts.Count(kRows - 1, kCols - 1), 0);
   });
   EXPECT_TRUE(fits.ok()) << fits.message;
   EXPECT_EQ(ec.stats().mem_peak_bytes.load(), bytes);
+  EXPECT_EQ(ec.stats().mem_current_bytes.load(), 0);
   const ExecResult aborted =
-      RunGuarded(ec, {.memory_budget_bytes = bytes - 1},
-                 [&] { (void)MultiplyBitSlicedPacked(a, b, &ec); });
+      RunGuarded(ec, {.memory_budget_bytes = bytes - 1}, [&] {
+        IndicatorCounts counts(kRows, kInner, kCols, ec);
+      });
   EXPECT_EQ(aborted.status, ExecStatus::kMemoryLimitExceeded);
   EXPECT_EQ(ec.stats().mem_current_bytes.load(), 0);
+  // Only the operator that fit counted a product.
+  EXPECT_EQ(ec.stats().mm_products.load(), 1);
+  EXPECT_EQ(ec.stats().mm_bitsliced_calls.load(), 1);
 }
 
-constexpr MmKernel kAllKernels[] = {MmKernel::kBoolean, MmKernel::kBitSliced};
-
-TEST(IndicatorProductTest, EveryKernelMatchesNaive) {
+TEST(IndicatorProductTest, MatchesNaive) {
   Rng rng(43);
   const Matrix a = RandomIndicator(20, 90, 0.3, &rng);
   const Matrix b = RandomIndicator(90, 25, 0.3, &rng);
   const Matrix ref = MultiplyNaive(a, b);
   ASSERT_TRUE(ref.AnyNonZero());
-  for (MmKernel kernel : kAllKernels) {
-    ExecContext ec(2);
-    IndicatorProduct p(20, 90, 25, kernel, ec);
-    for (int i = 0; i < 20; ++i) {
-      for (int k = 0; k < 90; ++k) {
-        if (a.At(i, k) != 0) p.SetA(i, k);
-      }
-    }
+  ExecContext ec(2);
+  IndicatorProduct p(20, 90, 25, ec);
+  for (int i = 0; i < 20; ++i) {
     for (int k = 0; k < 90; ++k) {
-      for (int j = 0; j < 25; ++j) {
-        if (b.At(k, j) != 0) p.SetB(k, j);
-      }
+      if (a.At(i, k) != 0) p.SetA(i, k);
     }
-    p.Multiply();
-    EXPECT_EQ(ec.stats().mm_products.load(), 1);
-    for (int i = 0; i < 20; ++i) {
-      for (int j = 0; j < 25; ++j) {
-        ASSERT_EQ(p.NonZero(i, j), ref.At(i, j) != 0) << i << "," << j;
-        if (kernel != MmKernel::kBoolean) {
-          ASSERT_EQ(p.Count(i, j), ref.At(i, j)) << i << "," << j;
-        }
-      }
+  }
+  for (int k = 0; k < 90; ++k) {
+    for (int j = 0; j < 25; ++j) {
+      if (b.At(k, j) != 0) p.SetB(k, j);
+    }
+  }
+  p.Multiply();
+  EXPECT_EQ(ec.stats().mm_products.load(), 1);
+  for (int i = 0; i < 20; ++i) {
+    for (int j = 0; j < 25; ++j) {
+      ASSERT_EQ(p.NonZero(i, j), ref.At(i, j) != 0) << i << "," << j;
     }
   }
 }
 
 TEST(IndicatorProductTest, ChargesOperandsBeforeAllocatingAndItsProduct) {
   constexpr int kRows = 8, kInner = 4000, kCols = 8;
-  for (MmKernel kernel : kAllKernels) {
-    // Both kernels' operands are bit-packed rows of whole 64-bit words.
-    const int64_t bytes =
-        (kRows * ((kInner + 63) / 64) + kInner * ((kCols + 63) / 64)) * 8;
-    // The product, charged by Multiply(), is kRows x kCols.
-    const int64_t product_bytes =
-        kernel == MmKernel::kBoolean ? kRows * ((kCols + 63) / 64) * 8
-                                     : int64_t{8} * kRows * kCols;
-    ExecContext ec(1);
-    {
-      IndicatorProduct p(kRows, kInner, kCols, kernel, ec);
-      EXPECT_EQ(ec.stats().mem_current_bytes.load(), bytes);
-      p.Multiply();
-      EXPECT_EQ(ec.stats().mem_current_bytes.load(), bytes + product_bytes);
-    }
-    EXPECT_EQ(ec.stats().mem_current_bytes.load(), 0);
-    const ExecResult res =
-        RunGuarded(ec, {.memory_budget_bytes = bytes / 2}, [&] {
-          IndicatorProduct p(kRows, kInner, kCols, kernel, ec);
-        });
-    EXPECT_EQ(res.status, ExecStatus::kMemoryLimitExceeded);
-    EXPECT_EQ(ec.stats().mem_current_bytes.load(), 0);
-    // Only the unbudgeted product above ran.
-    EXPECT_EQ(ec.stats().mm_products.load(), 1);
+  // Bit-packed operands and product: rows of whole 64-bit words.
+  const int64_t bytes =
+      (kRows * ((kInner + 63) / 64) + kInner * ((kCols + 63) / 64)) * 8;
+  const int64_t product_bytes = kRows * ((kCols + 63) / 64) * 8;
+  ExecContext ec(1);
+  {
+    IndicatorProduct p(kRows, kInner, kCols, ec);
+    EXPECT_EQ(ec.stats().mem_current_bytes.load(), bytes);
+    p.Multiply();
+    EXPECT_EQ(ec.stats().mem_current_bytes.load(), bytes + product_bytes);
   }
+  EXPECT_EQ(ec.stats().mem_current_bytes.load(), 0);
+  const ExecResult res =
+      RunGuarded(ec, {.memory_budget_bytes = bytes / 2}, [&] {
+        IndicatorProduct p(kRows, kInner, kCols, ec);
+      });
+  EXPECT_EQ(res.status, ExecStatus::kMemoryLimitExceeded);
+  EXPECT_EQ(ec.stats().mem_current_bytes.load(), 0);
+  // Only the unbudgeted product above ran.
+  EXPECT_EQ(ec.stats().mm_products.load(), 1);
+  // One byte below operands + product: the operands fit, and
+  // BitMatrix::Multiply's charge for its output aborts inside Multiply().
+  const ExecResult short_by_one =
+      RunGuarded(ec, {.memory_budget_bytes = bytes + product_bytes - 1}, [&] {
+        IndicatorProduct p(kRows, kInner, kCols, ec);
+        p.Multiply();
+        ADD_FAILURE() << "Multiply() ran past the budget";
+      });
+  EXPECT_EQ(short_by_one.status, ExecStatus::kMemoryLimitExceeded);
+  EXPECT_EQ(ec.stats().mem_current_bytes.load(), 0);
+  EXPECT_EQ(ec.stats().mm_products.load(), 2);
+  const ExecResult exact =
+      RunGuarded(ec, {.memory_budget_bytes = bytes + product_bytes}, [&] {
+        IndicatorProduct p(kRows, kInner, kCols, ec);
+        p.Multiply();
+      });
+  EXPECT_TRUE(exact.ok()) << exact.message;
+  EXPECT_EQ(ec.stats().mem_current_bytes.load(), 0);
 }
 
 TEST(IndicatorProductDeathTest, BooleanIsNotACountingKernel) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   const Matrix a(2, 3), b(3, 2);
   EXPECT_DEATH(CountingProduct(a, b, MmKernel::kBoolean), "counting kernel");
-  EXPECT_DEATH(
-      {
-        ExecContext ec(1);
-        IndicatorProduct p(2, 3, 2, MmKernel::kBoolean, ec);
-        p.Multiply();
-        (void)p.Count(0, 0);
-      },
-      "kBoolean");
 }
 
 TEST(IndicatorProductDeathTest, BitSlicedRejectsNonZeroOneOperands) {
@@ -363,18 +376,17 @@ TEST(DegenerateShapeTest, ZeroDimensionProductsAcrossKernels) {
     EXPECT_FALSE(ref.AnyNonZero());
     EXPECT_EQ(MultiplyBitSliced(a, b), ref);
     EXPECT_EQ(CountingProduct(a, b, MmKernel::kBitSliced), ref);
-    for (MmKernel kernel : kAllKernels) {
-      ExecContext ec(1);
-      {
-        IndicatorProduct p(s.m, s.k, s.n, kernel, ec);
-        p.Multiply();
-        for (int i = 0; i < s.m; ++i) {
-          for (int j = 0; j < s.n; ++j) EXPECT_FALSE(p.NonZero(i, j));
-        }
+    ExpectCountsMatchNaive(a, b);
+    ExecContext ec(1);
+    {
+      IndicatorProduct p(s.m, s.k, s.n, ec);
+      p.Multiply();
+      for (int i = 0; i < s.m; ++i) {
+        for (int j = 0; j < s.n; ++j) EXPECT_FALSE(p.NonZero(i, j));
       }
-      EXPECT_EQ(ec.stats().mm_products.load(), 1);
-      EXPECT_EQ(ec.stats().mem_current_bytes.load(), 0);
     }
+    EXPECT_EQ(ec.stats().mm_products.load(), 1);
+    EXPECT_EQ(ec.stats().mem_current_bytes.load(), 0);
   }
 }
 

@@ -344,18 +344,16 @@ TEST(RecoveryTest, JoinWithRecoveryMatchesCleanJoin) {
 // comfortably.
 TEST(RecoveryTest, BudgetAbortLeavesMemoryChargesBalanced) {
   ExecContext ec(2);
-  // MultiplyBitSliced charges the bit-packed copies of its operands
-  // (m * ceil(k / 64) + k * ceil(n / 64) words), then its kernel charges
-  // B's column planes and its output in one MemCharge before allocating
-  // them: n * ceil(k / 64) words plus m * n int64 cells. The budget is
-  // exactly the 300^3 product's 756,000 bytes, so the 600^3 product's
-  // 3,024,000 trip it inside the kernel's MemCharge constructor itself.
+  // MultiplyBitSliced charges A's rows and B's columns as bit-planes
+  // (m * ceil(k / 64) + n * ceil(k / 64) words) before packing them, then
+  // its m * n int64 output before allocating it. The budget is exactly
+  // the 300^3 product's 744,000 bytes, so the 600^3 product's 2,976,000
+  // trip it inside the output's MemCharge constructor itself, while the
+  // operand charge is held.
   const auto bitsliced_bytes = [](int64_t m, int64_t k, int64_t n) {
-    return (m * ((k + 63) / 64) + k * ((n + 63) / 64) +
-            n * ((k + 63) / 64)) * 8 +
-           m * n * 8;
+    return (m + n) * ((k + 63) / 64) * 8 + m * n * 8;
   };
-  ASSERT_EQ(bitsliced_bytes(300, 300, 300), 756000);
+  ASSERT_EQ(bitsliced_bytes(300, 300, 300), 744000);
   QueryLimits tight;
   tight.memory_budget_bytes = bitsliced_bytes(300, 300, 300);
   const Matrix big(600, 600);
@@ -380,18 +378,22 @@ TEST(RecoveryTest, BudgetAbortLeavesMemoryChargesBalanced) {
 // ------------------------------------------- MM operand accounting --
 
 // Bytes of one rows x cols bit-packed indicator matrix: whole 64-bit
-// words per row. Both kernels' operands and the kBoolean product.
+// words per row. Every operand and the Boolean product.
 int64_t BitBytes(int64_t rows, int64_t cols) {
   return rows * ((cols + 63) / 64) * 8;
 }
 
-// Bytes one rows x inner x cols product holds once it has run: both
-// bit-packed operands and the product, bits under kBoolean and int64
-// cells under kBitSliced.
-int64_t MmBytes(int64_t rows, int64_t inner, int64_t cols, MmKernel kernel) {
+// Bytes one rows x inner x cols IndicatorProduct holds once it has run:
+// both bit-packed operands and the bit-packed product.
+int64_t MmBytes(int64_t rows, int64_t inner, int64_t cols) {
   return BitBytes(rows, inner) + BitBytes(inner, cols) +
-         (kernel == MmKernel::kBoolean ? BitBytes(rows, cols)
-                                       : rows * cols * 8);
+         BitBytes(rows, cols);
+}
+
+// Bytes one rows x inner x cols IndicatorCounts holds: A and B^T, both
+// with inner bits per row, and no product.
+int64_t CountBytes(int64_t rows, int64_t inner, int64_t cols) {
+  return BitBytes(rows, inner) + BitBytes(cols, inner);
 }
 
 QueryInput Sorted(std::vector<Relation> rels) {
@@ -592,7 +594,6 @@ int64_t OracleBoolean(const Hypergraph& h, const QueryInput& db,
 // whose stats carry none, by the input's construction.
 struct MmEngineCase {
   std::string name;
-  MmKernel kernel;
   int64_t products;  ///< MM products one run performs
   int64_t expected;  ///< the WCOJ oracle's answer
   std::function<int64_t(ExecContext&, int64_t*)> run;
@@ -604,26 +605,25 @@ std::vector<MmEngineCase> MmEngineCases() {
   // so the outer dimensions are wide enough for the operands to outweigh
   // every relation-side charge several times over.
   const QueryInput tri = HeavyTriangle(2048, 16384, 32);
-  for (MmKernel kernel : {MmKernel::kBoolean, MmKernel::kBitSliced}) {
-    cases.push_back({"TriangleMm", kernel, 1,
-                     OracleBoolean(Hypergraph::Triangle(), tri, true),
-                     [tri, kernel](ExecContext& ec, int64_t* bytes) {
-                       TriangleStats st;
-                       const bool found =
-                           TriangleMm(tri, kAllHeavyOmega, kernel, &st, &ec);
-                       EXPECT_FALSE(st.answer_from_light);
-                       EXPECT_EQ(st.solo_corner, -1);
-                       *bytes = MmBytes(st.mm_dim_x, st.mm_dim_y,
-                                        st.mm_dim_z, kernel);
-                       return int64_t{found};
-                     }});
-  }
+  cases.push_back({"TriangleMm", 1,
+                   OracleBoolean(Hypergraph::Triangle(), tri, true),
+                   [tri](ExecContext& ec, int64_t* bytes) {
+                     TriangleStats st;
+                     const bool found = TriangleMm(
+                         tri, kAllHeavyOmega, MmKernel::kBoolean, &st, &ec);
+                     EXPECT_FALSE(st.answer_from_light);
+                     EXPECT_EQ(st.solo_corner, -1);
+                     *bytes =
+                         MmBytes(st.mm_dim_x, st.mm_dim_y, st.mm_dim_z);
+                     return int64_t{found};
+                   }});
   const int64_t tri_count = WcojCount(Hypergraph::Triangle(), tri);
   EXPECT_GT(tri_count, 0);
-  // Full-domain dimensions: |X| = 2048, |Y| = 16384, |Z| = 32.
-  cases.push_back({"TriangleCountMm", MmKernel::kBitSliced, 1, tri_count,
+  // R's X and Y values and S's Z values: |X| = 2048, |Y| = 16384,
+  // |Z| = 32. The count holds A and B^T and builds no product.
+  cases.push_back({"TriangleCountMm", 1, tri_count,
                    [tri](ExecContext& ec, int64_t* bytes) {
-                     *bytes = MmBytes(2048, 16384, 32, MmKernel::kBitSliced);
+                     *bytes = CountBytes(2048, 16384, 32);
                      return TriangleCountMm(tri, MmKernel::kBitSliced, &ec);
                    }});
   {
@@ -643,7 +643,7 @@ std::vector<MmEngineCase> MmEngineCases() {
     }
     const QueryInput db = Sorted(
         {std::move(r), std::move(s), std::move(t), std::move(u)});
-    cases.push_back({"FourCycleMm", MmKernel::kBoolean, 2,
+    cases.push_back({"FourCycleMm", 2,
                      OracleBoolean(Hypergraph::Cycle(4), db, false),
                      [db](ExecContext& ec, int64_t* bytes) {
                        FourCycleStats st;
@@ -655,8 +655,7 @@ std::vector<MmEngineCase> MmEngineCases() {
                        const int64_t w = st.mm_dims[0],
                                      x = st.mm_dims[1] / 2, y = st.mm_dims[2];
                        EXPECT_EQ(x, int64_t{kInner});
-                       *bytes = MmBytes(w, x, y, MmKernel::kBoolean) +
-                                MmBytes(y, x, w, MmKernel::kBoolean);
+                       *bytes = MmBytes(w, x, y) + MmBytes(y, x, w);
                        return int64_t{found};
                      }});
   }
@@ -675,14 +674,14 @@ std::vector<MmEngineCase> MmEngineCases() {
     for (Value x3 = 0; x3 < kX; ++x3) base.Add({0, (x3 + 5) % kX, x3});
     const QueryInput db = Sorted(
         {std::move(r1), std::move(r2), std::move(r3), std::move(base)});
-    cases.push_back({"Pyramid3Mm", MmKernel::kBoolean, 1,
+    cases.push_back({"Pyramid3Mm", 1,
                      OracleBoolean(Hypergraph::Pyramid(3), db, false),
                      [db](ExecContext& ec, int64_t* bytes) {
                        PyramidStats st;
                        const bool found =
                            Pyramid3Mm(db, kAllHeavyOmega, &st, &ec);
                        EXPECT_EQ(st.mm_groups, 1);
-                       *bytes = MmBytes(kX, kY, kX, MmKernel::kBoolean);
+                       *bytes = MmBytes(kX, kY, kX);
                        return int64_t{found};
                      }});
   }
@@ -699,14 +698,14 @@ std::vector<MmEngineCase> MmEngineCases() {
     for (Value x = 0; x < kX; ++x) e02.Add({x, (x + 1) % kX});
     const QueryInput db =
         Sorted({std::move(e01), std::move(e02), std::move(e12)});
-    cases.push_back({"CliqueMm", MmKernel::kBoolean, 1,
+    cases.push_back({"CliqueMm", 1,
                      OracleBoolean(Hypergraph::Clique(3), db, true),
                      [db](ExecContext& ec, int64_t* bytes) {
                        CliqueStats st;
                        const bool found = CliqueMm(3, db, &st, &ec);
-                       *bytes = MmBytes(
-                           st.group_cliques[0], st.group_cliques[1],
-                           st.group_cliques[2], MmKernel::kBoolean);
+                       *bytes = MmBytes(st.group_cliques[0],
+                                        st.group_cliques[1],
+                                        st.group_cliques[2]);
                        return int64_t{found};
                      }});
   }
@@ -717,16 +716,15 @@ std::vector<MmEngineCase> MmEngineCases() {
                           MmExpr{VarSet{0}, VarSet{2}, VarSet{1},
                                  VarSet::Empty()}});
     plan.steps.push_back({VarSet{0, 2}, StepMethod::kForLoop, {}});
-    cases.push_back({"ExecutePlan", MmKernel::kBitSliced, 1,
+    cases.push_back({"ExecutePlan", 1,
                      OracleBoolean(Hypergraph::Triangle(), tri, true),
                      [tri, plan](ExecContext& ec, int64_t* bytes) {
                        EliminationStats st;
-                       const bool found = ExecutePlan(
-                           Hypergraph::Triangle(), tri, plan,
-                           {.kernel = MmKernel::kBitSliced}, &st, &ec);
+                       const bool found = ExecutePlan(Hypergraph::Triangle(),
+                                                      tri, plan, {}, &st, &ec);
                        // mm_cells = |X||Y| + |Y||Z|, the operand cells.
                        EXPECT_EQ(st.mm_cells, 2048 * 16384 + 16384 * 32);
-                       *bytes = MmBytes(2048, 16384, 32, MmKernel::kBitSliced);
+                       *bytes = MmBytes(2048, 16384, 32);
                        return int64_t{found};
                      }});
   }
@@ -748,14 +746,14 @@ std::vector<MmEngineCase> MmEngineCases() {
     t.Add({0, 0});
     const QueryInput db =
         Sorted({std::move(r), std::move(s), std::move(t)});
-    cases.push_back({"PandaTriangleBoolean", MmKernel::kBoolean, 1,
+    cases.push_back({"PandaTriangleBoolean", 1,
                      OracleBoolean(Hypergraph::Triangle(), db, true),
                      [db](ExecContext& ec, int64_t* bytes) {
                        PandaStats st;
                        const bool found =
                            PandaTriangleBoolean(db, 2.0, &st, &ec);
                        EXPECT_EQ(st.mm_executed, 1);
-                       *bytes = MmBytes(kX, kY, kZ, MmKernel::kBoolean);
+                       *bytes = MmBytes(kX, kY, kZ);
                        return int64_t{found};
                      }});
   }
@@ -770,8 +768,7 @@ std::vector<MmEngineCase> MmEngineCases() {
 // first to be charged; the other engines allocated theirs uncharged.
 TEST(RecoveryTest, EveryMmEngineChargesItsOperands) {
   for (const MmEngineCase& c : MmEngineCases()) {
-    SCOPED_TRACE(c.name + " kernel=" +
-                 std::to_string(static_cast<int>(c.kernel)));
+    SCOPED_TRACE(c.name);
     ExecContext ec(2);
     int64_t bytes = 0;
     EXPECT_EQ(c.run(ec, &bytes), c.expected);
@@ -807,13 +804,11 @@ TEST(RecoveryTest, LightCornerAnswerRunsNoMmProduct) {
   opts.seed = 5;
   opts.plant_witness = true;
   const QueryInput db = MakeWorkload(Hypergraph::Triangle(), opts);
-  for (MmKernel kernel : {MmKernel::kBoolean, MmKernel::kBitSliced}) {
-    ExecContext ec(2);
-    TriangleStats st;
-    EXPECT_TRUE(TriangleMm(db, 3.0, kernel, &st, &ec));
-    ASSERT_TRUE(st.answer_from_light);
-    EXPECT_EQ(ec.stats().mm_products.load(), 0);
-  }
+  ExecContext ec(2);
+  TriangleStats st;
+  EXPECT_TRUE(TriangleMm(db, 3.0, MmKernel::kBoolean, &st, &ec));
+  ASSERT_TRUE(st.answer_from_light);
+  EXPECT_EQ(ec.stats().mm_products.load(), 0);
 }
 
 // Unbudgeted, every MM rung of the count ladder returns the oracle's
@@ -834,7 +829,7 @@ TEST(RecoveryTest, CountLadderDegradesPastMmRungsUnderBudget) {
   }
   const QueryInput db =
       Sorted({std::move(r), std::move(s), std::move(t)});
-  const int64_t operand_bytes = BitBytes(kX, kY) + BitBytes(kY, kZ);
+  const int64_t operand_bytes = CountBytes(kX, kY, kZ);
   ExecContext ref_ec(1);
   const int64_t clean_count = WcojCount(h, db, &ref_ec);
   ASSERT_GT(clean_count, 0);

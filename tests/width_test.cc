@@ -393,13 +393,11 @@ TEST(PlannerDeterminismTest, ParallelMatchesSerialGeneralForm) {
 TEST(PlannerDeterminismTest, WidthAtThreadCountInvariant) {
   const Rational omega(2371552, 1000000);
   const auto w = FourCycleWitnessHigh();
-  OmegaSubwOptions opts;
   ExecContext serial(1);
-  const Rational reference =
-      WidthAt(Hypergraph::Cycle(4), w, omega, opts, &serial);
+  const Rational reference = WidthAt(Hypergraph::Cycle(4), w, omega, &serial);
   for (int threads : {2, 4, 8}) {
     ExecContext ec(threads);
-    EXPECT_EQ(reference, WidthAt(Hypergraph::Cycle(4), w, omega, opts, &ec))
+    EXPECT_EQ(reference, WidthAt(Hypergraph::Cycle(4), w, omega, &ec))
         << threads;
   }
 }

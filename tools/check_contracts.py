@@ -75,13 +75,13 @@ comments and PR descriptions. This linter turns them into build failures
                       nothing.
 
   one-mm-operator     Engines (src/engine, src/panda) multiply matrices only
-                      through IndicatorProduct (mm/kernel.h), which charges
-                      the operands to the memory budget, counts the
-                      product and picks the kernel. Calling
-                      BitMatrix::Multiply, CountingProduct(,
-                      MultiplyBitSliced( or MultiplyBitSlicedPacked(
-                      there brings back a hand-rolled product that skips
-                      all three.
+                      through the MM operators of mm/kernel.h:
+                      IndicatorProduct for Boolean products and
+                      IndicatorCounts for cell counts. Both charge their
+                      storage to the memory budget before allocating it
+                      and count the product. Calling BitMatrix::Multiply,
+                      CountingProduct( or MultiplyBitSliced( there brings
+                      back a hand-rolled product that skips both.
 
   env-knob            Every std::getenv("FMMSW_...") in src/ must name
                       one of the sanctioned knobs: FMMSW_THREADS (pool
@@ -387,12 +387,12 @@ def check_catalog_mutation(text, path):
 
 
 RAW_MM_RE = re.compile(r"BitMatrix::Multiply\b|\bCountingProduct\s*\(|"
-                       r"\bMultiplyBitSliced(?:Packed)?\s*\(")
+                       r"\bMultiplyBitSliced\s*\(")
 MM_CALLER_DIRS = ("src/engine/", "src/panda/")
 
 
 def check_one_mm_operator(text, path):
-    """Engines reach the matrix kernels only through IndicatorProduct."""
+    """Engines reach the matrix kernels only through the MM operators."""
     violations = []
     lines = strip_block_comments(text).split("\n")
     allowed, _ = allow_markers(lines)
@@ -403,8 +403,8 @@ def check_one_mm_operator(text, path):
             violations.append(Violation(
                 "one-mm-operator", path, i,
                 f"{m.group(0).strip()!r} called from an engine; multiply "
-                "through IndicatorProduct (mm/kernel.h), which charges the "
-                "operands, counts the product and picks the kernel"))
+                "through IndicatorProduct or IndicatorCounts (mm/kernel.h), "
+                "which charge their storage and count the product"))
     return violations
 
 
@@ -754,22 +754,23 @@ auto q = std::const_pointer_cast<Relation>(unpublished);
     v = check_catalog_mutation(src, "src")
     expect("catalog", v, "no-catalog-mutation", 2)
 
-    # one-mm-operator: a raw BitMatrix::Multiply, CountingProduct,
-    # MultiplyBitSliced or MultiplyBitSlicedPacked call fires; the
-    # operator, a comment mention and an allow-marked site don't.
+    # one-mm-operator: a raw BitMatrix::Multiply, CountingProduct or
+    # MultiplyBitSliced call fires; the two operators, a comment mention
+    # and an allow-marked site don't.
     src = """
 BitMatrix p = BitMatrix::Multiply(a, b, &ec);
 Matrix m = CountingProduct(a, b, kernel, &ec);
-IndicatorProduct prod(rows, inner, cols, kernel, ec);
+IndicatorProduct prod(rows, inner, cols, ec);
 prod.Multiply();
-// the operator calls MultiplyBitSlicedPacked( for the counting kernel
+IndicatorCounts counts(rows, inner, cols, ec);
+int64_t n = counts.Count(i, j);
+// MultiplyBitSliced( reads every cell through IndicatorCounts
 Matrix q = MultiplyBitSliced(a, b, &ec);
-Matrix c = MultiplyBitSlicedPacked(bits_a, bits_b, &ec);
 // contracts: allow(one-mm-operator) differential reference in a test hook
 Matrix r = CountingProduct(a, b, MmKernel::kBitSliced, &ec);
 """
     v = check_one_mm_operator(src, "src")
-    expect("mm-operator", v, "one-mm-operator", 4)
+    expect("mm-operator", v, "one-mm-operator", 3)
 
     # fault-site-coverage: a registered-but-never-polled tag fires; the
     # polled tags (via Poll or site-tagged ParallelFor) don't; a missing
