@@ -10,10 +10,13 @@
 // Every (plan, N) is timed under bench::Sample's protocol. Every instance
 // is negative by construction, so every call must answer false; every
 // Figure-1 row must run the full split (TriangleStats::solo_corner == -1),
-// not one light corner; the triangle and 4-clique `wcoj` rows must give
-// some relation a direct-addressed top level (ExecStats::wcoj_top_index),
-// and the 4-clique and pyramid `wcoj` rows some relation last-level
-// bitmaps (ExecStats::wcoj_bitmap_relations).
+// not one light corner; no `wcoj` row may end before building a trie
+// (ExecStats::wcoj_empty_candidates: a variable with no candidate would
+// make the row an O(N) scan, so every instance leaves each variable one);
+// the triangle and 4-clique `wcoj` rows must give some relation a
+// direct-addressed top level (ExecStats::wcoj_top_index), and the
+// 4-clique and pyramid `wcoj` rows some relation last-level bitmaps
+// (ExecStats::wcoj_bitmap_relations).
 // The binary exits non-zero if any check fails. --max-n caps the
 // instances' total tuple count N.
 
@@ -55,6 +58,8 @@ struct Plan {
   int64_t max_total = 0;
   /// A TriangleMm run: its split must not degenerate to one solo corner.
   bool figure1 = false;
+  /// A generic-join run: it must not end before building a trie.
+  bool generic = false;
   /// A generic-join run that must give some relation a direct top level.
   bool top_index = false;
   /// A generic-join run that must give some relation last-level bitmaps.
@@ -70,80 +75,6 @@ struct Family {
   std::vector<Plan> plans;
 };
 
-/// Section 1.1.1's motivation for data partitioning: half of R and S share
-/// a single super-heavy y* (their join alone is ~(n/4)^2 — the single-TD
-/// plan's downfall), half lives on a sqrt(n) dense square (real work for
-/// the light side); T, U mirror this on w*. X is odd in R and even in U,
-/// so no cycle ever closes.
-QueryInput FourCycleInstance(int64_t n) {
-  const int64_t d = std::max<int64_t>(
-      4, static_cast<int64_t>(std::sqrt(static_cast<double>(n))));
-  Rng rng(23);
-  auto side = [&](VarSet schema, int star_col, Value star_value,
-                  bool odd_x, bool even_x) {
-    Relation out(schema);
-    for (int64_t i = 0; i < n / 2; ++i) {  // star half
-      Value a = static_cast<Value>(rng.Uniform(0, d - 1));
-      Value pair[2];
-      pair[star_col] = star_value;
-      pair[1 - star_col] = a;
-      if (odd_x) pair[0] = 2 * pair[0] + 1;
-      if (even_x) pair[0] = 2 * pair[0];
-      out.Add({pair[0], pair[1]});
-    }
-    for (int64_t i = 0; i < n / 2; ++i) {  // dense-square half
-      Value a = static_cast<Value>(rng.Uniform(0, d - 1));
-      Value b = static_cast<Value>(rng.Uniform(0, d - 1));
-      Value pair[2] = {a, b};
-      if (odd_x) pair[0] = 2 * pair[0] + 1;
-      if (even_x) pair[0] = 2 * pair[0];
-      out.Add({pair[0], pair[1]});
-    }
-    out.SortAndDedupe();
-    return out;
-  };
-  const Value star_y = static_cast<Value>(d + 1);
-  const Value star_w = static_cast<Value>(d + 2);
-  QueryInput db;
-  // R(X,Y): star on y*, odd X. S(Y,Z): star on y*.
-  db.relations.push_back(side(VarSet{0, 1}, 1, star_y, true, false));
-  db.relations.push_back(side(VarSet{1, 2}, 0, star_y, false, false));
-  // T(Z,W): star on w*. U(W,X): star on w*, even X.
-  db.relations.push_back(side(VarSet{2, 3}, 1, star_w, false, false));
-  db.relations.push_back(side(VarSet{0, 3}, 1, star_w, false, true));
-  return db;
-}
-
-/// Lemma C.13's heavy regime: apex degrees n/d ~ n^{0.6} exceed the
-/// Delta = N^{1-1/w} threshold, so the MM elimination (case 3) carries
-/// the work. X3 is odd in R3 and even in the base: pyramid-free, no early
-/// exits.
-QueryInput PyramidInstance(int64_t n) {
-  const int64_t d = std::max<int64_t>(
-      4, static_cast<int64_t>(std::pow(static_cast<double>(n), 0.4)));
-  Rng rng(37);
-  QueryInput db;
-  db.relations.push_back(UniformRelation(VarSet{0, 1}, n, d, &rng));
-  db.relations.push_back(UniformRelation(VarSet{0, 2}, n, d, &rng));
-  {
-    Relation raw = UniformRelation(VarSet{0, 3}, n, d, &rng);
-    Relation r3(VarSet{0, 3});
-    for (size_t i = 0; i < raw.size(); ++i) {
-      r3.Add({raw.Row(i)[0], 2 * raw.Row(i)[1] + 1});
-    }
-    db.relations.push_back(std::move(r3));
-  }
-  {
-    Relation raw = UniformRelation(VarSet{1, 2, 3}, n, d, &rng);
-    Relation base(VarSet{1, 2, 3});
-    for (size_t i = 0; i < raw.size(); ++i) {
-      base.Add({raw.Row(i)[0], raw.Row(i)[1], 2 * raw.Row(i)[2]});
-    }
-    db.relations.push_back(std::move(base));
-  }
-  return db;
-}
-
 /// A dense k-clique instance on `domain` values, clique-free via a parity
 /// obstruction: every pair relation keeps even-sum pairs (all clique
 /// vertices would share one parity) except R_{0,k-1}, which keeps odd-sum
@@ -151,7 +82,8 @@ QueryInput PyramidInstance(int64_t n) {
 /// meets the obstruction only at the last join level, but the generic
 /// join's candidate masks catch it well before the last level
 /// (ExecStats::wcoj_pruned_bindings), so the `wcoj` rows stop far short
-/// of their full work.
+/// of their full work. Every value stays a candidate of every variable,
+/// so WcojOrder keeps the index order and no run ends before its tries.
 QueryInput CliqueInstance(int k, int64_t domain) {
   WorkloadOptions opts;
   opts.kind = WorkloadKind::kDense;
@@ -183,7 +115,7 @@ Plan Wcoj(const Hypergraph& h, const Rational& predicted,
           [h](const QueryInput& db, ExecContext* ec, TriangleStats*) {
             return WcojBoolean(h, db, ec);
           },
-          predicted, max_total, false, top_index, bitmaps};
+          predicted, max_total, false, true, top_index, bitmaps};
 }
 
 /// The public path, EvaluateBooleanWithRecovery with default limits; a
@@ -290,8 +222,9 @@ std::vector<Family> Table() {
 }
 
 /// Sweeps one family; returns false if any call answered true, any
-/// Figure-1 row ran a solo corner, a `top_index` row took no direct top
-/// level or a `bitmaps` row gave no relation bitmaps.
+/// Figure-1 row ran a solo corner, a generic-join row ended before
+/// building a trie, a `top_index` row took no direct top level or a
+/// `bitmaps` row gave no relation bitmaps.
 bool Run(const Family& family, ExecContext& ec) {
   bench::Header(family.name + ": fitted exponent per plan (negative "
                 "instances)");
@@ -311,6 +244,7 @@ bool Run(const Family& family, ExecContext& ec) {
         answered_true |= plan.run(db, &ec, &st);
         solo |= plan.figure1 && st.solo_corner != -1;
       });
+      const bool empty = plan.generic && t.wcoj_empty_candidates > 0;
       const bool no_top = plan.top_index && t.wcoj_top_index == 0;
       const bool no_bitmaps = plan.bitmaps && t.wcoj_bitmap_relations == 0;
       ns[p].push_back(static_cast<double>(total));
@@ -322,13 +256,13 @@ bool Run(const Family& family, ExecContext& ec) {
                 ",\"delta_worst_case\":" + std::to_string(st.delta_worst_case);
       }
       bench::Json(family.name, total, plan.name, t, extra);
-      std::printf("  N=%-8lld %-14s median %10.3f ms  iqr %8.3f ms%s%s%s%s\n",
-                  total, plan.name.c_str(), t.median_ms, t.q3_ms - t.q1_ms,
-                  answered_true ? "  ANSWERED TRUE" : "",
-                  solo ? "  SOLO CORNER" : "",
-                  no_top ? "  NO TOP INDEX" : "",
-                  no_bitmaps ? "  NO BITMAPS" : "");
-      ok &= !answered_true && !solo && !no_top && !no_bitmaps;
+      std::printf(
+          "  N=%-8lld %-14s median %10.3f ms  iqr %8.3f ms%s%s%s%s%s\n",
+          total, plan.name.c_str(), t.median_ms, t.q3_ms - t.q1_ms,
+          answered_true ? "  ANSWERED TRUE" : "",
+          solo ? "  SOLO CORNER" : "", empty ? "  EMPTY CANDIDATES" : "",
+          no_top ? "  NO TOP INDEX" : "", no_bitmaps ? "  NO BITMAPS" : "");
+      ok &= !answered_true && !solo && !empty && !no_top && !no_bitmaps;
     }
   }
   for (size_t p = 0; p < plans; ++p) {
@@ -371,8 +305,8 @@ int main(int argc, char** argv) {
   if (!ok) {
     std::fprintf(stderr, "bench_exponents: a negative instance answered "
                          "true, a Figure-1 row ran a solo corner or a "
-                         "wcoj row took no direct top level or no "
-                         "bitmaps\n");
+                         "wcoj row ended before building a trie, took no "
+                         "direct top level or no bitmaps\n");
   }
   return ok ? 0 : 1;
 }

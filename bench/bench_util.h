@@ -87,14 +87,17 @@ inline void Json(const std::string& name, long long n,
 /// One sampled measurement: the median and quartiles of the timed calls'
 /// wall milliseconds, the median per-call aggregate phase milliseconds
 /// (the context's index_build_ns / sort_ns deltas; see Json above for the
-/// summed-across-workers caveat), and the median per-call counts of
+/// summed-across-workers caveat), the median per-call counts of
 /// relations the generic join gave a direct top level and last-level
-/// bitmaps (the ExecStats::wcoj_top_index / wcoj_bitmap_relations deltas).
+/// bitmaps (the ExecStats::wcoj_top_index / wcoj_bitmap_relations deltas),
+/// and the most generic-join runs any call ended before building a trie
+/// (the ExecStats::wcoj_empty_candidates delta).
 struct Timing {
   double median_ms = 0, q1_ms = 0, q3_ms = 0;
   double index_build_ms = 0, sort_ms = 0;
   int64_t wcoj_top_index = 0;
   int64_t wcoj_bitmap_relations = 0;
+  int64_t wcoj_empty_candidates = 0;
 };
 
 /// The one timing protocol: kWarmups untimed calls (arena growth, index
@@ -115,11 +118,13 @@ inline double Quantile(std::vector<double>& v, double p) {
 inline Timing Sample(ExecContext& ec, const std::function<void()>& f) {
   for (int i = 0; i < kWarmups; ++i) f();
   std::vector<double> wall, index_build, sort, top_index, bitmaps;
+  int64_t empty = 0;
   for (int i = 0; i < kSamples; ++i) {
     const int64_t ib0 = ec.stats().index_build_ns.load();
     const int64_t sort0 = ec.stats().sort_ns.load();
     const int64_t top0 = ec.stats().wcoj_top_index.load();
     const int64_t bitmaps0 = ec.stats().wcoj_bitmap_relations.load();
+    const int64_t empty0 = ec.stats().wcoj_empty_candidates.load();
     Stopwatch sw;
     f();
     wall.push_back(sw.Millis());
@@ -131,8 +136,10 @@ inline Timing Sample(ExecContext& ec, const std::function<void()>& f) {
         static_cast<double>(ec.stats().wcoj_top_index.load() - top0));
     bitmaps.push_back(static_cast<double>(
         ec.stats().wcoj_bitmap_relations.load() - bitmaps0));
+    empty = std::max(empty, ec.stats().wcoj_empty_candidates.load() - empty0);
   }
   Timing t;
+  t.wcoj_empty_candidates = empty;
   t.q1_ms = Quantile(wall, 0.25);
   t.median_ms = Quantile(wall, 0.5);
   t.q3_ms = Quantile(wall, 0.75);
@@ -144,18 +151,21 @@ inline Timing Sample(ExecContext& ec, const std::function<void()>& f) {
 }
 
 /// A measurement line for a sampled Timing: wall_ms is the median,
-/// iqr_ms = q3 - q1 its spread, and wcoj_top_index / wcoj_bitmap_relations
+/// iqr_ms = q3 - q1 its spread, wcoj_top_index / wcoj_bitmap_relations
 /// the per-call counts of relations that took the direct top level and
-/// last-level bitmaps.
+/// last-level bitmaps, and wcoj_empty_candidates the runs that ended
+/// before building a trie.
 inline void Json(const std::string& name, long long n,
                  const std::string& kernel, const Timing& t,
                  const std::string& extra = "") {
-  char sampled[128];
+  char sampled[192];
   std::snprintf(sampled, sizeof(sampled),
                 "\"iqr_ms\":%.6f,\"wcoj_top_index\":%lld,"
-                "\"wcoj_bitmap_relations\":%lld",
+                "\"wcoj_bitmap_relations\":%lld,"
+                "\"wcoj_empty_candidates\":%lld",
                 t.q3_ms - t.q1_ms, static_cast<long long>(t.wcoj_top_index),
-                static_cast<long long>(t.wcoj_bitmap_relations));
+                static_cast<long long>(t.wcoj_bitmap_relations),
+                static_cast<long long>(t.wcoj_empty_candidates));
   Json(name, n, kernel, t.median_ms, t.index_build_ms, t.sort_ms,
        extra.empty() ? std::string(sampled)
                      : std::string(sampled) + "," + extra);

@@ -203,6 +203,9 @@ void Database::Transaction::Replace(const std::string& name, Relation rows) {
   rows.SortAndDedupe(ec_);
   ec_->guard().Poll(FaultSite::kOps);
   charge_->Add(RelationBytes(rows));
+  // The version keeps its value sets, which the generic join reads to
+  // order its variables; they are staged bytes like the rows.
+  rows.KeepValueSets(charge_.get());
   Stage(name, std::make_shared<const Relation>(std::move(rows)));
 }
 

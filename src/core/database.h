@@ -159,8 +159,9 @@ class Database {
     /// Rolls back if neither Commit() nor Rollback() ran.
     ~Transaction();
 
-    /// Stages `rows` (canonically sorted + deduped) as the next version
-    /// of `name`; creates the relation if it is not registered.
+    /// Stages `rows` (canonically sorted + deduped, with its value sets
+    /// kept, see Relation::value_sets) as the next version of `name`;
+    /// creates the relation if it is not registered.
     void Replace(const std::string& name, Relation rows);
     /// Copy-on-write append: stages a fresh version holding the current
     /// (staged or committed) rows of `name` plus `delta`'s rows. Equal

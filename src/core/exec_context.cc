@@ -285,6 +285,8 @@ void ExecStats::Reset() {
   wcoj_pruned_bindings = 0;
   wcoj_popcount_leaves = 0;
   wcoj_top_index = 0;
+  wcoj_reordered = 0;
+  wcoj_empty_candidates = 0;
   mm_products = 0;
   mm_base_calls = 0;
   mm_bitsliced_calls = 0;
@@ -349,6 +351,8 @@ std::string ExecStats::ToString() const {
   row("wcoj_pruned_bindings ", wcoj_pruned_bindings);
   row("wcoj_popcount_leaves ", wcoj_popcount_leaves);
   row("wcoj_top_index      ", wcoj_top_index);
+  row("wcoj_reordered      ", wcoj_reordered);
+  row("wcoj_empty_candidates", wcoj_empty_candidates);
   row("mm_products         ", mm_products);
   row("mm_base_calls       ", mm_base_calls);
   row("mm_bitsliced_calls  ", mm_bitsliced_calls);

@@ -114,6 +114,14 @@ namespace fmmsw {
 ///                             the order, first-column window <= rows);
 ///                             their top-level probes read an offset
 ///                             array instead of galloping.
+/// WCOJ order counters (engine/wcoj.h WcojOrder; runs given no explicit
+/// order read each variable's candidate count from the relations' value
+/// sets):
+///   - wcoj_reordered        : runs that built tries in an order other
+///                             than the index order.
+///   - wcoj_empty_candidates : runs that ended before building any trie
+///                             because some variable had no candidate
+///                             (its value sets' AND was empty).
 /// MM kernel counters (mm/kernel.h; mm_products above counts
 /// engine-level product launches, these count the kernel layer under it):
 ///   - mm_base_calls         : reads 0: no kernel increments it. Kept
@@ -158,6 +166,8 @@ struct ExecStats {
   std::atomic<int64_t> wcoj_pruned_bindings{0}; ///< bindings cut by an empty mask
   std::atomic<int64_t> wcoj_popcount_leaves{0}; ///< count leaves added by popcount
   std::atomic<int64_t> wcoj_top_index{0};       ///< relations given a direct top level
+  std::atomic<int64_t> wcoj_reordered{0};       ///< runs not in index order
+  std::atomic<int64_t> wcoj_empty_candidates{0};///< runs ended before any trie
   std::atomic<int64_t> mm_products{0};          ///< matrix-kernel launches
   std::atomic<int64_t> mm_base_calls{0};        ///< always 0; read by the e2e client
   std::atomic<int64_t> mm_bitsliced_calls{0};   ///< IndicatorCounts operators built

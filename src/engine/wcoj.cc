@@ -4,6 +4,7 @@
 #include <atomic>
 #include <bit>
 #include <cstdint>
+#include <optional>
 #include <utility>
 
 #include "core/exec_context.h"
@@ -921,8 +922,99 @@ class GenericJoin {
   size_t mask_words_ = 0;             // words of one EnumState's frames
 };
 
-std::vector<int> DefaultOrder(const Hypergraph& h) {
-  return h.vertices().Members();
+/// The candidate count of a variable no kept value set covers.
+constexpr int64_t kUnconstrained = INT64_MAX;
+
+/// Each variable's candidate count (indexed by variable): the popcount of
+/// the AND of its kept columns' value sets, word by word, so no scratch
+/// is allocated. A relation that arrives without value sets gets
+/// per-query ones, charged before allocation and freed on return.
+std::vector<int64_t> CandidateCounts(const Hypergraph& h,
+                                     const QueryInput& db, ExecContext& ec) {
+  MemCharge charge(ec);
+  std::vector<ValueSets> computed;
+  computed.reserve(db.relations.size());  // keeps `sets` pointers valid
+  std::vector<const ValueSets*> sets;
+  for (const Relation& r : db.relations) {
+    if (r.value_sets() == nullptr) {
+      computed.push_back(ComputeValueSets(r, &charge));
+      sets.push_back(&computed.back());
+    } else {
+      sets.push_back(r.value_sets());
+    }
+  }
+  std::vector<int64_t> count(kMaxVars, kUnconstrained);
+  std::vector<const ValueSet*> of_v;
+  for (int v : h.vertices().Members()) {
+    // v's kept sets and the words all of them span.
+    of_v.clear();
+    int64_t first = INT64_MIN, end = INT64_MAX;
+    for (size_t i = 0; i < db.relations.size(); ++i) {
+      const Relation& r = db.relations[i];
+      if (!r.schema().Contains(v)) continue;
+      const ValueSet& set = (*sets[i])[r.ColumnOf(v)];
+      if (!set.kept) continue;
+      of_v.push_back(&set);
+      first = std::max(first, set.first_word);
+      end = std::min(end, set.first_word +
+                              static_cast<int64_t>(set.words.size()));
+    }
+    if (of_v.empty()) continue;
+    int64_t n = 0;
+    for (int64_t w = first; w < end; ++w) {
+      uint64_t m = ~uint64_t{0};
+      for (const ValueSet* set : of_v) m &= set->words[w - set->first_word];
+      n += std::popcount(m);
+    }
+    count[v] = n;
+  }
+  return count;
+}
+
+/// WcojOrder's greedy rule over the counts CandidateCounts returns.
+std::vector<int> GreedyOrder(const Hypergraph& h, const QueryInput& db,
+                             const std::vector<int64_t>& count) {
+  std::vector<int> order;
+  VarSet left = h.vertices();
+  VarSet near;  // variables sharing a relation with a bound one
+  while (!left.empty()) {
+    const VarSet pool = (near & left).empty() ? left : near & left;
+    int best = -1;
+    for (int v : pool.Members()) {
+      if (best < 0 || count[v] < count[best]) best = v;
+    }
+    order.push_back(best);
+    left.Remove(best);
+    for (const Relation& r : db.relations) {
+      if (r.schema().Contains(best)) near = near | r.schema();
+    }
+  }
+  return order;
+}
+
+/// Counts a generic-join run and returns its order: `order` exactly as
+/// given, else WcojOrder's. Returns nullopt, counting the run in
+/// wcoj_empty_candidates, when WcojOrder's first variable has no
+/// candidate: the run then ends before any trie is built.
+std::optional<std::vector<int>> StartRun(const Hypergraph& h,
+                                         const QueryInput& db,
+                                         const std::vector<int>* order,
+                                         ExecContext& ec) {
+  ExecStats& stats = ec.stats();
+  Bump(stats.wcoj_runs);
+  std::vector<int> ord;
+  if (order != nullptr) {
+    ord = *order;
+  } else {
+    const std::vector<int64_t> count = CandidateCounts(h, db, ec);
+    ord = GreedyOrder(h, db, count);
+    if (!ord.empty() && count[ord[0]] == 0) {
+      Bump(stats.wcoj_empty_candidates);
+      return std::nullopt;
+    }
+  }
+  if (ord != h.vertices().Members()) Bump(stats.wcoj_reordered);
+  return ord;
 }
 
 /// Minimum input size / task fan-out before the pool is engaged: tiny
@@ -1081,10 +1173,17 @@ void DriveParallel(ExecContext& ec, GenericJoin& gj, size_t ntasks,
 
 }  // namespace
 
+std::vector<int> WcojOrder(const Hypergraph& h, const QueryInput& db,
+                           ExecContext* ctx) {
+  return GreedyOrder(h, db,
+                     CandidateCounts(h, db, ExecContext::Resolve(ctx)));
+}
+
 bool WcojBoolean(const Hypergraph& h, const QueryInput& db, ExecContext* ctx) {
   ExecContext& ec = ExecContext::Resolve(ctx);
-  Bump(ec.stats().wcoj_runs);
-  GenericJoin gj(h, db, DefaultOrder(h), ec);
+  const std::optional<std::vector<int>> order = StartRun(h, db, nullptr, ec);
+  if (!order) return false;
+  GenericJoin gj(h, db, *order, ec);
   const size_t ntasks = PrepareParallel(ec, &gj);
   if (ntasks == 0) {
     bool found = false;
@@ -1126,9 +1225,9 @@ Relation WcojJoin(const Hypergraph& h, const QueryInput& db, VarSet output_vars,
     if (WcojBoolean(h, db, &ec)) out.Add({});
     return out;
   }
-  Bump(ec.stats().wcoj_runs);
-  const std::vector<int> ord = order ? *order : DefaultOrder(h);
-  GenericJoin gj(h, db, ord, ec);
+  const std::optional<std::vector<int>> ord = StartRun(h, db, order, ec);
+  if (!ord) return out;
+  GenericJoin gj(h, db, *ord, ec);
   QueryGuard& guard = ec.guard();
   const int64_t row_bytes =
       static_cast<int64_t>(out_vars.size()) * sizeof(Value);
@@ -1159,7 +1258,7 @@ Relation WcojJoin(const Hypergraph& h, const QueryInput& db, VarSet output_vars,
   // serial enumeration order no matter which worker claimed what. The
   // canonical sort below alone would make the relation bit-identical
   // across thread counts; the ordered merge is what lets it skip its
-  // work: a full join in the default order enumerates in sorted order,
+  // work: a full join in the index order enumerates in sorted order,
   // so SortAndDedupe's presorted pre-scan finds nothing to sort.
   struct WorkerOut {
     std::vector<Value> data;
@@ -1245,8 +1344,9 @@ Relation WcojJoin(const Hypergraph& h, const QueryInput& db, VarSet output_vars,
 
 int64_t WcojCount(const Hypergraph& h, const QueryInput& db, ExecContext* ctx) {
   ExecContext& ec = ExecContext::Resolve(ctx);
-  Bump(ec.stats().wcoj_runs);
-  GenericJoin gj(h, db, DefaultOrder(h), ec);
+  const std::optional<std::vector<int>> order = StartRun(h, db, nullptr, ec);
+  if (!order) return 0;
+  GenericJoin gj(h, db, *order, ec);
   const size_t ntasks = PrepareParallel(ec, &gj);
   if (ntasks == 0) {
     struct Counter {

@@ -8,6 +8,16 @@
 /// variable. Runs in O(N^{rho*(Q)}) data complexity and is the
 /// combinatorial building block for bag evaluation inside TD plans.
 ///
+/// Variable order: a run given no explicit order takes WcojOrder's, read
+/// from the relations' per-column value sets (Relation::value_sets; each
+/// catalog version keeps its own, and a relation that arrives without
+/// them gets per-query sets, charged before allocation and freed before
+/// the tries are built). A variable's candidate count is the popcount of
+/// the AND of its columns' sets. If some variable has none, the run ends
+/// before any trie is built (false / 0 / an empty relation); otherwise
+/// variables are bound fewest candidates first. The order depends on the
+/// data alone, so results stay identical for every thread count.
+///
 /// Parallel execution: when the context's pool has more than one thread,
 /// the first variable's candidate runs are expanded into tasks and
 /// partitioned across the pool. Each worker recurses with its own range
@@ -40,14 +50,24 @@ namespace fmmsw {
 
 class ExecContext;
 
+/// The order a run given no explicit order binds `h`'s variables in: the
+/// variable with the fewest candidates first, then, repeatedly, the
+/// unbound variable with the fewest candidates among those sharing a
+/// relation with a bound one (among all unbound ones if none does), ties
+/// going to the lower index. A variable no kept value set covers counts
+/// as unconstrained, after every finite count. A variable with no
+/// candidate therefore comes first, and the runs stop there.
+std::vector<int> WcojOrder(const Hypergraph& h, const QueryInput& db,
+                           ExecContext* ctx = nullptr);
+
 /// Evaluates the Boolean query: is the full natural join non-empty?
 bool WcojBoolean(const Hypergraph& h, const QueryInput& db,
                  ExecContext* ctx = nullptr);
 
 /// Computes the full join result projected onto `output_vars` (pass the
 /// full vertex set for the complete join). Variables are instantiated in
-/// increasing index order unless `order` is given. Output is canonically
-/// sorted and deduplicated.
+/// WcojOrder's order, or exactly in `order` when it is given (no
+/// candidate check then). Output is canonically sorted and deduplicated.
 Relation WcojJoin(const Hypergraph& h, const QueryInput& db, VarSet output_vars,
                   const std::vector<int>* order = nullptr,
                   ExecContext* ctx = nullptr);

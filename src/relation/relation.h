@@ -14,6 +14,12 @@
 /// The var -> column map is cached at construction so ColumnOf is O(1);
 /// operators resolve columns once per call (see KeySpec in flat_index.h)
 /// and append rows through the raw-buffer AddRow path.
+///
+/// A relation may keep per-column value sets (ValueSets below) with its
+/// rows: Database::Transaction::Replace computes them once for every
+/// catalog version, so every RelationPtr to that version carries them,
+/// and the generic join reads them to choose its variable order. Every
+/// mutator drops them, so a changed copy never carries stale sets.
 
 #include <array>
 #include <cstdint>
@@ -27,6 +33,7 @@
 namespace fmmsw {
 
 class ExecContext;
+class MemCharge;
 
 using Value = int32_t;
 
@@ -39,6 +46,21 @@ inline uint32_t BiasValue(Value v) {
 inline Value UnbiasValue(uint32_t u) {
   return static_cast<Value>(u ^ 0x80000000u);
 }
+
+/// The distinct values of one column as a bitset: bit k of words[i] is
+/// value 64 * (first_word + i) + k. A column is kept only when its window
+/// hi - lo + 1 is at most 4 values per row (DegreeProfile's dense rule),
+/// so its words never outnumber rows / 16 + 2; a wider column has
+/// kept == false and constrains nothing. A column of an empty relation is
+/// kept with no words: it has no value.
+struct ValueSet {
+  bool kept = false;
+  int64_t first_word = 0;  ///< floor(lo / 64)
+  std::vector<uint64_t> words;
+};
+
+/// One ValueSet per column, in column order.
+using ValueSets = std::vector<ValueSet>;
 
 class Relation {
  public:
@@ -67,6 +89,7 @@ class Relation {
   /// Appends a tuple; `values` are in column (increasing-variable) order.
   void Add(const std::vector<Value>& values) {
     FMMSW_DCHECK(static_cast<int>(values.size()) == arity());
+    value_sets_.reset();
     if (vars_.empty()) {
       empty_nullary_ = false;
       return;
@@ -76,6 +99,7 @@ class Relation {
 
   /// Raw-buffer append of arity() consecutive values in column order.
   void AddRow(const Value* values) {
+    value_sets_.reset();
     if (vars_.empty()) {
       empty_nullary_ = false;
       return;
@@ -85,6 +109,7 @@ class Relation {
 
   /// Bulk append of `rows` tuples stored contiguously in column order.
   void AddRows(const Value* values, size_t rows) {
+    value_sets_.reset();
     if (vars_.empty()) {
       if (rows > 0) empty_nullary_ = false;
       return;
@@ -117,6 +142,13 @@ class Relation {
   /// count.
   void SortAndDedupe(ExecContext* ctx = nullptr);
 
+  /// The value sets kept with these rows, or nullptr: never computed, or
+  /// dropped by a mutator since.
+  const ValueSets* value_sets() const { return value_sets_.get(); }
+  /// Computes and keeps value_sets(), charging their bytes to `charge`
+  /// before allocating them (see ComputeValueSets).
+  void KeepValueSets(MemCharge* charge);
+
   /// True if the relation contains the given tuple (column order).
   bool Contains(const std::vector<Value>& values) const;
 
@@ -130,7 +162,14 @@ class Relation {
   // Nullary relations represent Boolean results: "true" holds one empty
   // tuple. Default-constructed nullary relations are empty ("false").
   bool empty_nullary_ = true;
+  // Shared by the copies of one version; reset by every mutator.
+  std::shared_ptr<const ValueSets> value_sets_;
 };
+
+/// Computes `r`'s ValueSets. One scan finds each column's window, the
+/// kept columns' word bytes are charged to `charge` (nullptr: uncharged),
+/// and only then are the words allocated and filled.
+ValueSets ComputeValueSets(const Relation& r, MemCharge* charge);
 
 /// Shared handle to one immutable relation version. Bindings, the
 /// versioned catalog (core/database.h) and engine scratch all share

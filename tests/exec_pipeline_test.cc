@@ -446,8 +446,14 @@ TEST(ParallelWcojTest, SubLevelStealingOnDominantTask) {
   db.relations = {r, s, t};
   ExpectDeterministicAcrossThreadCounts(h, db, h.vertices());
   ExpectDeterministicAcrossThreadCounts(h, db, VarSet{1, 2});
+  // WcojOrder binds Z (400 candidates) before Y (about 2600), and X = 0
+  // meets only about 100 Z values in T; the hot depth-1 range is Y's, so
+  // the index order is given explicitly.
+  ASSERT_EQ(WcojOrder(h, db), (std::vector<int>{0, 2, 1}));
+  const std::vector<int> index_order = {0, 1, 2};
   ExecContext ec(4);
-  Relation out = WcojJoin(h, db, h.vertices(), nullptr, &ec);
+  Relation out = WcojJoin(h, db, h.vertices(), &index_order, &ec);
+  EXPECT_EQ(Rows(out), Rows(WcojJoin(h, db, h.vertices(), nullptr, &ec)));
   EXPECT_FALSE(out.empty());
   EXPECT_GT(ec.stats().wcoj_coop_tasks.load(), 0);
 }
@@ -496,46 +502,13 @@ TEST(ParallelWcojTest, EnginesAgreeUnderParallelContext) {
 
 // ------------------------------------------------- dense leaf bitmaps --
 
-/// Nested-loop oracle: every full assignment (indexed by variable) that
-/// agrees with one row of each relation, in ascending order.
-std::vector<std::vector<Value>> NestedLoopJoin(const Hypergraph& h,
-                                               const QueryInput& db) {
-  std::set<std::vector<Value>> out;
-  std::vector<Value> assign(h.num_vars(), 0);
-  std::vector<int> binders(h.num_vars(), 0);  // relations binding each var
-  std::function<void(size_t)> visit = [&](size_t e) {
-    if (e == db.relations.size()) {
-      out.insert(assign);
-      return;
-    }
-    const Relation& r = db.relations[e];
-    const std::vector<int>& vars = r.vars();
-    for (size_t i = 0; i < r.size(); ++i) {
-      const Value* row = r.Row(i);
-      bool ok = true;
-      for (size_t c = 0; c < vars.size() && ok; ++c) {
-        ok = binders[vars[c]] == 0 || assign[vars[c]] == row[c];
-      }
-      if (!ok) continue;
-      for (size_t c = 0; c < vars.size(); ++c) {
-        assign[vars[c]] = row[c];
-        ++binders[vars[c]];
-      }
-      visit(e + 1);
-      for (int v : vars) --binders[v];
-    }
-  };
-  visit(0);
-  return {out.begin(), out.end()};
-}
-
 /// WcojJoin, WcojCount and WcojBoolean against the nested-loop oracle at
 /// threads {1, 2, 4} and on the process pool (sized by FMMSW_THREADS).
 /// Every run must give exactly the relations ComputeWcojRules names a
 /// direct top level and last-level bitmaps. Returns those rules.
 WcojRules ExpectMatchesOracle(const Hypergraph& h, const QueryInput& db,
                               const std::string& where) {
-  const WcojRules rules = ComputeWcojRules(h, db);
+  const WcojRules rules = ComputeWcojRules(h, db, WcojOrder(h, db));
   const std::vector<std::vector<Value>> expect = NestedLoopJoin(h, db);
   for (int threads : {1, 2, 4, 0}) {
     const std::string at = where + " threads=" + std::to_string(threads);
@@ -721,11 +694,14 @@ TEST(WcojBitmapTest, DenseAndSparseRelationEndAtOneVariable) {
 }
 
 TEST(WcojBitmapTest, MaskEmptiesTwoLevelsAboveTheLeaf) {
-  // Order X0, X1, X2, X3 over a 12-value domain. C(X0, X3) holds even X3
-  // only, D(X1, X3) odd X3 only, so X3's mask empties as soon as X1 is
-  // bound: each of the 144 (X0, X1) bindings is pruned there, two levels
-  // above X3, and X2 is never bound. Were they not pruned, E(X2, X3)
-  // would fold at each of the 12 X2 bindings below and prune 1728 more.
+  // Order X0, X1, X2, X3 over a 16-value domain, every value a candidate
+  // of every variable, so WcojOrder keeps the index order. A(X0, X1)
+  // holds the pairs of equal parity, C(X0, X3) those of equal parity and
+  // D(X1, X3) those of unequal parity, so X3's mask empties as soon as
+  // X1 is bound: each binding of (X0, X1), one per row of A, is pruned
+  // there, two levels above X3, and X2 is never bound. Were they not
+  // pruned, E(X2, X3) would fold at each of the 16 X2 bindings below.
+  constexpr Value kDomain = 16;
   Hypergraph h(4);
   h.AddEdge({0, 1});
   h.AddEdge({1, 2});
@@ -734,21 +710,26 @@ TEST(WcojBitmapTest, MaskEmptiesTwoLevelsAboveTheLeaf) {
   h.AddEdge({2, 3});
   Relation a(VarSet{0, 1}), b(VarSet{1, 2}), c(VarSet{0, 3}), d(VarSet{1, 3}),
       e(VarSet{2, 3});
-  for (Value x = 0; x < 12; ++x) {
-    for (Value y = 0; y < 12; ++y) {
-      a.Add({x, y});
+  for (Value x = 0; x < kDomain; ++x) {
+    for (Value y = 0; y < kDomain; ++y) {
+      const bool same = (x + y) % 2 == 0;
+      if (same) a.Add({x, y});
       b.Add({x, y});
       e.Add({x, y});
-      (y % 2 == 0 ? c : d).Add({x, y});
+      (same ? c : d).Add({x, y});
     }
   }
   QueryInput db;
   db.relations = {a, b, c, d, e};
+  ASSERT_EQ(WcojOrder(h, db), (std::vector<int>{0, 1, 2, 3}));
   EXPECT_EQ(ExpectMatchesOracle(h, db, "parity X3").bitmap_relations, 5);
   for (int threads : {1, 2, 4}) {
     ExecContext ec(threads);
     EXPECT_EQ(WcojCount(h, db, &ec), 0);
-    EXPECT_EQ(ec.stats().wcoj_pruned_bindings.load(), 144) << threads;
+    EXPECT_EQ(ec.stats().wcoj_pruned_bindings.load(),
+              static_cast<int64_t>(a.size()))
+        << threads;
+    EXPECT_EQ(ec.stats().wcoj_empty_candidates.load(), 0) << threads;
   }
 }
 
@@ -820,7 +801,9 @@ TEST(WcojBitmapTest, CounterMarksDensePyramidNotSparseZipf) {
   const QueryInput dense = Generated(pyramid, WorkloadKind::kDense, 0, 20, 7);
   ExecContext dense_ec(1);
   WcojBoolean(pyramid, dense, &dense_ec);
-  const int64_t n = ComputeWcojRules(pyramid, dense).bitmap_relations;
+  const int64_t n =
+      ComputeWcojRules(pyramid, dense, WcojOrder(pyramid, dense))
+          .bitmap_relations;
   EXPECT_EQ(n, 4);
   EXPECT_EQ(dense_ec.stats().wcoj_bitmap_relations.load(), n);
   EXPECT_NE(dense_ec.stats().ToString().find("wcoj_bitmap_relations : 4"),
@@ -835,8 +818,11 @@ TEST(WcojBitmapTest, CounterMarksDensePyramidNotSparseZipf) {
 
 // -------------------------------------------- direct-addressed top level --
 
-/// Triangle whose S(Y, Z) holds one row (s_ys[i], i % 9) per entry of
-/// `s_ys`, probed by R(X, Y) with Y in [y_lo, y_hi].
+/// Triangle whose S(Y, Z) holds one row (s_ys[i], 1000 (i % 9)) per entry
+/// of `s_ys`, probed by R(X, Y) with Y in [y_lo, y_hi]. T(X, Z) holds only
+/// X = 0 and 1, so X has two candidates, and Z's values are spread too
+/// widely to keep a value set, so it has no count: WcojOrder binds X, then
+/// Y, then Z, and S(Y, Z) is probed at its Y level.
 QueryInput TopWindowTriangle(const std::vector<Value>& s_ys, Value y_lo,
                              Value y_hi) {
   Rng rng(71);
@@ -845,10 +831,12 @@ QueryInput TopWindowTriangle(const std::vector<Value>& s_ys, Value y_lo,
     for (int j = 0; j < 20; ++j) {
       r.Add({x, static_cast<Value>(rng.Uniform(y_lo, y_hi))});
     }
-    for (Value z = 0; z < 9; z += 1 + (x % 3)) t.Add({x, z});
+  }
+  for (Value x = 0; x < 2; ++x) {
+    for (Value z = 0; z < 9; z += 1 + x) t.Add({x, 1000 * z});
   }
   for (size_t i = 0; i < s_ys.size(); ++i) {
-    s.Add({s_ys[i], static_cast<Value>(i % 9)});
+    s.Add({s_ys[i], static_cast<Value>(1000 * (i % 9))});
   }
   r.SortAndDedupe();
   s.SortAndDedupe();
@@ -917,7 +905,8 @@ TEST(WcojTopIndexTest, ProbesOutsideTheWindowAndExtremeValues) {
 TEST(WcojTopIndexTest, HeavyHitterDepthOneProbesTheIndex) {
   // X = 0 meets 3000 Y values in R, so its task runs cooperatively and its
   // depth-1 claims probe S(Y, Z), 6000 rows over a Y window of 3000,
-  // through the direct index.
+  // through the direct index. Z's values are multiples of 1000, too
+  // widely spread to keep a value set, so WcojOrder binds Z last.
   const Hypergraph h = Hypergraph::Triangle();
   Rng rng(83);
   Relation r(VarSet{0, 1}), s(VarSet{1, 2}), t(VarSet{0, 2});
@@ -928,12 +917,12 @@ TEST(WcojTopIndexTest, HeavyHitterDepthOneProbesTheIndex) {
     }
   }
   for (Value y = 0; y < 3000; ++y) {
-    s.Add({y, static_cast<Value>((y * 7) % 50)});
-    s.Add({y, static_cast<Value>((y * 13 + 1) % 50)});
+    s.Add({y, static_cast<Value>(1000 * ((y * 7) % 50))});
+    s.Add({y, static_cast<Value>(1000 * ((y * 13 + 1) % 50))});
   }
   for (Value x = 0; x <= 40; ++x) {
     for (int j = 0; j < 10; ++j) {
-      t.Add({x, static_cast<Value>(rng.Uniform(0, 49))});
+      t.Add({x, static_cast<Value>(1000 * rng.Uniform(0, 49))});
     }
   }
   r.SortAndDedupe();
@@ -955,7 +944,8 @@ TEST(WcojTopIndexTest, HeavyHitterDepthOneProbesTheIndex) {
 }
 
 TEST(WcojTopIndexTest, RelationsHoldingTheFirstVariableNeverTakeIt) {
-  // A star around X: every relation holds order[0] = X and is dense, so
+  // A star around X: U(X) leaves X 8 candidates, fewer than Y's 15 and
+  // Z's 10, so X is order[0]; every relation holds it and is dense, so
   // none takes the index.
   Hypergraph star(3);
   star.AddEdge({0, 1});
@@ -965,7 +955,7 @@ TEST(WcojTopIndexTest, RelationsHoldingTheFirstVariableNeverTakeIt) {
   for (Value x = 0; x < 30; ++x) {
     for (Value y = 0; y < 30; y += 2) a.Add({x, y});
     for (Value z = 0; z < 30; z += 3) b.Add({x, z});
-    u.Add({x});
+    if (x < 8) u.Add({x});
   }
   QueryInput star_db;
   star_db.relations = {a, b, u};

@@ -405,16 +405,17 @@ QueryInput Sorted(std::vector<Relation> rels) {
   return db;
 }
 
-// The generic join charges its last-level bitmaps and run indexes, its
-// direct top levels and each worker's mask frames with the tries, before
-// allocating them. Triangle over X in [0, 20), Y in [0, 50), Z in
-// [0, 640): every Y and every X meets 12 Z values, so the relations
-// ending at Z, S(Y, Z) and T(X, Z), have 50 and 20 runs over a 10-word
-// window, within their 601 and 240 rows; R(X, Y) has 20 runs over Y's
-// one-word window. S(Y, Z) is the one relation whose first variable is
-// not X; its Y window of 50 is within its 601 rows, so it takes a direct
-// top level of 51 offsets. The exact byte counts come from the
-// test-side copy of the rules (wcoj_rules.h).
+// The generic join charges its last-level bitmaps and run indexes, its direct
+// top levels and each worker's mask frames with the tries, before allocating
+// them. Triangle over X in [0, 20), Y in [0, 50), Z in [0, 640), Z = 53 k mod
+// 640: every Y meets the 12 values of k in [y, y + 12) and every X those of k
+// in [3x, 3x + 12). X has 20 candidates, Y 50 and Z 61 (k in [0, 60]), so
+// WcojOrder keeps the index order X, Y, Z. The relations ending at Z, S(Y, Z)
+// and T(X, Z), have 50 and 20 runs over a 10-word window, within their 601 and
+// 240 rows; R(X, Y) has 20 runs over Y's one-word window. S(Y, Z) is the one
+// relation whose first variable is not X; its Y window of 50 is within its 601
+// rows, so it takes a direct top level of 51 offsets. The exact byte counts
+// come from the test-side copy of the rules (wcoj_rules.h).
 struct DenseTriangle {
   QueryInput db;
   int64_t trie_bytes = 0;
@@ -435,13 +436,13 @@ DenseTriangle MakeDenseTriangle() {
     r.Add({static_cast<Value>(rng.Uniform(0, 19)),
            static_cast<Value>(rng.Uniform(0, 49))});
   }
-  const auto twelve_z = [&](Value key, Relation* rel) {
+  const auto twelve_z = [&](Value key, Value stride, Relation* rel) {
     for (int j = 0; j < 12; ++j) {
-      rel->Add({key, static_cast<Value>((key * 53 + j * 53) % 640)});
+      rel->Add({key, static_cast<Value>(((key * stride + j) * 53) % 640)});
     }
   };
-  for (Value y = 0; y < 50; ++y) twelve_z(y, &s);
-  for (Value x = 0; x < 20; ++x) twelve_z(x, &t);
+  for (Value y = 0; y < 50; ++y) twelve_z(y, 1, &s);
+  for (Value x = 0; x < 20; ++x) twelve_z(x, 3, &t);
   s.Add({0, 639});  // pin the window to [0, 639]
   DenseTriangle out;
   out.db = Sorted({std::move(r), std::move(s), std::move(t)});
@@ -449,7 +450,9 @@ DenseTriangle MakeDenseTriangle() {
     out.trie_bytes +=
         static_cast<int64_t>(rel.size() * rel.arity() * sizeof(Value));
   }
-  out.rules = ComputeWcojRules(Hypergraph::Triangle(), out.db);
+  const std::vector<int> order = WcojOrder(Hypergraph::Triangle(), out.db);
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+  out.rules = ComputeWcojRules(Hypergraph::Triangle(), out.db, order);
   EXPECT_EQ(out.rules.bitmap_relations, 3);
   EXPECT_EQ(out.rules.top_index, 1);
   EXPECT_EQ(out.rules.top_index_bytes, (50 + 1) * 4);  // S's Y in [0, 49]
